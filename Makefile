@@ -1,9 +1,9 @@
 # Convenience targets; the source of truth is dune.
 
 .PHONY: ci build test bench-perf bench-fuzz bench-shrink shrink-smoke \
-  fuzz-parallel-smoke cache-smoke oracle-digest-smoke clean
+  fuzz-parallel-smoke cache-smoke clean
 
-ci: build test shrink-smoke fuzz-parallel-smoke cache-smoke oracle-digest-smoke
+ci: build test shrink-smoke fuzz-parallel-smoke cache-smoke
 
 build:
 	dune build @all
@@ -33,8 +33,9 @@ fuzz-parallel-smoke:
 # Cache-transparency smoke test: the dedup cache and the verdict cache
 # must not change what a campaign finds, only how fast it finds it. Run
 # the buggy-NOVA ACE suite with caches at their defaults, with dedup off
-# and with the verdict cache off; the per-finding fingerprint lines must
-# match exactly (only the hit-rate footer may differ).
+# and with the verdict cache off, then once more at --jobs 2 (the verdict
+# cache shared between domains through per-domain views); the per-finding
+# fingerprint lines must match exactly (only the hit-rate footer may differ).
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
 	  | grep '^fingerprint' > _build/cache-smoke-default.txt
@@ -42,21 +43,12 @@ cache-smoke:
 	  --no-dedup | grep '^fingerprint' > _build/cache-smoke-nodedup.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
 	  --no-vcache | grep '^fingerprint' > _build/cache-smoke-novcache.txt
+	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
+	  --jobs 2 | grep '^fingerprint' > _build/cache-smoke-jobs2.txt
 	test -s _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-nodedup.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-default.txt
-
-# Digest-keying smoke test: verdict-cache keys built from the oracle's
-# incremental tree digests (the default) and keys built by re-serializing
-# whole oracle trees (--vcache-keys serialized, the historical scheme)
-# must produce identical finding lines on the buggy-NOVA ACE suite.
-oracle-digest-smoke:
-	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  | grep '^fingerprint' > _build/oracle-digest-smoke-digest.txt
-	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  --vcache-keys serialized | grep '^fingerprint' > _build/oracle-digest-smoke-serialized.txt
-	test -s _build/oracle-digest-smoke-digest.txt
-	diff -u _build/oracle-digest-smoke-serialized.txt _build/oracle-digest-smoke-digest.txt
+	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-jobs2.txt
 
 # Rewrite BENCH_parallel.json (sequential vs parallel wall-clock, dedup
 # hit-rate, states/sec) so the perf trajectory is tracked across PRs.

@@ -104,7 +104,7 @@ let figure3 () =
         let ace_time =
           let r =
             Chipmunk.Campaign.run
-              ~exec:(Chipmunk.Run.exec ~opts ~keep_sizes:false ~jobs ())
+              ~exec:(Chipmunk.Run.exec ~opts ~jobs ())
               ~budget:(Chipmunk.Run.budget ~stop_after_findings:1 ~max_seconds:30.0 ())
               (b.Catalog.driver ()) (ace_suite ())
           in
@@ -183,7 +183,7 @@ let suite_stats () =
             Seq.append (Ace.seq1 Ace.Fsync) (Seq.take 1500 (Ace.seq2 Ace.Fsync))
           else Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong)
         in
-        Chipmunk.Campaign.run ~exec:(Chipmunk.Run.exec ~keep_sizes:false ()) (mk ()) suite)
+        Chipmunk.Campaign.run (mk ()) suite)
       (List.to_seq Catalog.clean_drivers)
   in
   let rows =
@@ -477,60 +477,26 @@ let parallel_perf () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Five configs, each isolating one layer: no caches at all, the
-     per-point dedup alone, dedup + verdict cache keyed by whole-tree
-     serialization (the pre-digest scheme, kept as the before-measurement),
-     dedup + verdict cache on incremental oracle digests (the default), and
-     the full config sharded over domains. *)
+  (* Four configs, each isolating one layer: no caches at all, the
+     per-point dedup alone, dedup + verdict cache (the default), and the
+     full config sharded over domains. *)
   let no_dedup = { Chipmunk.Harness.default_opts with dedup_states = false } in
-  let serialized_keys =
-    {
-      Chipmunk.Harness.default_opts with
-      vcache_keying = Chipmunk.Vcache.Tree_serialization;
-    }
-  in
-  let seq_nc, t_seq_nc =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~opts:no_dedup ~keep_sizes:false ~use_vcache:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let seq_d, t_seq_d =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~keep_sizes:false ~use_vcache:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let seq_ser, t_seq_ser =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~opts:serialized_keys ~keep_sizes:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let seq, t_seq =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~keep_sizes:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let par, t_par =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~keep_sizes:false ~jobs ())
-          (mk_driver ()) (suite ()))
-  in
+  let campaign exec = time (fun () -> Chipmunk.Campaign.run ~exec (mk_driver ()) (suite ())) in
+  let seq_nc, t_seq_nc = campaign (Chipmunk.Run.exec ~opts:no_dedup ~use_vcache:false ()) in
+  let seq_d, t_seq_d = campaign (Chipmunk.Run.exec ~use_vcache:false ()) in
+  let seq, t_seq = campaign Chipmunk.Run.default_exec in
+  let par, t_par = campaign (Chipmunk.Run.exec ~jobs ()) in
   let fps (r : Chipmunk.Campaign.result) =
     List.map (fun e -> e.Chipmunk.Campaign.fingerprint) r.Chipmunk.Campaign.events
   in
-  let findings_equal =
-    fps seq = fps par && fps seq = fps seq_nc && fps seq = fps seq_d
-    && fps seq = fps seq_ser
-  in
-  let checked (r : Chipmunk.Campaign.result) =
+  let findings_equal = List.for_all (fun r -> fps r = fps seq) [ par; seq_nc; seq_d ] in
+  (* Two rates, one base each: every enumerated crash state, and only the
+     states that were actually mounted and checked (neither cache hit). *)
+  let mounts (r : Chipmunk.Campaign.result) =
     r.Chipmunk.Campaign.crash_states - r.Chipmunk.Campaign.dedup_hits
     - r.Chipmunk.Campaign.vcache_hits
   in
-  let rate r t = float_of_int (checked r) /. t in
+  let per_sec n t = float_of_int n /. t in
   let hit_rate =
     float_of_int seq_d.Chipmunk.Campaign.dedup_hits
     /. float_of_int (max 1 seq_d.Chipmunk.Campaign.crash_states)
@@ -540,61 +506,26 @@ let parallel_perf () =
     /. float_of_int (max 1 seq.Chipmunk.Campaign.crash_states)
   in
   let row label (r : Chipmunk.Campaign.result) t =
-    Printf.printf "%-24s %8.2fs %10d states %8d dedup %8d vcache %10.0f checked/s %4d findings\n"
+    Printf.printf "%-24s %8.2fs %10d states %8d dedup %8d vcache %10.0f states/s %10.0f mounts/s %4d findings\n"
       label t r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
-      r.Chipmunk.Campaign.vcache_hits (rate r t)
+      r.Chipmunk.Campaign.vcache_hits
+      (per_sec r.Chipmunk.Campaign.crash_states t)
+      (per_sec (mounts r) t)
       (List.length r.Chipmunk.Campaign.events)
   in
   row "sequential, no caches" seq_nc t_seq_nc;
   row "sequential, dedup only" seq_d t_seq_d;
-  row "sequential, vcache ser." seq_ser t_seq_ser;
   row "sequential (full)" seq t_seq;
   row (Printf.sprintf "parallel (jobs=%d)" jobs) par t_par;
   Printf.printf
-    "dedup hit-rate %.1f%% (speedup %.2fx), vcache hit-rate %.1f%% (speedup %.2fx \
-     digest keys, %.2fx serialized keys), parallel speedup %.2fx, findings %s\n"
+    "dedup hit-rate %.1f%% (speedup %.2fx), vcache hit-rate %.1f%% (speedup %.2fx), \
+     parallel speedup %.2fx, findings %s\n"
     (100.0 *. hit_rate) (t_seq_nc /. t_seq_d) (100.0 *. vcache_hit_rate) (t_seq_d /. t_seq)
-    (t_seq_d /. t_seq_ser) (t_seq /. t_par)
+    (t_seq /. t_par)
     (if findings_equal then "identical" else "DIFFER");
-  (* Digest-time breakdown (E14): seconds to key every phase of the first
-     200 suite workloads under each keying scheme, oracle construction
-     excluded — isolates what the incremental digests take off the
-     phase-key path. *)
-  let t_keys_digest, t_keys_serialized, key_workloads =
-    let prepped =
-      List.map
-        (fun (_, calls) ->
-          ( Chipmunk.Oracle.run calls,
-            Array.of_list (List.map Vfs.Syscall.to_string calls) ))
-        (List.of_seq (Seq.take 200 (suite ())))
-    in
-    let phases o =
-      Chipmunk.Checker.Initial
-      :: List.concat
-           (List.init (Chipmunk.Oracle.n_calls o) (fun i ->
-                [ Chipmunk.Checker.During i; Chipmunk.Checker.After i ]))
-    in
-    let time_keys f =
-      let t0 = Unix.gettimeofday () in
-      List.iter
-        (fun (o, texts) -> List.iter (fun p -> ignore (f o texts p)) (phases o))
-        prepped;
-      Unix.gettimeofday () -. t0
-    in
-    ( time_keys (fun o texts p -> Chipmunk.Vcache.phase_digest o ~calls:texts p),
-      time_keys (fun o texts p ->
-          Chipmunk.Vcache.phase_digest_serialized o ~calls:texts p),
-      List.length prepped )
-  in
-  Printf.printf
-    "phase keys over %d workloads: %.4fs digest, %.4fs serialized (%.1fx)\n"
-    key_workloads t_keys_digest t_keys_serialized
-    (t_keys_serialized /. t_keys_digest);
-  let obj fields =
-    "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields) ^ "}"
-  in
+  let module J = Chipmunk.Json in
   let run_obj (r : Chipmunk.Campaign.result) t =
-    obj
+    J.obj
       [
         ("seconds", Printf.sprintf "%.4f" t);
         ("workloads", string_of_int r.Chipmunk.Campaign.workloads_run);
@@ -602,39 +533,40 @@ let parallel_perf () =
         ("crash_states", string_of_int r.Chipmunk.Campaign.crash_states);
         ("dedup_hits", string_of_int r.Chipmunk.Campaign.dedup_hits);
         ("vcache_hits", string_of_int r.Chipmunk.Campaign.vcache_hits);
-        ("checked_states_per_sec", Printf.sprintf "%.1f" (rate r t));
+        ("mounts", string_of_int (mounts r));
+        ("states_per_sec", Printf.sprintf "%.1f" (per_sec r.Chipmunk.Campaign.crash_states t));
+        ("mounts_per_sec", Printf.sprintf "%.1f" (per_sec (mounts r) t));
         ("findings", string_of_int (List.length r.Chipmunk.Campaign.events));
       ]
   in
   let json =
-    obj
+    J.obj
       [
-        ("schema", "\"chipmunk-bench-parallel/3\"");
-        ("suite", "\"nova-buggy seq1 + seq2[:600]\"");
+        ("schema", J.str "chipmunk-bench-parallel/4");
+        ("suite", J.str "nova-buggy seq1 + seq2[:600]");
         ("jobs", string_of_int jobs);
         ("recommended_domains", string_of_int (Domain.recommended_domain_count ()));
+        ( "rate_bases",
+          J.obj
+            [
+              ("states_per_sec", J.str "crash_states / seconds");
+              ("mounts_per_sec", J.str "mounts / seconds, mounts = crash_states - dedup_hits - vcache_hits");
+            ] );
         ("sequential_no_dedup", run_obj seq_nc t_seq_nc);
         ("sequential_dedup_only", run_obj seq_d t_seq_d);
-        ("sequential_serialized_keys", run_obj seq_ser t_seq_ser);
         ("sequential", run_obj seq t_seq);
         ("parallel", run_obj par t_par);
         ("dedup_hit_rate", Printf.sprintf "%.4f" hit_rate);
         ("dedup_speedup", Printf.sprintf "%.3f" (t_seq_nc /. t_seq_d));
         ("vcache_hit_rate", Printf.sprintf "%.4f" vcache_hit_rate);
         ("vcache_speedup", Printf.sprintf "%.3f" (t_seq_d /. t_seq));
-        ("vcache_speedup_serialized", Printf.sprintf "%.3f" (t_seq_d /. t_seq_ser));
         ("parallel_speedup", Printf.sprintf "%.3f" (t_seq /. t_par));
-        ("phase_key_workloads", string_of_int key_workloads);
-        ("phase_key_seconds_digest", Printf.sprintf "%.4f" t_keys_digest);
-        ("phase_key_seconds_serialized", Printf.sprintf "%.4f" t_keys_serialized);
         ("findings_equal", string_of_bool findings_equal);
         ( "findings",
-          "["
-          ^ String.concat ","
-              (List.map
-                 (fun e -> Chipmunk.Report.to_json e.Chipmunk.Campaign.report)
-                 seq.Chipmunk.Campaign.events)
-          ^ "]" );
+          J.arr
+            (List.map
+               (fun e -> Chipmunk.Report.to_json e.Chipmunk.Campaign.report)
+               seq.Chipmunk.Campaign.events) );
       ]
   in
   let oc = open_out "BENCH_parallel.json" in

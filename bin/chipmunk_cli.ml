@@ -41,7 +41,6 @@ type common = {
   cap : int;  (* 0 = subcommand default *)
   no_dedup : bool;
   no_vcache : bool;
-  vcache_keys : Chipmunk.Vcache.keying;
   jobs : int;
   max_seconds : float option;
   stop_after : int option;
@@ -67,24 +66,6 @@ let no_vcache_arg =
   in
   Arg.(value & flag & info [ "no-vcache" ] ~doc)
 
-let vcache_keys_arg =
-  let doc =
-    "Verdict-cache key scheme: $(b,digest) reads the oracle's incremental boundary \
-     digests (O(1) per phase); $(b,serialized) re-serializes whole oracle trees (the \
-     historical scheme, kept as a differential baseline). Findings are identical under \
-     either."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("digest", Chipmunk.Vcache.Oracle_digest);
-             ("serialized", Chipmunk.Vcache.Tree_serialization);
-           ])
-        Chipmunk.Vcache.Oracle_digest
-    & info [ "vcache-keys" ] ~docv:"SCHEME" ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for the campaign (0 = one per core). 1 runs in the calling domain; \
@@ -105,12 +86,12 @@ let minimize_flag =
   Arg.(value & flag & info [ "minimize" ] ~doc)
 
 let common_term =
-  let mk cap no_dedup no_vcache vcache_keys jobs max_seconds stop_after minimize =
-    { cap; no_dedup; no_vcache; vcache_keys; jobs; max_seconds; stop_after; minimize }
+  let mk cap no_dedup no_vcache jobs max_seconds stop_after minimize =
+    { cap; no_dedup; no_vcache; jobs; max_seconds; stop_after; minimize }
   in
   Term.(
-    const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ vcache_keys_arg $ jobs_arg
-    $ max_seconds_arg $ stop_after_arg $ minimize_flag)
+    const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ jobs_arg $ max_seconds_arg
+    $ stop_after_arg $ minimize_flag)
 
 (* The shared "cache:" stats footer line: hit counts and rates over the
    enumerated crash states. *)
@@ -123,12 +104,7 @@ let cache_line ~crash_states ~dedup_hits ~vcache_hits =
    cap when --cap is 0 (None = exhaustive). *)
 let opts_of_common ?default_cap (c : common) =
   let cap = if c.cap <= 0 then default_cap else Some c.cap in
-  {
-    Chipmunk.Harness.default_opts with
-    cap;
-    dedup_states = not c.no_dedup;
-    vcache_keying = c.vcache_keys;
-  }
+  { Chipmunk.Harness.default_opts with cap; dedup_states = not c.no_dedup }
 
 let list_cmd =
   let run () =
@@ -184,7 +160,7 @@ let ace_cmd =
         prerr_endline e;
         1
       | Ok workloads ->
-        let max_workloads = if max_workloads = 0 then None else Some max_workloads in
+        let max_execs = if max_workloads = 0 then None else Some max_workloads in
         let opts = opts_of_common c in
         let minimize =
           if c.minimize then Some (Shrink.Minimize.rewrite ~opts driver) else None
@@ -193,8 +169,8 @@ let ace_cmd =
           Chipmunk.Run.exec ~opts ?minimize ~jobs:c.jobs ~use_vcache:(not c.no_vcache) ()
         in
         let budget =
-          Chipmunk.Run.budget ?max_seconds:c.max_seconds ?stop_after_findings:c.stop_after
-            ?max_workloads ()
+          Chipmunk.Run.budget ?max_execs ?max_seconds:c.max_seconds
+            ?stop_after_findings:c.stop_after ()
         in
         let r = Chipmunk.Campaign.run ~exec ~budget driver workloads in
         Printf.printf

@@ -35,9 +35,6 @@ type result = {
           with [exec.use_vcache = false]. Hit counts vary with scheduling
           at [jobs > 1]; findings do not. *)
   elapsed : float;
-  in_flight_sizes : int list;
-      (** One sample per crash point, unordered; empty when the campaign
-          was run with [exec.keep_sizes = false]. *)
   max_in_flight : int;
 }
 
@@ -57,15 +54,16 @@ val run :
     [workload_index] attributions are deterministic across job counts
     because results are merged in workload-index order with ties broken by
     lowest index. [exec.minimize] is applied in that merge phase, after
-    campaign-wide dedup — its cost is paid once per unique bug.
+    campaign-wide dedup (see {!Run.findings}) — its cost is paid once per
+    unique bug, and never for findings past [stop_after_findings].
 
-    Budget caps: [max_workloads] (and its campaign synonym [max_execs])
-    truncate the suite up front; [max_seconds] and [stop_after_findings]
-    stop the campaign from dispatching further workloads once satisfied —
-    in-flight workloads still complete (and are merged), so with [jobs >
-    1] and one of these set, [workloads_run] may exceed what a sequential
-    run would have executed. The [events] list is truncated to
-    [stop_after_findings] entries.
+    Budget caps: [max_execs] truncates the suite up front (one workload is
+    one execution); [max_seconds] and [stop_after_findings] stop the
+    campaign from dispatching further workloads once satisfied — in-flight
+    workloads still complete (and are merged), so with [jobs > 1] and one
+    of these set, [workloads_run] may exceed what a sequential run would
+    have executed. The [events] list holds at most [stop_after_findings]
+    entries.
 
     When [exec.use_vcache] is set (the default), the campaign creates one
     {!Vcache} and threads it through every harness call; worker domains

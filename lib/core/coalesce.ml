@@ -48,79 +48,6 @@ let add ~coalesce ~data_threshold vec (s : Persist.Trace.store) ~syscall =
     else fresh :: vec
   | _ -> fresh :: vec
 
-let overlapping units =
-  let ivs =
-    List.concat_map (fun u -> List.map (fun (a, d) -> (a, String.length d)) u.parts) units
-  in
-  let rec check = function
-    | (a1, l1) :: ((a2, _) :: _ as rest) -> a1 + l1 > a2 || check rest
-    | _ -> false
-  in
-  check (List.sort compare ivs)
-
-(* Merge consecutive differing bytes of the byte map into (addr, run) pairs. *)
-let runs_of_byte_map tbl =
-  let addrs = List.sort compare (Hashtbl.fold (fun a _ acc -> a :: acc) tbl []) in
-  let buf = Buffer.create 16 in
-  let rec build acc start prev = function
-    | a :: rest when a = prev + 1 ->
-      Buffer.add_char buf (Hashtbl.find tbl a);
-      build acc start a rest
-    | rest ->
-      let acc = (start, Buffer.contents buf) :: acc in
-      Buffer.clear buf;
-      (match rest with
-      | [] -> List.rev acc
-      | a :: rest ->
-        Buffer.add_char buf (Hashtbl.find tbl a);
-        build acc a a rest)
-  in
-  match addrs with
-  | [] -> []
-  | a :: rest ->
-    Buffer.add_char buf (Hashtbl.find tbl a);
-    build [] a a rest
-
-let effective_delta ~read ?assume_disjoint units =
-  let disjoint =
-    match assume_disjoint with Some d -> d | None -> not (overlapping units)
-  in
-  if disjoint then
-    (* No two writes touch the same byte: the final image holds exactly each
-       part's bytes, so the delta is the parts that differ from the image,
-       in address order. *)
-    List.concat_map
-      (fun u -> List.filter (fun (a, d) -> read a (String.length d) <> d) u.parts)
-      units
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  else begin
-    (* Overlapping writes: replay per byte, last writer wins, then keep the
-       bytes that differ from the image. *)
-    let tbl : (int, char) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun u ->
-        List.iter
-          (fun (a, d) -> String.iteri (fun i c -> Hashtbl.replace tbl (a + i) c) d)
-          u.parts)
-      units;
-    Hashtbl.filter_map_inplace
-      (fun a c -> if (read a 1).[0] = c then None else Some c)
-      tbl;
-    runs_of_byte_map tbl
-  end
-
-let delta_key delta =
-  let b = Buffer.create 128 in
-  List.iter
-    (fun (a, d) ->
-      Buffer.add_string b (string_of_int a);
-      Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int (String.length d));
-      Buffer.add_char b ':';
-      Buffer.add_string b d)
-    delta;
-  Digest.string (Buffer.contents b)
-
 let describe t =
   let lo, hi = span t in
   Printf.sprintf "#%d %s [0x%x, 0x%x) %dB in %d part(s)%s" t.seq t.func lo hi (bytes t)

@@ -31,25 +31,4 @@ val add :
     [data_threshold] bytes from the same syscall and function — the paper's
     "large buffers are file data" heuristic. *)
 
-val overlapping : t list -> bool
-(** Whether any two logged byte ranges in [units] touch the same address.
-    When false, applying the units in any order yields the same image, and
-    {!effective_delta} can take its cheap per-part path. *)
-
-val effective_delta :
-  read:(int -> int -> string) -> ?assume_disjoint:bool -> t list -> (int * string) list
-(** [effective_delta ~read units] is the {e effective delta} of applying
-    [units] in order to the image read through [read addr len]: the final
-    (address, bytes) contents that actually differ from the image, in a
-    canonical (address-sorted, run-merged when overlapping) form. Two unit
-    lists with equal deltas against the same image produce byte-identical
-    crash states — the invariant behind the replayer's crash-state dedup
-    cache. [assume_disjoint] skips the {!overlapping} scan when the caller
-    has already established it for a superset of [units]. *)
-
-val delta_key : (int * string) list -> string
-(** A compact fingerprint of an effective delta (deltas can span kilobytes
-    of file data; the key is a constant-size digest). The empty delta has a
-    distinguished key equal to [delta_key []]. *)
-
 val describe : t -> string

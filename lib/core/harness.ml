@@ -12,7 +12,6 @@ type opts = {
   granularity : Pm.granularity;
   read_set_heuristic : bool;
   dedup_states : bool;
-  vcache_keying : Vcache.keying;
 }
 
 let default_opts =
@@ -26,7 +25,6 @@ let default_opts =
     granularity = Pm.Function_level;
     read_set_heuristic = false;
     dedup_states = true;
-    vcache_keying = Vcache.Oracle_digest;
   }
 
 type stats = {
@@ -35,7 +33,6 @@ type stats = {
   mutable failed_mounts : int;
   mutable max_in_flight : int;
   mutable fences : int;
-  mutable in_flight_sizes : int list;
   mutable dedup_hits : int;
   mutable vcache_hits : int;
 }
@@ -159,7 +156,7 @@ let record ?(opts = default_opts) (driver : Vfs.Driver.t) calls =
 
 (* Phases 2+3: oracle, then the replay loop over the trace. [replay] is
    consumed (mutated throughout); pass a snapshot to keep the base image. *)
-let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
+let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     ~replay =
   (* Phase 2: the oracle. *)
   let oracle = Oracle.run calls in
@@ -172,7 +169,6 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
       failed_mounts = 0;
       max_in_flight = 0;
       fences = 0;
-      in_flight_sizes = [];
       dedup_hits = 0;
       vcache_hits = 0;
     }
@@ -214,23 +210,15 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
   (* The verdict-cache key half that covers the oracle slice: digest of
      everything the checker consults at a phase besides the image itself,
      pre-combined with the fs name into the key prefix so per-state key
-     building is a tuple allocation. One prefix per phase per workload.
-     Under the default [Oracle_digest] keying each is O(1) off the oracle's
-     incremental boundary digests; [Tree_serialization] keeps the historical
-     whole-tree rendering, so it stays memoized lazily. *)
+     building is a tuple allocation. One prefix per phase per workload,
+     each O(1) off the oracle's incremental boundary digests. *)
   let call_texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
   let phase_prefixes : (Checker.phase, string) Hashtbl.t = Hashtbl.create 8 in
   let phase_prefix phase =
     match Hashtbl.find_opt phase_prefixes phase with
     | Some p -> p
     | None ->
-      let texts = Lazy.force call_texts in
-      let d =
-        match opts.vcache_keying with
-        | Vcache.Oracle_digest -> Vcache.phase_digest oracle ~calls:texts phase
-        | Vcache.Tree_serialization ->
-          Vcache.phase_digest_serialized oracle ~calls:texts phase
-      in
+      let d = Vcache.phase_digest oracle ~calls:(Lazy.force call_texts) phase in
       let p = Vcache.prefix ~fs:driver.Vfs.Driver.name ~phase_digest:d in
       Hashtbl.add phase_prefixes phase p;
       p
@@ -272,10 +260,9 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
      under an undo session, digest the result (O(dirty lines) thanks to the
      image's incremental digest), then consult the two caches before paying
      for a mount+check:
-     - per-point dedup ([opts.dedup_states], PR 1): subsets producing
+     - per-point dedup ([opts.dedup_states]): subsets producing
        byte-identical images at this crash point are checked once; keyed by
-       the post-apply digest, which replaced the [Coalesce.effective_delta]
-       keying whose cost exceeded the mounts it saved.
+       the post-apply digest.
      - campaign-wide verdict cache ([vcache]): equivalent states reached at
        other crash points or in other workloads replay the memoized kinds
        without mounting. Reports still go through [emit] with this
@@ -386,7 +373,6 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
       let bases = if cold_units = [] then [ [] ] else [ []; cold_units ] in
       let n = Array.length units_arr in
       stats.max_in_flight <- max stats.max_in_flight n;
-      stats.in_flight_sizes <- n :: stats.in_flight_sizes;
       let point_seen : (int, unit) Hashtbl.t = Hashtbl.create 32 in
       ignore
         (enumerate_subsets ~n ~cap:opts.cap ~limit:opts.max_states_per_point (fun idxs ->
@@ -430,17 +416,15 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
            last_done := Some idx)
    with Stop -> ());
   (match vcache with Some vc -> Vcache.sync vc | None -> ());
-  let reports = List.rev !reports in
-  let reports = match minimize with None -> reports | Some f -> List.map f reports in
-  { reports; stats; trace; outcomes }
+  { reports = List.rev !reports; stats; trace; outcomes }
 
-let replay_recorded ?(opts = default_opts) ?vcache ?minimize (driver : Vfs.Driver.t) r =
-  replay_phases ~opts ?vcache ?minimize driver ~calls:r.rec_calls ~trace:r.rec_trace
+let replay_recorded ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) r =
+  replay_phases ~opts ?vcache driver ~calls:r.rec_calls ~trace:r.rec_trace
     ~outcomes:r.rec_outcomes ~replay:(Image.snapshot r.rec_base)
 
-let test_workload ?(opts = default_opts) ?vcache ?minimize (driver : Vfs.Driver.t) calls =
+let test_workload ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) calls =
   let r = record ~opts driver calls in
   (* [rec_base] is consumed directly: one-shot runs never reuse it, and this
      avoids a full-image copy per workload in the campaign hot path. *)
-  replay_phases ~opts ?vcache ?minimize driver ~calls ~trace:r.rec_trace
+  replay_phases ~opts ?vcache driver ~calls ~trace:r.rec_trace
     ~outcomes:r.rec_outcomes ~replay:r.rec_base

@@ -42,13 +42,6 @@ type opts = {
           first state with a given key. Byte-identical images must check
           identically, so detected reports are unchanged; skips are counted
           in [stats.dedup_hits]. On by default. *)
-  vcache_keying : Vcache.keying;
-      (** How verdict-cache keys digest the oracle slice:
-          [Vcache.Oracle_digest] (default) reads the oracle's incrementally
-          maintained boundary digests in O(1) per phase;
-          [Vcache.Tree_serialization] re-serializes whole oracle trees (the
-          pre-digest scheme, kept as a differential baseline — findings are
-          identical under either). Ignored when no [vcache] is passed. *)
 }
 
 val default_opts : opts
@@ -62,7 +55,6 @@ type stats = {
           here. *)
   mutable max_in_flight : int;  (** Largest coalesced in-flight vector seen. *)
   mutable fences : int;
-  mutable in_flight_sizes : int list;  (** One sample per crash point. *)
   mutable dedup_hits : int;
       (** Crash states skipped by the dedup cache: enumerated subsets whose
           post-apply image digest matched an already-checked state at the
@@ -101,7 +93,6 @@ val record : ?opts:opts -> Vfs.Driver.t -> Vfs.Syscall.t list -> recording
 val replay_recorded :
   ?opts:opts ->
   ?vcache:Vcache.t ->
-  ?minimize:(Report.t -> Report.t) ->
   Vfs.Driver.t ->
   recording ->
   result
@@ -113,7 +104,6 @@ val replay_recorded :
 val test_workload :
   ?opts:opts ->
   ?vcache:Vcache.t ->
-  ?minimize:(Report.t -> Report.t) ->
   Vfs.Driver.t ->
   Vfs.Syscall.t list ->
   result
@@ -122,12 +112,7 @@ val test_workload :
 
     [vcache], when given, memoizes checker verdicts campaign-wide (see
     {!Vcache}); the harness syncs it at the start and end of the replay
-    loop. Findings are identical with or without it.
-
-    [minimize] is applied to each report after per-workload fingerprint
-    dedup (so it runs once per unique finding, not once per crash state) —
-    the hook behind [Shrink.Minimize.rewrite]. It must preserve the
-    report's fingerprint; the harness does not re-dedup its output. *)
+    loop. Findings are identical with or without it. *)
 
 val usability_probe : Vfs.Handle.t -> Vfs.Walker.tree -> string option
 (** The post-recovery usability probe (create a file in every directory,

@@ -1,39 +1,30 @@
 (** The unified execution API: one pair of config records shared by every
     entry point that drives the harness — {!workload} (one workload),
     {!Campaign.run} (a workload suite) and [Fuzz.Fuzzer.run] (the gray-box
-    fuzzer).
+    fuzzer) — plus the {!findings} accumulator the two multi-workload
+    runners merge their results through.
 
-    Before this module each runner grew its own argument soup
-    ([?opts ?minimize ?stop_after_findings ?max_workloads ?max_seconds
-    ?keep_sizes ?jobs] …) and the three entry points diverged. A {!budget}
-    says {e when to stop}; an {!exec} says {e how to run}. Runners ignore
-    the caps that do not apply to them and document which ones do. *)
+    A {!budget} says {e when to stop}; an {!exec} says {e how to run}.
+    Runners ignore the caps that do not apply to them and document which
+    ones do. *)
 
 type budget = {
   max_execs : int option;
-      (** Cap on harness executions. The fuzzer counts one per generated
-          workload; campaigns treat it as a synonym for [max_workloads]. *)
+      (** Cap on harness executions: one per generated workload for the
+          fuzzer, one per suite workload for campaigns. *)
   max_seconds : float option;
       (** Wall-clock cap. Runners stop {e dispatching} new work once
           exceeded; work already in flight still completes and is merged. *)
   stop_after_findings : int option;
       (** Stop once this many unique fingerprints have been found. The
-          returned event list is truncated to exactly this many entries. *)
-  max_workloads : int option;
-      (** Campaign-only: cap on workloads taken from the suite. The fuzzer
-          ignores it ([max_execs] is the equivalent knob there). *)
+          returned event list holds exactly this many entries. *)
 }
 
 val unlimited : budget
 (** No caps: every field [None]. *)
 
 val budget :
-  ?max_execs:int ->
-  ?max_seconds:float ->
-  ?stop_after_findings:int ->
-  ?max_workloads:int ->
-  unit ->
-  budget
+  ?max_execs:int -> ?max_seconds:float -> ?stop_after_findings:int -> unit -> budget
 (** Constructor; omitted caps default to [None] (unlimited). *)
 
 type exec = {
@@ -43,11 +34,6 @@ type exec = {
           in parallel runs, in the deterministic merge phase on the
           caller's domain) — typically [Shrink.Minimize.rewrite]. Must
           preserve the fingerprint. *)
-  keep_sizes : bool;
-      (** Campaigns: retain the per-crash-point in-flight size samples
-          (default [true]). Long campaigns that do not consume them should
-          pass [false] so the accumulator stays O(1) per crash point. The
-          fuzzer does not surface the samples and ignores this. *)
   jobs : int;
       (** Worker domains. [1] (the default) runs in the calling domain;
           [0] or negative means one per core ({!Pool.default_jobs}). *)
@@ -60,13 +46,12 @@ type exec = {
 }
 
 val default_exec : exec
-(** [{ opts = Harness.default_opts; minimize = None; keep_sizes = true;
-    jobs = 1; use_vcache = true }] *)
+(** [{ opts = Harness.default_opts; minimize = None; jobs = 1;
+    use_vcache = true }] *)
 
 val exec :
   ?opts:Harness.opts ->
   ?minimize:(Report.t -> Report.t) ->
-  ?keep_sizes:bool ->
   ?jobs:int ->
   ?use_vcache:bool ->
   unit ->
@@ -77,15 +62,37 @@ val effective_jobs : exec -> int
 (** [exec.jobs], with [0] and negative resolved to {!Pool.default_jobs}
     and large values clamped to the {!Pool.map} limit. *)
 
-val out_of_budget :
-  budget -> execs:int -> seconds:float -> findings:int -> workloads:int -> bool
+val out_of_budget : budget -> execs:int -> seconds:float -> findings:int -> bool
 (** [true] once {e any} cap is reached ([counter >= cap]); [None] caps
     never trigger. This single predicate is the stop rule every runner
     polls, so cap interactions (e.g. a findings cap hitting before an exec
     cap) behave identically across entry points. *)
 
+(** {1 First-wins findings} *)
+
+type 'e findings
+(** Unique findings of a run, as caller-defined events ['e]. Reports are
+    deduplicated by {!Report.fingerprint}; the first occurrence wins, so
+    feeding results in work-index order makes the lowest index win. *)
+
+val findings : ?minimize:(Report.t -> Report.t) -> budget -> 'e findings
+(** An empty accumulator that holds at most [budget.stop_after_findings]
+    events and applies [minimize] to each first occurrence it records. *)
+
+val add : 'e findings -> Report.t list -> (string -> Report.t -> 'e) -> unit
+(** [add f reports make] records, in order, each report whose fingerprint
+    is new, as [make fingerprint report] (with [report] minimized). Once
+    the cap is reached the rest are dropped unseen, and not minimized. *)
+
+val count : 'e findings -> int
+(** Events recorded so far. *)
+
+val events : 'e findings -> 'e list
+(** Recorded events, oldest first. *)
+
 val workload : ?exec:exec -> Vfs.Driver.t -> Vfs.Syscall.t list -> Harness.result
 (** The single-workload entry point on the shared config record:
-    {!Harness.test_workload} with [exec.opts], [exec.minimize] and (when
-    [exec.use_vcache]) a fresh per-call verdict cache. [exec.jobs] is
-    ignored (one workload is one unit of work); budgets do not apply. *)
+    {!Harness.test_workload} with [exec.opts] and (when [exec.use_vcache])
+    a fresh per-call verdict cache, with [exec.minimize] applied to each of
+    the (already fingerprint-deduplicated) reports. [exec.jobs] is ignored
+    (one workload is one unit of work); budgets do not apply. *)

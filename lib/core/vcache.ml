@@ -95,8 +95,6 @@ let entries t =
 
 (* --- keys --- *)
 
-type keying = Oracle_digest | Tree_serialization
-
 let call_text calls i = if i < Array.length calls then calls.(i) else "?"
 
 (* Everything the checker reads from the oracle/workload at this phase, and
@@ -125,41 +123,6 @@ let phase_digest oracle ~calls (phase : Checker.phase) =
       | Some p -> Printf.sprintf "%d\002%s" (String.length p) p
     in
     Printf.sprintf "A\001%s\001%s\001%x" (call i) tgt (Oracle.post_digest oracle i)
-
-(* Pre-digest serialization keying, kept as a differential baseline: digests
-   are byte-identical to the historical rendering (which looked syscalls up
-   with List.nth_opt per call — O(n²) over a workload; callers now pass the
-   calls pre-rendered as an array). *)
-
-let add_tree buf tree =
-  List.iter (fun n -> Vfs.Walker.serialize_node buf n) tree
-
-let add_call buf calls i =
-  Buffer.add_string buf (call_text calls i);
-  Buffer.add_char buf '\n'
-
-let phase_digest_serialized oracle ~calls (phase : Checker.phase) =
-  let buf = Buffer.create 512 in
-  (match phase with
-  | Checker.Initial ->
-    Buffer.add_string buf "I\n";
-    add_tree buf (Oracle.pre oracle 0)
-  | Checker.During i ->
-    Buffer.add_string buf "D ";
-    add_call buf calls i;
-    add_tree buf (Oracle.pre oracle i);
-    Buffer.add_string buf "--\n";
-    add_tree buf (Oracle.post oracle i)
-  | Checker.After i ->
-    Buffer.add_string buf "A ";
-    add_call buf calls i;
-    (match Oracle.target oracle i with
-    | None -> ()
-    | Some p ->
-      Buffer.add_string buf p;
-      Buffer.add_char buf '\n');
-    add_tree buf (Oracle.post oracle i));
-  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let prefix ~fs ~phase_digest = fs ^ "|" ^ phase_digest
 let key_of ~prefix ~image_digest : ckey = (prefix, image_digest)

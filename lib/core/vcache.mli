@@ -38,24 +38,11 @@ val key_of : prefix:string -> image_digest:int -> ckey
 val key : fs:string -> image_digest:int -> phase_digest:string -> ckey
 (** [key_of ~prefix:(prefix ~fs ~phase_digest) ~image_digest]. *)
 
-type keying = Oracle_digest | Tree_serialization
-(** How the oracle-slice component of the key is computed: from the oracle's
-    incrementally maintained boundary digests (the default — O(1) per
-    phase), or by re-serializing whole oracle trees (the historical scheme,
-    kept as a differential baseline; byte-identical digests to PR 4). Both
-    cover exactly what the checker reads, so findings are identical under
-    either; only hit layout and key-building cost differ. *)
-
 val phase_digest : Oracle.t -> calls:string array -> Checker.phase -> string
-(** Digest-keying oracle slice for [phase]: the [During]/[After] syscall
+(** The oracle slice for [phase]: the [During]/[After] syscall
     text and fsync target plus the pre/post boundary digests — no tree is
     walked or serialized. [calls] is the pre-rendered workload
     ([Vfs.Syscall.to_string] per call). *)
-
-val phase_digest_serialized :
-  Oracle.t -> calls:string array -> Checker.phase -> string
-(** [Tree_serialization] oracle slice for [phase]. Memoize per (workload,
-    phase) — it serializes whole oracle trees. *)
 
 val find : t -> ckey -> Report.kind list option
 (** Lookup in this domain's view only (lock-free). [Some []] means "cached as

@@ -53,8 +53,8 @@ type slot_out = {
   s_done_at : float;  (* wall-clock completion, seconds since t0 *)
 }
 
-let run ?(config = default_config) ?jobs driver =
-  let jobs = Run.effective_jobs { config.exec with jobs = Option.value jobs ~default:config.exec.Run.jobs } in
+let run ?(config = default_config) driver =
+  let jobs = Run.effective_jobs config.exec in
   let budget = config.budget in
   let t0 = Unix.gettimeofday () in
   Cov.enable ();
@@ -69,8 +69,7 @@ let run ?(config = default_config) ?jobs driver =
      it only ever grows, at epoch boundaries, in execution order. *)
   let corpus = ref [||] in
   let seen_cov : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let seen_fp : (string, unit) Hashtbl.t = Hashtbl.create 32 in
-  let events = ref [] in
+  let found = Run.findings ?minimize:config.exec.Run.minimize budget in
   let all_reports = ref [] in
   let execs = ref 0 in
   let states = ref 0 in
@@ -79,7 +78,7 @@ let run ?(config = default_config) ?jobs driver =
   let elapsed () = Unix.gettimeofday () -. t0 in
   let out () =
     Run.out_of_budget budget ~execs:!execs ~seconds:(elapsed ())
-      ~findings:(Hashtbl.length seen_fp) ~workloads:0
+      ~findings:(Run.count found)
   in
   while (not !stopped) && not (out ()) do
     let n_slots =
@@ -132,38 +131,13 @@ let run ?(config = default_config) ?jobs driver =
         let novel = List.exists (fun p -> not (Hashtbl.mem seen_cov p)) o.s_hits in
         List.iter (fun p -> Hashtbl.replace seen_cov p ()) o.s_hits;
         if novel then fresh_seeds := o.s_workload :: !fresh_seeds;
-        List.iter
-          (fun report ->
-            all_reports := report :: !all_reports;
-            let fp = Chipmunk.Report.fingerprint report in
-            if not (Hashtbl.mem seen_fp fp) then begin
-              Hashtbl.replace seen_fp fp ();
-              let report =
-                match config.exec.Run.minimize with None -> report | Some f -> f report
-              in
-              events :=
-                {
-                  fingerprint = fp;
-                  report;
-                  at_exec = !execs;
-                  elapsed = o.s_done_at;
-                  workload = o.s_workload;
-                }
-                :: !events
-            end)
-          o.s_reports)
+        all_reports := List.rev_append o.s_reports !all_reports;
+        Run.add found o.s_reports (fun fingerprint report ->
+            { fingerprint; report; at_exec = !execs; elapsed = o.s_done_at; workload = o.s_workload }))
       completed;
     corpus := Array.append !corpus (Array.of_list (List.rev !fresh_seeds));
     incr epoch
   done;
-  let events = List.rev !events in
-  (* Executions past the n-th finding may have run within the same epoch;
-     truncate so the findings cap is exact at every job count. *)
-  let events =
-    match budget.Run.stop_after_findings with
-    | Some n when List.length events > n -> List.filteri (fun i _ -> i < n) events
-    | _ -> events
-  in
   {
     execs = !execs;
     crash_states = !states;
@@ -171,7 +145,7 @@ let run ?(config = default_config) ?jobs driver =
     corpus_size = Array.length !corpus;
     dedup_hits = !dhits;
     vcache_hits = !vhits;
-    events;
+    events = Run.events found;
     clusters = Triage.cluster (List.rev !all_reports);
     elapsed = elapsed ();
   }

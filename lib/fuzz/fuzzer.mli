@@ -24,9 +24,9 @@
     the lowest index.
 
     Because nothing in that pipeline depends on the worker count, a run
-    with [~jobs:4] reports the {e identical} finding fingerprints, corpus
-    and coverage counts, and [at_exec] attributions as [~jobs:1] for the
-    same [rng_seed] — unless the [max_seconds] cap fires, which is the one
+    with [exec.jobs = 4] reports the {e identical} finding fingerprints,
+    corpus and coverage counts, and [at_exec] attributions as
+    [exec.jobs = 1] for the same [rng_seed] — unless the [max_seconds] cap fires, which is the one
     inherently wall-clock-dependent stop. The run-wide verdict cache
     ({!Chipmunk.Vcache}, on by default via [exec.use_vcache]) preserves
     this: a cache hit replays the exact kinds the checker would compute,
@@ -42,15 +42,14 @@ type config = {
       (** [max_execs], [max_seconds] and [stop_after_findings] apply
           (checked at epoch granularity — a cap firing mid-epoch stops the
           campaign at that epoch's boundary, except [max_seconds], which
-          also stops dispatching within the epoch); [max_workloads] is the
-          campaign-side synonym and is ignored here. *)
+          also stops dispatching within the epoch). *)
   exec : Chipmunk.Run.exec;
       (** [opts] is applied to every execution (the default caps replayed
           writes at 2 per crash state, as the paper runs the fuzzer so
           outlier tests cannot stall the campaign); [minimize] runs on each
-          unique finding after dedup, in the merge phase; [jobs] is the
-          worker-domain count; [keep_sizes] is ignored (the fuzzer does not
-          surface in-flight size samples). *)
+          unique finding after dedup, in the merge phase, and never past
+          [stop_after_findings] (see {!Chipmunk.Run.findings}); [jobs] is
+          the worker-domain count ([0] = one per core). *)
 }
 
 val default_config : config
@@ -103,6 +102,5 @@ type result = {
   elapsed : float;
 }
 
-val run : ?config:config -> ?jobs:int -> Vfs.Driver.t -> result
-(** Run the campaign. [?jobs] overrides [config.exec.jobs] ([0] = one
-    worker per core). *)
+val run : ?config:config -> Vfs.Driver.t -> result
+(** Run the campaign on [config.exec.jobs] worker domains. *)

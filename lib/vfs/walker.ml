@@ -106,9 +106,8 @@ let find tree path = List.find_opt (fun n -> n.path = path) tree
 (* --- digests ---
 
    One stable serialization per node, covering exactly the fields
-   [equal_node] reads (plus [nlink] unconditionally, matching the verdict
-   cache's historical key format — the worst that extra byte can cost is a
-   cache miss, never a collision). The separators are unambiguous because
+   [equal_node] reads (plus [nlink] unconditionally — the worst that extra
+   byte can cost is a cache miss, never a collision). The separators are unambiguous because
    paths and entry names cannot contain control characters. *)
 
 let serialize_node buf n =

@@ -168,7 +168,7 @@ let test_campaign_stop_after_findings () =
 let test_campaign_max_workloads () =
   let r =
     Chipmunk.Campaign.run
-      ~budget:(Chipmunk.Run.budget ~max_workloads:10 ())
+      ~budget:(Chipmunk.Run.budget ~max_execs:10 ())
       (Novafs.driver ()) (Ace.seq2 Ace.Strong)
   in
   Alcotest.(check int) "bounded" 10 r.Chipmunk.Campaign.workloads_run;
@@ -179,7 +179,7 @@ let test_campaign_dedups_across_workloads () =
   let driver = Novafs.driver ~config:(Novafs.config ~bugs ()) () in
   let r =
     Chipmunk.Campaign.run
-      ~budget:(Chipmunk.Run.budget ~max_workloads:30 ())
+      ~budget:(Chipmunk.Run.budget ~max_execs:30 ())
       driver (Ace.seq1 Ace.Strong)
   in
   let fps = List.map (fun e -> e.Chipmunk.Campaign.fingerprint) r.Chipmunk.Campaign.events in

@@ -133,10 +133,9 @@ let run_battery (name, mk) =
 (* --- digest transparency: verdict-cache keying must not affect findings ---
 
    For every driver (the buggy catalog variant when one exists, so the
-   comparison also covers non-empty finding sets), run a battery slice under
-   three configurations — vcache with incremental oracle-digest keys, vcache
-   with the historical tree-serialization keys, and no vcache — at jobs=1
-   and jobs=4, and require byte-identical finding fingerprints. *)
+   comparison also covers non-empty finding sets), run a battery slice with
+   the vcache (keyed by incremental oracle digests) and without it, at
+   jobs=1 and jobs=4, and require byte-identical finding fingerprints. *)
 
 module Campaign = Chipmunk.Campaign
 
@@ -146,21 +145,8 @@ let digest_transparency (name, mk_clean) =
         match Catalog.buggy_driver name with Some mk -> mk | None -> mk_clean
       in
       let slice () = List.to_seq (List.filteri (fun i _ -> i < 6) battery) in
-      let run ~jobs cfg =
-        let exec =
-          match cfg with
-          | `Digest -> Chipmunk.Run.exec ~jobs ~use_vcache:true ()
-          | `Serialized ->
-            Chipmunk.Run.exec ~jobs ~use_vcache:true
-              ~opts:
-                {
-                  Chipmunk.Harness.default_opts with
-                  vcache_keying = Chipmunk.Vcache.Tree_serialization;
-                }
-              ()
-          | `Off -> Chipmunk.Run.exec ~jobs ~use_vcache:false ()
-        in
-        let c = Campaign.run ~exec (mk ()) (slice ()) in
+      let run ~jobs ~use_vcache =
+        let c = Campaign.run ~exec:(Chipmunk.Run.exec ~jobs ~use_vcache ()) (mk ()) (slice ()) in
         List.map
           (fun (e : Campaign.event) ->
             (e.Campaign.fingerprint, e.Campaign.workload_index))
@@ -168,12 +154,8 @@ let digest_transparency (name, mk_clean) =
       in
       List.iter
         (fun jobs ->
-          let dig = run ~jobs `Digest in
-          let ser = run ~jobs `Serialized in
-          let off = run ~jobs `Off in
-          Alcotest.(check (list (pair string int)))
-            (Printf.sprintf "digest vs serialized keys (jobs=%d)" jobs)
-            ser dig;
+          let dig = run ~jobs ~use_vcache:true in
+          let off = run ~jobs ~use_vcache:false in
           Alcotest.(check (list (pair string int)))
             (Printf.sprintf "digest keys vs no vcache (jobs=%d)" jobs)
             off dig)

@@ -3,9 +3,7 @@
    every workload — including error-returning calls and fd-based calls on
    renamed/unlinked/hard-linked paths — the digest patched from Memfs's
    dirty-path set must equal a from-scratch [Oracle.redigest] of the
-   boundary tree. Plus collision regressions for every [equal_node] field
-   and a pin of the serialization-mode verdict-cache keys against the
-   historical rendering. *)
+   boundary tree. Plus collision regressions for every [equal_node] field. *)
 
 module Types = Vfs.Types
 module Syscall = Vfs.Syscall
@@ -217,97 +215,6 @@ let test_collision_nlink_phase () =
   if Oracle.digest oa (Oracle.n_calls oa) = Oracle.digest ob (Oracle.n_calls ob)
   then Alcotest.fail "tree digest ignores nlink-only difference"
 
-(* --- serialization-mode keys pinned against the historical rendering
-   (whole-tree serialization + per-call List.nth_opt lookup, MD5) --- *)
-
-let old_phase_digest oracle ~workload (phase : Checker.phase) =
-  let buf = Buffer.create 512 in
-  let add_tree buf tree =
-    List.iter
-      (fun (n : Walker.node) ->
-        Buffer.add_string buf n.path;
-        Buffer.add_char buf '\001';
-        Buffer.add_string buf
-          (match n.kind with None -> "?" | Some k -> Types.kind_to_string k);
-        Buffer.add_string buf (string_of_int n.size);
-        Buffer.add_char buf '|';
-        Buffer.add_string buf (string_of_int n.nlink);
-        (match n.content with
-        | None -> Buffer.add_char buf '\002'
-        | Some c ->
-          Buffer.add_char buf '=';
-          Buffer.add_string buf c);
-        (match n.entries with
-        | None -> Buffer.add_char buf '\003'
-        | Some es ->
-          List.iter
-            (fun e ->
-              Buffer.add_char buf ';';
-              Buffer.add_string buf e)
-            es);
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_char buf '\004';
-            Buffer.add_string buf k;
-            Buffer.add_char buf '=';
-            Buffer.add_string buf v)
-          n.xattrs;
-        (match n.error with
-        | None -> ()
-        | Some e ->
-          Buffer.add_char buf '!';
-          Buffer.add_string buf e);
-        Buffer.add_char buf '\n')
-      tree
-  in
-  let add_call buf workload i =
-    Buffer.add_string buf
-      (match List.nth_opt workload i with
-      | Some c -> Syscall.to_string c
-      | None -> "?");
-    Buffer.add_char buf '\n'
-  in
-  (match phase with
-  | Checker.Initial ->
-    Buffer.add_string buf "I\n";
-    add_tree buf (Oracle.pre oracle 0)
-  | Checker.During i ->
-    Buffer.add_string buf "D ";
-    add_call buf workload i;
-    add_tree buf (Oracle.pre oracle i);
-    Buffer.add_string buf "--\n";
-    add_tree buf (Oracle.post oracle i)
-  | Checker.After i ->
-    Buffer.add_string buf "A ";
-    add_call buf workload i;
-    (match Oracle.target oracle i with
-    | None -> ()
-    | Some p ->
-      Buffer.add_string buf p;
-      Buffer.add_char buf '\n');
-    add_tree buf (Oracle.post oracle i));
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let test_serialized_pin () =
-  List.iter
-    (fun (name, calls) ->
-      let o = Oracle.run calls in
-      let texts = Array.of_list (List.map Syscall.to_string calls) in
-      let phases =
-        Checker.Initial
-        :: List.concat
-             (List.init (Oracle.n_calls o) (fun i ->
-                  [ Checker.During i; Checker.After i ]))
-      in
-      List.iter
-        (fun phase ->
-          Alcotest.(check string)
-            (name ^ ": serialized key matches historical rendering")
-            (old_phase_digest o ~workload:calls phase)
-            (Vcache.phase_digest_serialized o ~calls:texts phase))
-        phases)
-    fixed
-
 let suite =
   [
     Alcotest.test_case "incremental==redigest: aliasing fixtures" `Quick test_fixed;
@@ -322,6 +229,4 @@ let suite =
       test_collision_xattr_phase;
     Alcotest.test_case "collisions: nlink-only trees" `Quick
       test_collision_nlink_phase;
-    Alcotest.test_case "serialized keys pinned to old rendering" `Quick
-      test_serialized_pin;
   ]

@@ -105,20 +105,6 @@ let test_parallel_repeatable () =
     (List.map event_key r2.Campaign.events)
     (List.map event_key r4.Campaign.events)
 
-let test_keep_sizes () =
-  let driver = nova_buggy () in
-  let suite () = Seq.take 3 (catalog_suite ()) in
-  let with_sizes = Campaign.run driver (suite ()) in
-  let without =
-    Campaign.run ~exec:(Chipmunk.Run.exec ~keep_sizes:false ()) driver (suite ())
-  in
-  Alcotest.(check bool) "sizes retained by default" true (with_sizes.Campaign.in_flight_sizes <> []);
-  Alcotest.(check int)
-    "one sample per crash point"
-    with_sizes.Campaign.crash_points
-    (List.length with_sizes.Campaign.in_flight_sizes);
-  Alcotest.(check (list int)) "dropped on request" [] without.Campaign.in_flight_sizes
-
 (* --- Crash-state dedup cache --- *)
 
 let test_dedup_equivalent_reports () =
@@ -163,48 +149,6 @@ let test_dedup_skips_equal_states () =
     true
     (r.Harness.stats.Harness.dedup_hits > 0)
 
-(* --- Effective delta (the dedup key) --- *)
-
-let unit ~seq parts =
-  { Chipmunk.Coalesce.seq; parts; kind = Persist.Trace.Nt; func = "memcpy_nt"; syscall = None }
-
-let read_of_image img off len = Pmem.Image.read img ~off ~len
-
-let test_effective_delta_drops_noop_writes () =
-  let img = Pmem.Image.create ~size:256 in
-  Pmem.Image.write_string img ~off:16 "hello";
-  let units = [ unit ~seq:0 [ (16, "hello") ]; unit ~seq:1 [ (32, "world") ] ] in
-  Alcotest.(check (list (pair int string)))
-    "only the write that changes the image survives"
-    [ (32, "world") ]
-    (Chipmunk.Coalesce.effective_delta ~read:(read_of_image img) units)
-
-let test_effective_delta_overlap_last_writer_wins () =
-  let img = Pmem.Image.create ~size:256 in
-  let units = [ unit ~seq:0 [ (10, "aaaa") ]; unit ~seq:1 [ (12, "bb") ] ] in
-  Alcotest.(check bool) "units overlap" true (Chipmunk.Coalesce.overlapping units);
-  Alcotest.(check (list (pair int string)))
-    "byte-accurate replay of the overlap"
-    [ (10, "aabb") ]
-    (Chipmunk.Coalesce.effective_delta ~read:(read_of_image img) units);
-  (* The overlapping pair and its net effect written directly must agree. *)
-  Alcotest.(check string)
-    "same key as the collapsed write"
-    (Chipmunk.Coalesce.delta_key [ (10, "aabb") ])
-    (Chipmunk.Coalesce.delta_key
-       (Chipmunk.Coalesce.effective_delta ~read:(read_of_image img) units))
-
-let test_effective_delta_empty_is_prefix () =
-  let img = Pmem.Image.create ~size:64 in
-  Pmem.Image.write_string img ~off:0 "same";
-  let units = [ unit ~seq:0 [ (0, "same") ] ] in
-  Alcotest.(check (list (pair int string)))
-    "an all-no-op subset has the empty delta" []
-    (Chipmunk.Coalesce.effective_delta ~read:(read_of_image img) units);
-  Alcotest.(check string) "and the empty key"
-    (Chipmunk.Coalesce.delta_key [])
-    (Chipmunk.Coalesce.delta_key (Chipmunk.Coalesce.effective_delta ~read:(read_of_image img) units))
-
 (* --- Read-set heuristic: cold units applied with the prefix --- *)
 
 let test_read_set_cold_base_regression () =
@@ -232,17 +176,10 @@ let suite =
     Alcotest.test_case "campaign: parallel == sequential" `Quick test_parallel_matches_sequential;
     Alcotest.test_case "campaign: parallel repeatable across job counts" `Quick
       test_parallel_repeatable;
-    Alcotest.test_case "campaign: keep_sizes controls retention" `Quick test_keep_sizes;
     Alcotest.test_case "dedup cache: reports identical on/off" `Quick
       test_dedup_equivalent_reports;
     Alcotest.test_case "dedup cache: duplicate states skipped" `Quick
       test_dedup_skips_equal_states;
-    Alcotest.test_case "effective delta: no-op writes dropped" `Quick
-      test_effective_delta_drops_noop_writes;
-    Alcotest.test_case "effective delta: overlaps replayed per byte" `Quick
-      test_effective_delta_overlap_last_writer_wins;
-    Alcotest.test_case "effective delta: empty delta is the prefix" `Quick
-      test_effective_delta_empty_is_prefix;
     Alcotest.test_case "read-set heuristic: cold units applied with prefix" `Quick
       test_read_set_cold_base_regression;
   ]

@@ -8,12 +8,12 @@ module Run = Chipmunk.Run
 
 (* --- Run.budget / out_of_budget --- *)
 
-let out b ?(execs = 0) ?(seconds = 0.0) ?(findings = 0) ?(workloads = 0) () =
-  Run.out_of_budget b ~execs ~seconds ~findings ~workloads
+let out b ?(execs = 0) ?(seconds = 0.0) ?(findings = 0) () =
+  Run.out_of_budget b ~execs ~seconds ~findings
 
 let test_budget_unlimited () =
   Alcotest.(check bool) "unlimited never stops" false
-    (out Run.unlimited ~execs:1_000_000 ~seconds:1e9 ~findings:1000 ~workloads:1_000_000 ())
+    (out Run.unlimited ~execs:1_000_000 ~seconds:1e9 ~findings:1000 ())
 
 let test_budget_findings_cap_before_exec_cap () =
   (* Both caps set; the findings cap is reached first. *)
@@ -29,10 +29,12 @@ let test_budget_exec_cap_before_findings_cap () =
   Alcotest.(check bool) "execs past the cap still out" true (out b ~execs:150 ~findings:0 ())
 
 let test_budget_seconds_and_workloads () =
-  let b = Run.budget ~max_seconds:10.0 ~max_workloads:5 () in
-  Alcotest.(check bool) "under" false (out b ~seconds:9.9 ~workloads:4 ());
-  Alcotest.(check bool) "time cap" true (out b ~seconds:10.0 ~workloads:0 ());
-  Alcotest.(check bool) "workload cap" true (out b ~seconds:0.0 ~workloads:5 ())
+  (* A campaign counts one execution per workload, so [max_execs] is its
+     workload cap. *)
+  let b = Run.budget ~max_seconds:10.0 ~max_execs:5 () in
+  Alcotest.(check bool) "under" false (out b ~seconds:9.9 ~execs:4 ());
+  Alcotest.(check bool) "time cap" true (out b ~seconds:10.0 ~execs:0 ());
+  Alcotest.(check bool) "workload cap" true (out b ~seconds:0.0 ~execs:5 ())
 
 let test_exec_effective_jobs () =
   Alcotest.(check int) "explicit jobs" 3 (Run.effective_jobs (Run.exec ~jobs:3 ()));
@@ -67,20 +69,65 @@ let test_run_workload () =
 
 let test_campaign_max_execs_synonym () =
   (* For a campaign, one workload is one execution: max_execs bounds
-     workloads_run exactly as max_workloads does, and the tighter of the
-     two wins. *)
+     workloads_run. *)
   let r =
     Chipmunk.Campaign.run
       ~budget:(Run.budget ~max_execs:7 ())
       (Novafs.driver ()) (Ace.seq2 Ace.Strong)
   in
-  Alcotest.(check int) "max_execs bounds workloads" 7 r.Chipmunk.Campaign.workloads_run;
+  Alcotest.(check int) "max_execs bounds workloads" 7 r.Chipmunk.Campaign.workloads_run
+
+(* --- The shared first-wins findings accumulator (Run.findings) --- *)
+
+(* A minimize hook that records every report it is handed, in call order.
+   It returns its argument, so fingerprints are trivially preserved and the
+   events must hold exactly the reports it returned. *)
+let recording_hook () =
+  let seen = ref [] in
+  (seen, fun r -> seen := r :: !seen; r)
+
+let check_hooked what seen reports =
+  Alcotest.(check int) (what ^ ": one minimize call per event") (List.length reports)
+    (List.length !seen);
+  Alcotest.(check bool) (what ^ ": events hold the minimized reports") true
+    (List.for_all2 ( == ) (List.rev !seen) reports)
+
+let nova_buggy () =
+  match Catalog.buggy_driver "nova" with
+  | Some mk -> mk ()
+  | None -> Alcotest.fail "no buggy nova driver"
+
+let campaign_hooked ?stop_after_findings jobs =
+  let seen, minimize = recording_hook () in
   let r =
     Chipmunk.Campaign.run
-      ~budget:(Run.budget ~max_execs:20 ~max_workloads:6 ())
-      (Novafs.driver ()) (Ace.seq2 Ace.Strong)
+      ~exec:(Run.exec ~minimize ~jobs ())
+      ~budget:(Run.budget ?stop_after_findings ())
+      (nova_buggy ()) (Ace.seq1 Ace.Strong)
   in
-  Alcotest.(check int) "tighter cap wins" 6 r.Chipmunk.Campaign.workloads_run
+  let events = r.Chipmunk.Campaign.events in
+  check_hooked (Printf.sprintf "campaign jobs=%d" jobs) seen
+    (List.map (fun (e : Chipmunk.Campaign.event) -> e.Chipmunk.Campaign.report) events);
+  List.map
+    (fun (e : Chipmunk.Campaign.event) ->
+      (e.Chipmunk.Campaign.fingerprint, e.Chipmunk.Campaign.workload_index))
+    events
+
+let test_campaign_minimize_first_occurrences () =
+  let j1 = campaign_hooked 1 in
+  Alcotest.(check bool) "several findings" true (List.length j1 > 1);
+  Alcotest.(check (list (pair string int))) "jobs=1 and jobs=2 agree" j1 (campaign_hooked 2)
+
+let test_campaign_minimize_capped () =
+  (* The workload that reaches the cap finds more than one new fingerprint;
+     only the first is kept, so only the first is minimized. *)
+  List.iter
+    (fun jobs ->
+      Alcotest.(check int)
+        (Printf.sprintf "one event at jobs=%d" jobs)
+        1
+        (List.length (campaign_hooked ~stop_after_findings:1 jobs)))
+    [ 1; 2 ]
 
 (* --- Fuzzer budget interactions --- *)
 
@@ -92,43 +139,64 @@ let test_fuzzer_exec_cap_exact () =
   let r = Fuzz.Fuzzer.run ~config (Novafs.driver ()) in
   Alcotest.(check int) "exactly max_execs executions" 48 r.Fuzz.Fuzzer.execs
 
+let fuzz_events (r : Fuzz.Fuzzer.result) seen =
+  check_hooked
+    (Printf.sprintf "fuzzer after %d execs" r.Fuzz.Fuzzer.execs)
+    seen
+    (List.map (fun (e : Fuzz.Fuzzer.event) -> e.Fuzz.Fuzzer.report) r.Fuzz.Fuzzer.events)
+
 let test_fuzzer_findings_cap () =
-  let config =
-    Fuzz.Fuzzer.config ~rng_seed:11
-      ~budget:(Run.budget ~max_execs:2000 ~stop_after_findings:1 ())
-      ()
-  in
-  let r = Fuzz.Fuzzer.run ~config (bug4_driver ()) in
-  Alcotest.(check int) "stops at one finding" 1 (List.length r.Fuzz.Fuzzer.events);
-  Alcotest.(check bool) "did not use the whole exec budget" true (r.Fuzz.Fuzzer.execs < 2000)
+  (* With every NOVA bug armed, the epoch that reaches the cap finds
+     several new fingerprints; only the first is kept and minimized. *)
+  List.iter
+    (fun jobs ->
+      let seen, minimize = recording_hook () in
+      let config =
+        Fuzz.Fuzzer.config ~rng_seed:11
+          ~budget:(Run.budget ~max_execs:2000 ~stop_after_findings:1 ())
+          ~exec:{ Fuzz.Fuzzer.default_config.Fuzz.Fuzzer.exec with Run.minimize = Some minimize; jobs }
+          ()
+      in
+      let r = Fuzz.Fuzzer.run ~config (nova_buggy ()) in
+      Alcotest.(check int) "stops at one finding" 1 (List.length r.Fuzz.Fuzzer.events);
+      fuzz_events r seen;
+      Alcotest.(check bool) "did not use the whole exec budget" true
+        (r.Fuzz.Fuzzer.execs < 2000))
+    [ 1; 2 ]
 
 (* --- Cross-job determinism (the tentpole contract) --- *)
 
 let fuzz_at jobs =
+  let seen, minimize = recording_hook () in
   let config =
     Fuzz.Fuzzer.config ~rng_seed:11
       ~budget:(Run.budget ~max_execs:256 ())
-      ~exec:(Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } ~jobs ())
+      ~exec:
+        (Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } ~minimize ~jobs ())
       ()
   in
-  Fuzz.Fuzzer.run ~config (bug4_driver ())
+  let r = Fuzz.Fuzzer.run ~config (bug4_driver ()) in
+  fuzz_events r seen;
+  r
 
 let event_key (e : Fuzz.Fuzzer.event) = (e.Fuzz.Fuzzer.fingerprint, e.Fuzz.Fuzzer.at_exec)
 
 let test_fuzzer_jobs_deterministic () =
   let r1 = fuzz_at 1 in
-  let r4 = fuzz_at 4 in
   Alcotest.(check bool) "found something" true (r1.Fuzz.Fuzzer.events <> []);
-  Alcotest.(check (list (pair string int)))
-    "identical fingerprints and at_exec attributions"
-    (List.map event_key r1.Fuzz.Fuzzer.events)
-    (List.map event_key r4.Fuzz.Fuzzer.events)
-    ;
-  Alcotest.(check int) "same exec count" r1.Fuzz.Fuzzer.execs r4.Fuzz.Fuzzer.execs;
-  Alcotest.(check int) "same crash states" r1.Fuzz.Fuzzer.crash_states
-    r4.Fuzz.Fuzzer.crash_states;
-  Alcotest.(check int) "same coverage" r1.Fuzz.Fuzzer.coverage r4.Fuzz.Fuzzer.coverage;
-  Alcotest.(check int) "same corpus" r1.Fuzz.Fuzzer.corpus_size r4.Fuzz.Fuzzer.corpus_size
+  List.iter
+    (fun jobs ->
+      let rn = fuzz_at jobs in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "identical fingerprints and at_exec attributions (jobs=%d)" jobs)
+        (List.map event_key r1.Fuzz.Fuzzer.events)
+        (List.map event_key rn.Fuzz.Fuzzer.events);
+      Alcotest.(check int) "same exec count" r1.Fuzz.Fuzzer.execs rn.Fuzz.Fuzzer.execs;
+      Alcotest.(check int) "same crash states" r1.Fuzz.Fuzzer.crash_states
+        rn.Fuzz.Fuzzer.crash_states;
+      Alcotest.(check int) "same coverage" r1.Fuzz.Fuzzer.coverage rn.Fuzz.Fuzzer.coverage;
+      Alcotest.(check int) "same corpus" r1.Fuzz.Fuzzer.corpus_size rn.Fuzz.Fuzzer.corpus_size)
+    [ 2; 4 ]
 
 let suite =
   [
@@ -143,6 +211,10 @@ let suite =
     Alcotest.test_case "workload: shared harness entry point" `Quick test_run_workload;
     Alcotest.test_case "campaign: max_execs is a workload synonym" `Quick
       test_campaign_max_execs_synonym;
+    Alcotest.test_case "findings: minimize once per first occurrence" `Quick
+      test_campaign_minimize_first_occurrences;
+    Alcotest.test_case "findings: no minimize past the cap" `Quick
+      test_campaign_minimize_capped;
     Alcotest.test_case "fuzzer: exec cap exact mid-epoch" `Quick test_fuzzer_exec_cap_exact;
     Alcotest.test_case "fuzzer: findings cap stops the campaign" `Quick
       test_fuzzer_findings_cap;

@@ -193,12 +193,18 @@ let test_campaign_minimize () =
   let suite () = Seq.take 5 (catalog_suite ()) in
   let plain = Chipmunk.Campaign.run (mk_driver ()) (suite ()) in
   let driver = mk_driver () in
+  let calls = ref 0 in
+  let minimize r =
+    incr calls;
+    Shrink.Minimize.rewrite driver r
+  in
   let minimized =
-    Chipmunk.Campaign.run
-      ~exec:(Chipmunk.Run.exec ~minimize:(Shrink.Minimize.rewrite driver) ())
-      driver (suite ())
+    Chipmunk.Campaign.run ~exec:(Chipmunk.Run.exec ~minimize ()) driver (suite ())
   in
   Alcotest.(check bool) "found something" true (plain.Chipmunk.Campaign.events <> []);
+  Alcotest.(check int) "minimized once per unique finding"
+    (List.length minimized.Chipmunk.Campaign.events)
+    !calls;
   Alcotest.(check (list string))
     "same unique findings, in order"
     (List.map (fun (e : Chipmunk.Campaign.event) -> e.Chipmunk.Campaign.fingerprint)
