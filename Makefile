@@ -1,9 +1,9 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: ci build test bench-perf bench-fuzz bench-shrink shrink-smoke \
-  fuzz-parallel-smoke cache-smoke clean
+.PHONY: ci build test bench-perf bench-shrink shrink-smoke fuzz-smoke \
+  cache-smoke clean
 
-ci: build test shrink-smoke fuzz-parallel-smoke cache-smoke
+ci: build test shrink-smoke fuzz-smoke cache-smoke
 
 build:
 	dune build @all
@@ -19,22 +19,22 @@ shrink-smoke:
 	  --out _build/bug-4.repro.json
 	dune exec bin/chipmunk_cli.exe -- reproduce --bug 4 _build/bug-4.repro.json
 
-# Sharded-fuzzer smoke test: a short campaign on buggy NOVA at --jobs 1
-# and --jobs 2 with the same seed must report the identical finding lines
-# (the Chipmunk.Run determinism contract), and must find something.
-fuzz-parallel-smoke:
+# Fuzzer smoke test: two short campaigns on buggy NOVA with the same seed
+# must find something and report the identical finding lines (a fuzz run
+# is a pure function of its seed).
+fuzz-smoke:
 	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 96 \
-	  --seed 7 --jobs 1 | grep '^finding' > _build/fuzz-smoke-j1.txt
+	  --seed 7 | grep '^finding' > _build/fuzz-smoke-1.txt
 	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 96 \
-	  --seed 7 --jobs 2 | grep '^finding' > _build/fuzz-smoke-j2.txt
-	test -s _build/fuzz-smoke-j1.txt
-	diff -u _build/fuzz-smoke-j1.txt _build/fuzz-smoke-j2.txt
+	  --seed 7 | grep '^finding' > _build/fuzz-smoke-2.txt
+	test -s _build/fuzz-smoke-1.txt
+	diff -u _build/fuzz-smoke-1.txt _build/fuzz-smoke-2.txt
 
 # Cache-transparency smoke test: the dedup cache and the verdict cache
 # must not change what a campaign finds, only how fast it finds it. Run
 # the buggy-NOVA ACE suite with caches at their defaults, with dedup off
-# and with the verdict cache off, then once more at --jobs 2 (the verdict
-# cache shared between domains through per-domain views); the per-finding
+# and with the verdict cache off, then once more at --jobs 2 (one verdict
+# cache shared by both worker domains under its lock); the per-finding
 # fingerprint lines must match exactly (only the hit-rate footer may differ).
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
@@ -55,11 +55,6 @@ cache-smoke:
 # Override the worker-domain count with CHIPMUNK_JOBS=N.
 bench-perf:
 	dune exec bench/main.exe parallel
-
-# Rewrite BENCH_fuzz.json (fuzzer execs/sec at jobs=1/2/4 plus the
-# cross-job determinism check).
-bench-fuzz:
-	dune exec bench/main.exe fuzz-parallel
 
 # Rewrite BENCH_shrink.json (delta-debugging shrink factors over the
 # 25-bug corpus).

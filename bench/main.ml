@@ -11,8 +11,6 @@
      perf         Obs. 2 + sect 6.2 - Bechamel microbenchmarks
      parallel     perf tracking - sequential vs --jobs, dedup hit-rate
                   (rewrites BENCH_parallel.json for cross-PR comparison)
-     fuzz-parallel perf tracking - fuzzer execs/sec at jobs=1/2/4 plus the
-                  cross-job determinism check (rewrites BENCH_fuzz.json)
      shrink       minimizer  - delta-debugging shrink factors over the bug
                   corpus (rewrites BENCH_shrink.json)
      ablation     DESIGN.md - coalescing design choice
@@ -576,99 +574,6 @@ let parallel_perf () =
   Printf.printf "wrote BENCH_parallel.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Sharded fuzzer perf tracking                                        *)
-
-(* E12: fuzzer throughput at jobs=1/2/4 plus the determinism contract
-   (same seed, any job count -> identical finding fingerprints, coverage
-   and corpus). Rewrites BENCH_fuzz.json so the trajectory is comparable
-   across commits. *)
-let fuzz_parallel () =
-  header
-    (Printf.sprintf "Sharded fuzzer: execs/sec at jobs=1/2/4 (%d core(s) recommended)"
-       (Domain.recommended_domain_count ()));
-  let mk_driver () =
-    match Catalog.buggy_driver "nova" with
-    | Some mk -> mk ()
-    | None -> Novafs.driver ()
-  in
-  let max_execs = 256 in
-  let run_at jobs =
-    let config =
-      Fuzz.Fuzzer.config ~rng_seed:42
-        ~budget:(Chipmunk.Run.budget ~max_execs ())
-        ~exec:
-          (Chipmunk.Run.exec
-             ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 }
-             ~jobs ())
-        ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let r = Fuzz.Fuzzer.run ~config (mk_driver ()) in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let job_counts = [ 1; 2; 4 ] in
-  let runs = List.map (fun j -> (j, run_at j)) job_counts in
-  let fps (r : Fuzz.Fuzzer.result) =
-    List.map (fun (e : Fuzz.Fuzzer.event) -> e.Fuzz.Fuzzer.fingerprint) r.Fuzz.Fuzzer.events
-  in
-  let base, _ = List.assoc 1 runs in
-  let deterministic =
-    List.for_all
-      (fun (_, ((r : Fuzz.Fuzzer.result), _)) ->
-        fps r = fps base
-        && r.Fuzz.Fuzzer.coverage = base.Fuzz.Fuzzer.coverage
-        && r.Fuzz.Fuzzer.corpus_size = base.Fuzz.Fuzzer.corpus_size
-        && r.Fuzz.Fuzzer.execs = base.Fuzz.Fuzzer.execs)
-      runs
-  in
-  Printf.printf "%-8s %8s %10s %12s %10s %8s %8s\n" "jobs" "execs" "time(s)" "execs/sec"
-    "states" "cov" "findings";
-  List.iter
-    (fun (j, ((r : Fuzz.Fuzzer.result), t)) ->
-      Printf.printf "%-8d %8d %10.2f %12.1f %10d %8d %8d\n" j r.Fuzz.Fuzzer.execs t
-        (float_of_int r.Fuzz.Fuzzer.execs /. Float.max 1e-9 t)
-        r.Fuzz.Fuzzer.crash_states r.Fuzz.Fuzzer.coverage
-        (List.length r.Fuzz.Fuzzer.events))
-    runs;
-  let t1 = snd (List.assoc 1 runs) and t4 = snd (List.assoc 4 runs) in
-  Printf.printf "jobs=4 speedup %.2fx, cross-job determinism: %s\n" (t1 /. t4)
-    (if deterministic then "identical" else "DIFFER");
-  let module J = Chipmunk.Json in
-  let run_obj ((r : Fuzz.Fuzzer.result), t) =
-    J.obj
-      [
-        ("seconds", Printf.sprintf "%.4f" t);
-        ("execs", string_of_int r.Fuzz.Fuzzer.execs);
-        ("execs_per_sec", Printf.sprintf "%.1f" (float_of_int r.Fuzz.Fuzzer.execs /. Float.max 1e-9 t));
-        ("crash_states", string_of_int r.Fuzz.Fuzzer.crash_states);
-        ("coverage", string_of_int r.Fuzz.Fuzzer.coverage);
-        ("corpus_size", string_of_int r.Fuzz.Fuzzer.corpus_size);
-        ("findings", string_of_int (List.length r.Fuzz.Fuzzer.events));
-        ("fingerprints", J.arr (List.map J.str (fps r)));
-      ]
-  in
-  let json =
-    J.obj
-      [
-        ("schema", J.str "chipmunk-bench-fuzz/1");
-        ("fs", J.str "nova-buggy");
-        ("rng_seed", "42");
-        ("max_execs", string_of_int max_execs);
-        ("recommended_domains", string_of_int (Domain.recommended_domain_count ()));
-        ( "runs",
-          J.obj (List.map (fun (j, rt) -> (Printf.sprintf "jobs%d" j, run_obj rt)) runs) );
-        ( "speedup_jobs4",
-          Printf.sprintf "%.3f" (snd (List.assoc 1 runs) /. snd (List.assoc 4 runs)) );
-        ("deterministic_across_jobs", string_of_bool deterministic);
-      ]
-  in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_fuzz.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* Minimizer shrink factors                                            *)
 
 (* One row per catalogued bug: find it from its trigger, minimize the
@@ -860,7 +765,7 @@ let ablation () =
 let all_experiments =
   [
     table1; table2; suite_stats; cap_sweep; inflight; ablation; figure3; perf; parallel_perf;
-    fuzz_parallel; shrink_bench;
+    shrink_bench;
   ]
 
 let () =
@@ -874,11 +779,10 @@ let () =
   | [| _; "inflight" |] -> inflight ()
   | [| _; "perf" |] -> perf ()
   | [| _; "parallel" |] -> parallel_perf ()
-  | [| _; "fuzz-parallel" |] -> fuzz_parallel ()
   | [| _; "shrink" |] -> shrink_bench ()
   | [| _; "ablation" |] -> ablation ()
   | _ ->
     prerr_endline
       "usage: main.exe \
-       [table1|table2|figure3|suite-stats|cap-sweep|inflight|perf|parallel|fuzz-parallel|shrink|ablation]";
+       [table1|table2|figure3|suite-stats|cap-sweep|inflight|perf|parallel|shrink|ablation]";
     exit 1

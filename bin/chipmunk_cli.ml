@@ -9,9 +9,10 @@
      chipmunk-cli reproduce bug.repro.json    rebuild and re-verify a reproducer
 
    The campaign-style subcommands (ace, fuzz, replay) parse one shared
-   execution/budget flag table — --cap, --no-dedup, --no-vcache, --jobs,
+   execution/budget flag table — --cap, --no-dedup, --no-vcache,
    --max-seconds, --stop-after, --minimize — into the Chipmunk.Run records
-   instead of keeping per-subcommand copies. *)
+   instead of keeping per-subcommand copies. Only ace shards its work, so
+   --jobs is an ace flag. *)
 
 open Cmdliner
 
@@ -41,7 +42,6 @@ type common = {
   cap : int;  (* 0 = subcommand default *)
   no_dedup : bool;
   no_vcache : bool;
-  jobs : int;
   max_seconds : float option;
   stop_after : int option;
   minimize : bool;
@@ -66,13 +66,6 @@ let no_vcache_arg =
   in
   Arg.(value & flag & info [ "no-vcache" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for the campaign (0 = one per core). 1 runs in the calling domain; \
-     findings are identical at any job count."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let max_seconds_arg =
   let doc = "Wall-clock budget in seconds (default: unlimited for ace, 30 for fuzz)." in
   Arg.(value & opt (some float) None & info [ "max-seconds"; "seconds" ] ~docv:"S" ~doc)
@@ -86,12 +79,12 @@ let minimize_flag =
   Arg.(value & flag & info [ "minimize" ] ~doc)
 
 let common_term =
-  let mk cap no_dedup no_vcache jobs max_seconds stop_after minimize =
-    { cap; no_dedup; no_vcache; jobs; max_seconds; stop_after; minimize }
+  let mk cap no_dedup no_vcache max_seconds stop_after minimize =
+    { cap; no_dedup; no_vcache; max_seconds; stop_after; minimize }
   in
   Term.(
-    const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ jobs_arg $ max_seconds_arg
-    $ stop_after_arg $ minimize_flag)
+    const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ max_seconds_arg $ stop_after_arg
+    $ minimize_flag)
 
 (* The shared "cache:" stats footer line: hit counts and rates over the
    enumerated crash states. *)
@@ -138,8 +131,15 @@ let max_workloads_arg =
   let doc = "Stop after this many workloads (0 = whole suite)." in
   Arg.(value & opt int 0 & info [ "max-workloads" ] ~docv:"N" ~doc)
 
+let jobs_arg =
+  let doc =
+    "Worker domains for the campaign (0 = one per core). 1 runs in the calling domain; \
+     findings are identical at any job count."
+  in
+  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 let ace_cmd =
-  let run fs buggy suite max_workloads (c : common) =
+  let run fs buggy suite max_workloads jobs (c : common) =
     match driver_of_name ~buggy fs with
     | Error e ->
       prerr_endline e;
@@ -166,7 +166,7 @@ let ace_cmd =
           if c.minimize then Some (Shrink.Minimize.rewrite ~opts driver) else None
         in
         let exec =
-          Chipmunk.Run.exec ~opts ?minimize ~jobs:c.jobs ~use_vcache:(not c.no_vcache) ()
+          Chipmunk.Run.exec ~opts ?minimize ~jobs ~use_vcache:(not c.no_vcache) ()
         in
         let budget =
           Chipmunk.Run.budget ?max_execs ?max_seconds:c.max_seconds
@@ -195,7 +195,8 @@ let ace_cmd =
   in
   Cmd.v
     (Cmd.info "ace" ~doc:"Run an ACE workload suite under Chipmunk")
-    Term.(const run $ fs_arg $ buggy_arg $ suite_arg $ max_workloads_arg $ common_term)
+    Term.(
+      const run $ fs_arg $ buggy_arg $ suite_arg $ max_workloads_arg $ jobs_arg $ common_term)
 
 let execs_arg =
   let doc = "Maximum fuzzer executions." in
@@ -220,7 +221,7 @@ let fuzz_cmd =
     | Ok driver ->
       (* The paper runs the fuzzer with a replayed-writes cap of 2. *)
       let opts = opts_of_common ~default_cap:2 c in
-      let exec = Chipmunk.Run.exec ~opts ~jobs:c.jobs ~use_vcache:(not c.no_vcache) () in
+      let exec = Chipmunk.Run.exec ~opts ~use_vcache:(not c.no_vcache) () in
       let budget =
         Chipmunk.Run.budget ~max_execs:execs
           ~max_seconds:(Option.value c.max_seconds ~default:30.0)
@@ -228,18 +229,16 @@ let fuzz_cmd =
       in
       let config = Fuzz.Fuzzer.config ~rng_seed:seed ~budget ~exec () in
       let r = Fuzz.Fuzzer.run ~config driver in
-      Printf.printf
-        "%s: %d execs, %d crash states, coverage %d, corpus %d, %.2fs (jobs=%d)\n" fs
+      Printf.printf "%s: %d execs, %d crash states, coverage %d, corpus %d, %.2fs\n" fs
         r.Fuzz.Fuzzer.execs r.Fuzz.Fuzzer.crash_states r.Fuzz.Fuzzer.coverage
-        r.Fuzz.Fuzzer.corpus_size r.Fuzz.Fuzzer.elapsed c.jobs;
+        r.Fuzz.Fuzzer.corpus_size r.Fuzz.Fuzzer.elapsed;
       cache_line ~crash_states:r.Fuzz.Fuzzer.crash_states
         ~dedup_hits:r.Fuzz.Fuzzer.dedup_hits ~vcache_hits:r.Fuzz.Fuzzer.vcache_hits;
       Printf.printf "%d unique finding(s) in %d cluster(s)\n"
         (List.length r.Fuzz.Fuzzer.events)
         (List.length r.Fuzz.Fuzzer.clusters);
       (* One line per unique finding; every field here is deterministic
-         across job counts, which is what the CI fuzz-parallel smoke test
-         diffs. *)
+         per seed, which is what the CI fuzz smoke test diffs. *)
       List.iter
         (fun (e : Fuzz.Fuzzer.event) ->
           Printf.printf "finding %s at-exec %d\n" e.Fuzz.Fuzzer.fingerprint

@@ -32,17 +32,16 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
       ~seconds:(Unix.gettimeofday () -. t0)
       ~findings:(Run.count live)
   in
-  let on_result _index ((r : Harness.result), _done_at) =
-    Run.add live r.Harness.reports (fun _ _ -> ())
-  in
-  (* One verdict cache for the whole campaign (when enabled): the harness
-     syncs it at workload boundaries, so worker domains share verdicts
-     through Vcache's snapshot/merge views. Never reused across campaigns — the
-     entries are only valid for this [driver] instance. *)
+  let on_result _index (reports, _stats, _done_at) = Run.add live reports (fun _ _ -> ()) in
+  (* One verdict cache for the whole campaign (when enabled), shared by
+     every worker domain. Never reused across campaigns — the entries are
+     only valid for this [driver] instance. *)
   let vcache = if exec.Run.use_vcache then Some (Vcache.create ()) else None in
+  (* Keep only what the merge reads: the workload's trace and outcomes
+     would otherwise stay alive until every workload has finished. *)
   let work (_name, workload) =
     let r = Harness.test_workload ~opts:exec.Run.opts ?vcache driver workload in
-    (r, Unix.gettimeofday () -. t0)
+    (r.Harness.reports, r.Harness.stats, Unix.gettimeofday () -. t0)
   in
   let completed =
     Pool.map ~jobs:(Run.effective_jobs exec) ~stop ~on_result work suite
@@ -56,14 +55,13 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   let states = ref 0 and points = ref 0 and dedups = ref 0 and vhits = ref 0 in
   let max_if = ref 0 in
   List.iter
-    (fun (index, (workload_name, _), ((r : Harness.result), elapsed)) ->
-      let s = r.Harness.stats in
+    (fun (index, (workload_name, _), (reports, (s : Harness.stats), elapsed)) ->
       states := !states + s.Harness.crash_states;
       points := !points + s.Harness.crash_points;
       dedups := !dedups + s.Harness.dedup_hits;
       vhits := !vhits + s.Harness.vcache_hits;
       max_if := max !max_if s.Harness.max_in_flight;
-      Run.add found r.Harness.reports (fun fingerprint report ->
+      Run.add found reports (fun fingerprint report ->
           {
             fingerprint;
             report;

@@ -67,5 +67,5 @@ val run :
 
     When [exec.use_vcache] is set (the default), the campaign creates one
     {!Vcache} and threads it through every harness call; worker domains
-    exchange verdicts at workload boundaries. Finding sets are identical
-    with the cache on or off, at any job count. *)
+    see each other's verdicts as soon as they are added. Finding sets are
+    identical with the cache on or off, at any job count. *)

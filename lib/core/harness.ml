@@ -393,9 +393,6 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     | Some i -> Checker.During i
     | None -> ( match !last_done with Some i -> Checker.After i | None -> Checker.Initial)
   in
-  (* Epoch boundary: pull verdicts other domains published before scanning
-     this workload's trace, and publish ours when done (also on Stop). *)
-  (match vcache with Some vc -> Vcache.sync vc | None -> ());
   (try
      Trace.iter trace (fun op ->
          match op with
@@ -415,7 +412,6 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
            check_point ~phase:(Checker.After idx);
            last_done := Some idx)
    with Stop -> ());
-  (match vcache with Some vc -> Vcache.sync vc | None -> ());
   { reports = List.rev !reports; stats; trace; outcomes }
 
 let replay_recorded ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) r =

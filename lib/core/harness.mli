@@ -111,8 +111,7 @@ val test_workload :
     file system.
 
     [vcache], when given, memoizes checker verdicts campaign-wide (see
-    {!Vcache}); the harness syncs it at the start and end of the replay
-    loop. Findings are identical with or without it. *)
+    {!Vcache}). Findings are identical with or without it. *)
 
 val usability_probe : Vfs.Handle.t -> Vfs.Walker.tree -> string option
 (** The post-recovery usability probe (create a file in every directory,

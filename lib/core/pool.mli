@@ -1,9 +1,10 @@
 (** A work-queue scheduler over OCaml 5 domains.
 
-    Campaigns spend nearly all of their time in [Harness.test_workload],
-    which is share-nothing: every invocation builds its own device image,
-    persistence tracker and oracle. That makes workload-level parallelism
-    safe with no changes to the harness — this module shards a lazy
+    Campaigns spend nearly all of their time in [Harness.test_workload].
+    Every invocation builds its own device image, persistence tracker and
+    oracle; the only state shared between invocations is the campaign's
+    verdict cache, which is internally locked ({!Vcache}). That makes
+    workload-level parallelism safe — this module shards a lazy
     sequence of tasks across [jobs] worker domains pulling from a common
     cursor (stdlib [Domain]/[Mutex]/[Condition] only; no external
     dependency).

@@ -31,12 +31,13 @@ type exec = {
   opts : Harness.opts;  (** Per-workload replay/check options. *)
   minimize : (Report.t -> Report.t) option;
       (** Applied to each unique finding {e after} fingerprint dedup (and,
-          in parallel runs, in the deterministic merge phase on the
+          in parallel campaigns, in the deterministic merge phase on the
           caller's domain) — typically [Shrink.Minimize.rewrite]. Must
           preserve the fingerprint. *)
   jobs : int;
-      (** Worker domains. [1] (the default) runs in the calling domain;
-          [0] or negative means one per core ({!Pool.default_jobs}). *)
+      (** Worker domains for {!Campaign.run}, its only reader. [1] (the
+          default) runs in the calling domain; [0] or negative means one
+          per core ({!Pool.default_jobs}). *)
   use_vcache : bool;
       (** Campaign-wide verdict cache (see {!Vcache}): runners create one
           fresh cache per run and thread it through every harness call, so

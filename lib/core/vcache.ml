@@ -10,13 +10,11 @@
    across crash points and across workloads: ACE workload families share long
    syscall prefixes, so whole mount+check rounds repeat campaign-wide.
 
-   Concurrency follows the PR 3 pattern (lib/cov): each domain works against
-   a private view (lock-free hot path) and periodically [sync]s with a
-   mutex-protected shared table. The shared side keeps a newest-first log so
-   a sync pulls only entries published since the domain's last visit. Caches
+   One table, guarded by a mutex, serves every domain of a run, so a
+   verdict added on one domain is visible to all the others at once. Caches
    are transparent for findings — a hit replays the exact kinds the checker
    would compute — so jobs=1 vs jobs=N stay finding-for-finding identical
-   even though hit *counts* depend on scheduling. *)
+   even though hit *counts* at jobs=N depend on scheduling. *)
 
 type entry = Report.kind list
 
@@ -25,73 +23,19 @@ type ckey = string * int
    never renders the image digest to hex or concatenates per state — the
    string half is shared across every state of a phase via {!prefix}. *)
 
-type shared = {
-  mutex : Mutex.t;
-  table : (ckey, entry) Hashtbl.t;
-  mutable log : (ckey * entry) list;  (* newest first *)
-  mutable published : int;  (* List.length log *)
-}
+type t = { mutex : Mutex.t; table : (ckey, entry) Hashtbl.t }
 
-type local = {
-  view : (ckey, entry) Hashtbl.t;
-  mutable fresh : (ckey * entry) list;  (* added locally since last sync *)
-  mutable pulled : int;  (* shared.published at last sync *)
-}
+let create () = { mutex = Mutex.create (); table = Hashtbl.create 1024 }
 
-type t = { shared : shared; dls : local Domain.DLS.key }
+let find t key = Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.table key)
 
-let create () =
-  {
-    shared =
-      { mutex = Mutex.create (); table = Hashtbl.create 1024; log = []; published = 0 };
-    dls =
-      Domain.DLS.new_key (fun () ->
-          { view = Hashtbl.create 1024; fresh = []; pulled = 0 });
-  }
-
-let local t = Domain.DLS.get t.dls
-let find t key = Hashtbl.find_opt (local t).view key
-
+(* First verdict wins: a racing domain that computed the same key keeps
+   the entry already there (both verdicts are equal anyway). *)
 let add t key kinds =
-  let l = local t in
-  if not (Hashtbl.mem l.view key) then begin
-    Hashtbl.replace l.view key kinds;
-    l.fresh <- (key, kinds) :: l.fresh
-  end
+  Mutex.protect t.mutex (fun () ->
+      if not (Hashtbl.mem t.table key) then Hashtbl.replace t.table key kinds)
 
-let sync t =
-  let l = local t in
-  let s = t.shared in
-  Mutex.lock s.mutex;
-  List.iter
-    (fun (k, v) ->
-      if not (Hashtbl.mem s.table k) then begin
-        Hashtbl.replace s.table k v;
-        s.log <- (k, v) :: s.log;
-        s.published <- s.published + 1
-      end)
-    l.fresh;
-  let missing = s.published - l.pulled in
-  let to_pull =
-    let rec take n lst acc =
-      if n <= 0 then acc
-      else match lst with [] -> acc | x :: rest -> take (n - 1) rest (x :: acc)
-    in
-    take missing s.log []
-  in
-  l.pulled <- s.published;
-  Mutex.unlock s.mutex;
-  l.fresh <- [];
-  List.iter
-    (fun (k, v) -> if not (Hashtbl.mem l.view k) then Hashtbl.replace l.view k v)
-    to_pull
-
-let entries t =
-  let s = t.shared in
-  Mutex.lock s.mutex;
-  let n = s.published in
-  Mutex.unlock s.mutex;
-  n
+let entries t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 
 (* --- keys --- *)
 

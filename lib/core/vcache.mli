@@ -11,11 +11,11 @@
     entirely. Reports are still emitted per occurrence with their own crash
     point, so finding sets are byte-identical with the cache on or off.
 
-    Thread-safe via the PR 3 snapshot/merge pattern: lookups and inserts run
-    against a lock-free per-domain view ({!Domain.DLS}); {!sync} exchanges
-    fresh entries with a mutex-protected shared table at epoch boundaries
-    (the harness syncs before and after each workload's replay loop). Hit
-    counts therefore depend on scheduling, but findings never do. *)
+    Thread-safe: one table behind a mutex, which {!find}, {!add} and
+    {!entries} take, so a verdict added on one domain is visible to every
+    other domain at once. With several domains hit counts depend on
+    scheduling, but findings never do; in one domain they are
+    deterministic. *)
 
 type t
 
@@ -45,16 +45,10 @@ val phase_digest : Oracle.t -> calls:string array -> Checker.phase -> string
     ([Vfs.Syscall.to_string] per call). *)
 
 val find : t -> ckey -> Report.kind list option
-(** Lookup in this domain's view only (lock-free). [Some []] means "cached as
-    consistent"; [None] means not cached here yet. *)
+(** [Some []] means "cached as consistent"; [None] means not cached yet. *)
 
 val add : t -> ckey -> Report.kind list -> unit
-(** Record a verdict in this domain's view; published to other domains at the
-    next {!sync}. *)
-
-val sync : t -> unit
-(** Publish locally-added entries to the shared table and pull entries other
-    domains published since this domain's last sync. *)
+(** Record a verdict; an entry already present under [key] is kept. *)
 
 val entries : t -> int
-(** Number of entries published to the shared table so far. *)
+(** Number of entries added so far. *)

@@ -1,46 +1,15 @@
-let enabled = Atomic.make false
-
-(* Global cumulative hit set: fixed buckets of immutable lists behind
-   Atomics. Adding is a CAS loop (retry on contention), membership is a
-   list scan — bucket chains stay short because the point universe is a
-   few hundred literals. *)
-let n_buckets = 512
-let global : string list Atomic.t array = Array.init n_buckets (fun _ -> Atomic.make [])
-let bucket p = Hashtbl.hash p land (n_buckets - 1)
-
-let rec global_add b p =
-  let cur = Atomic.get b in
-  if (not (List.mem p cur)) && not (Atomic.compare_and_set b cur (p :: cur)) then global_add b p
-
-(* Per-domain local table: which points this domain hit since its last
-   [local_reset]. Also serves as a fast path — a point already in the
-   local table needs no global CAS. *)
-let local_key : (string, unit) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let enable () = Atomic.set enabled true
-let disable () = Atomic.set enabled false
-
-let reset () =
-  Array.iter (fun b -> Atomic.set b []) global;
-  Hashtbl.reset (Domain.DLS.get local_key)
+(* The calling domain's collector: [Some tbl] while inside [collect]. *)
+let slot : (string, unit) Hashtbl.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 let mark p =
-  if Atomic.get enabled then begin
-    let local = Domain.DLS.get local_key in
-    if not (Hashtbl.mem local p) then begin
-      Hashtbl.replace local p ();
-      global_add global.(bucket p) p
-    end
-  end
+  match Domain.DLS.get slot with
+  | None -> ()
+  | Some tbl -> Hashtbl.replace tbl p ()
 
-let hits () =
-  Array.fold_left (fun acc b -> List.rev_append (Atomic.get b) acc) [] global
-  |> List.sort String.compare
-
-let count () = Array.fold_left (fun acc b -> acc + List.length (Atomic.get b)) 0 global
-let local_reset () = Hashtbl.reset (Domain.DLS.get local_key)
-
-let local_hits () =
-  Hashtbl.fold (fun k () acc -> k :: acc) (Domain.DLS.get local_key) []
-  |> List.sort String.compare
+let collect f =
+  let prev = Domain.DLS.get slot in
+  let tbl = Hashtbl.create 64 in
+  Domain.DLS.set slot (Some tbl);
+  let v = Fun.protect ~finally:(fun () -> Domain.DLS.set slot prev) f in
+  (v, List.sort String.compare (Hashtbl.fold (fun p () acc -> p :: acc) tbl []))

@@ -41,27 +41,12 @@ type result = {
   elapsed : float;
 }
 
-(* What one execution slot sends back to the merge: everything the
-   deterministic accumulator needs, nothing shared while running. *)
-type slot_out = {
-  s_workload : Vfs.Syscall.t list;
-  s_hits : string list;  (* this execution's coverage points *)
-  s_reports : Chipmunk.Report.t list;
-  s_states : int;
-  s_dedup_hits : int;
-  s_vcache_hits : int;
-  s_done_at : float;  (* wall-clock completion, seconds since t0 *)
-}
-
 let run ?(config = default_config) driver =
-  let jobs = Run.effective_jobs config.exec in
   let budget = config.budget in
   let t0 = Unix.gettimeofday () in
-  Cov.enable ();
-  Cov.reset ();
-  (* One verdict cache for the whole fuzzing run; slots share it through
-     the harness's per-workload syncs. Mutated workloads keep long common
-     prefixes with their seeds, so cross-execution hits are frequent. *)
+  (* One verdict cache for the whole fuzzing run. Mutated workloads keep
+     long common prefixes with their seeds, so cross-execution hits are
+     frequent. *)
   let vcache = if config.exec.Run.use_vcache then Some (Chipmunk.Vcache.create ()) else None in
   let vhits = ref 0 in
   let dhits = ref 0 in
@@ -80,6 +65,9 @@ let run ?(config = default_config) driver =
     Run.out_of_budget budget ~execs:!execs ~seconds:(elapsed ())
       ~findings:(Run.count found)
   in
+  let time_up () =
+    match budget.Run.max_seconds with None -> false | Some s -> elapsed () >= s
+  in
   while (not !stopped) && not (out ()) do
     let n_slots =
       match budget.Run.max_execs with
@@ -87,54 +75,40 @@ let run ?(config = default_config) driver =
       | Some m -> min epoch_len (m - !execs)
     in
     let snapshot = !corpus in
-    let e = !epoch in
-    (* One slot = one execution. The RNG stream is a pure function of
-       (seed, epoch, slot) and the corpus snapshot is fixed for the epoch,
-       so the slot's workload — and, the harness being deterministic per
-       workload on a fresh image, its whole outcome — does not depend on
-       which domain runs it or on how many there are. *)
+    let fresh_seeds = ref [] in
+    (* One slot = one execution. Its RNG stream is a pure function of
+       (seed, epoch, slot) and it draws seeds only from the corpus snapshot
+       taken at the epoch boundary, so the run is a pure function of the
+       seed (and of [max_seconds], the one wall-clock stop). *)
     let slot s =
-      let rng = Random.State.make [| config.rng_seed; e; s |] in
+      let rng = Random.State.make [| config.rng_seed; !epoch; s |] in
       let workload =
         (* As in Syzkaller: usually mutate a seed, sometimes generate fresh. *)
         if Array.length snapshot = 0 || Random.State.int rng 4 = 0 then
           Prog.generate rng ~max_len:config.max_len
         else Prog.mutate rng snapshot.(Random.State.int rng (Array.length snapshot))
       in
-      Cov.local_reset ();
-      let r = Chipmunk.Harness.test_workload ~opts:config.exec.Run.opts ?vcache driver workload in
-      {
-        s_workload = workload;
-        s_hits = Cov.local_hits ();
-        s_reports = r.Chipmunk.Harness.reports;
-        s_states = r.Chipmunk.Harness.stats.Chipmunk.Harness.crash_states;
-        s_dedup_hits = r.Chipmunk.Harness.stats.Chipmunk.Harness.dedup_hits;
-        s_vcache_hits = r.Chipmunk.Harness.stats.Chipmunk.Harness.vcache_hits;
-        s_done_at = elapsed ();
-      }
+      let r, hits =
+        Cov.collect (fun () ->
+            Chipmunk.Harness.test_workload ~opts:config.exec.Run.opts ?vcache driver workload)
+      in
+      let done_at = elapsed () in
+      let st = r.Chipmunk.Harness.stats in
+      incr execs;
+      states := !states + st.Chipmunk.Harness.crash_states;
+      dhits := !dhits + st.Chipmunk.Harness.dedup_hits;
+      vhits := !vhits + st.Chipmunk.Harness.vcache_hits;
+      if List.exists (fun p -> not (Hashtbl.mem seen_cov p)) hits then
+        fresh_seeds := workload :: !fresh_seeds;
+      List.iter (fun p -> Hashtbl.replace seen_cov p ()) hits;
+      let reports = r.Chipmunk.Harness.reports in
+      all_reports := List.rev_append reports !all_reports;
+      Run.add found reports (fun fingerprint report ->
+          { fingerprint; report; at_exec = !execs; elapsed = done_at; workload })
     in
-    let time_up () =
-      match budget.Run.max_seconds with None -> false | Some s -> elapsed () >= s
-    in
-    let completed = Chipmunk.Pool.map ~jobs ~stop:time_up slot (Seq.init n_slots Fun.id) in
-    if List.length completed < n_slots then stopped := true;
-    (* Epoch barrier: merge in slot order (Pool.map returns index-sorted
-       results), so corpus admission, fingerprint dedup and at_exec
-       attribution are identical at every job count. *)
-    let fresh_seeds = ref [] in
-    List.iter
-      (fun (_, _, o) ->
-        incr execs;
-        states := !states + o.s_states;
-        dhits := !dhits + o.s_dedup_hits;
-        vhits := !vhits + o.s_vcache_hits;
-        let novel = List.exists (fun p -> not (Hashtbl.mem seen_cov p)) o.s_hits in
-        List.iter (fun p -> Hashtbl.replace seen_cov p ()) o.s_hits;
-        if novel then fresh_seeds := o.s_workload :: !fresh_seeds;
-        all_reports := List.rev_append o.s_reports !all_reports;
-        Run.add found o.s_reports (fun fingerprint report ->
-            { fingerprint; report; at_exec = !execs; elapsed = o.s_done_at; workload = o.s_workload }))
-      completed;
+    for s = 0 to n_slots - 1 do
+      if not !stopped then if time_up () then stopped := true else slot s
+    done;
     corpus := Array.append !corpus (Array.of_list (List.rev !fresh_seeds));
     incr epoch
   done;

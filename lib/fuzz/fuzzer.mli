@@ -8,32 +8,23 @@
     reach new points are kept as seeds. Reports are deduplicated by
     fingerprint and clustered for triage.
 
-    {2 Sharding and determinism}
+    {2 Epochs and determinism}
 
-    The campaign proceeds in {e epochs} of {!epoch_len} executions. Every
-    execution slot derives its own RNG stream from
+    The campaign runs in the calling domain, in {e epochs} of {!epoch_len}
+    executions. Every execution slot derives its own RNG stream from
     [(rng_seed, epoch, slot)] and mutates seeds drawn from the corpus
-    snapshot taken at the epoch boundary; the slots of one epoch are
-    therefore independent and are sharded across [jobs] worker domains via
-    {!Chipmunk.Pool}, each execution building its own device image inside
-    {!Chipmunk.Harness.test_workload}. Workers record per-execution
-    coverage in their domain-local {!Cov} table (the global set is
-    [Atomic]-backed, so cross-domain counting is race-free) and publish
-    new-coverage seeds and findings at the epoch barrier, where results
-    are merged in execution-index order with fingerprint ties resolved to
-    the lowest index.
+    snapshot taken at the epoch boundary; new-coverage seeds join the
+    corpus at the next boundary, in execution order. Each execution's
+    coverage is the set of points {!Cov.collect} saw while it ran.
 
-    Because nothing in that pipeline depends on the worker count, a run
-    with [exec.jobs = 4] reports the {e identical} finding fingerprints,
-    corpus and coverage counts, and [at_exec] attributions as
-    [exec.jobs = 1] for the same [rng_seed] — unless the [max_seconds] cap fires, which is the one
-    inherently wall-clock-dependent stop. The run-wide verdict cache
-    ({!Chipmunk.Vcache}, on by default via [exec.use_vcache]) preserves
-    this: a cache hit replays the exact kinds the checker would compute,
-    so only the hit {e counts} vary with scheduling. *)
+    A run is therefore a pure function of [rng_seed] and the config: the
+    same seed gives the identical finding fingerprints, [at_exec]
+    attributions, corpus, coverage and cache hit counts — unless the
+    [max_seconds] cap fires, which is the one wall-clock-dependent
+    stop. *)
 
 val epoch_len : int
-(** Executions per epoch (the corpus-sync granularity): 32. *)
+(** Executions per epoch (the corpus-snapshot granularity): 32. *)
 
 type config = {
   rng_seed : int;
@@ -42,19 +33,19 @@ type config = {
       (** [max_execs], [max_seconds] and [stop_after_findings] apply
           (checked at epoch granularity — a cap firing mid-epoch stops the
           campaign at that epoch's boundary, except [max_seconds], which
-          also stops dispatching within the epoch). *)
+          is also checked before each execution). *)
   exec : Chipmunk.Run.exec;
       (** [opts] is applied to every execution (the default caps replayed
           writes at 2 per crash state, as the paper runs the fuzzer so
           outlier tests cannot stall the campaign); [minimize] runs on each
-          unique finding after dedup, in the merge phase, and never past
+          unique finding after dedup, and never past
           [stop_after_findings] (see {!Chipmunk.Run.findings}); [jobs] is
-          the worker-domain count ([0] = one per core). *)
+          ignored (the fuzzer always runs in the calling domain). *)
 }
 
 val default_config : config
 (** Seed 1, programs up to 14 calls, budget of 2000 execs / 60 s, harness
-    cap 2, one worker domain. *)
+    cap 2. *)
 
 val config :
   ?rng_seed:int ->
@@ -69,8 +60,7 @@ type event = {
   fingerprint : string;
   report : Chipmunk.Report.t;
   at_exec : int;
-      (** 1-based index of the execution that found it, in deterministic
-          merge order — identical across job counts. *)
+      (** 1-based index of the execution that found it. *)
   elapsed : float;
       (** Wall-clock completion time (seconds since campaign start) of the
           execution that found it — the same contract as
@@ -84,8 +74,7 @@ type result = {
   crash_states : int;
   coverage : int;
       (** Distinct coverage points reached across all executions (the
-          union of per-execution hit sets — deterministic across job
-          counts). *)
+          union of per-execution hit sets). *)
   corpus_size : int;
   dedup_hits : int;
       (** Summed per-execution {!Chipmunk.Harness.stats.dedup_hits}
@@ -94,13 +83,12 @@ type result = {
   vcache_hits : int;
       (** Crash states answered from the run-wide verdict cache (summed
           {!Chipmunk.Harness.stats.vcache_hits}); [0] with
-          [exec.use_vcache = false]. Unlike everything else in this
-          record, the count depends on domain scheduling — findings,
-          corpus and coverage do not. *)
+          [exec.use_vcache = false]. Deterministic per seed, like every
+          other count in this record. *)
   events : event list;  (** Unique findings in discovery order. *)
   clusters : Triage.cluster list;
   elapsed : float;
 }
 
 val run : ?config:config -> Vfs.Driver.t -> result
-(** Run the campaign on [config.exec.jobs] worker domains. *)
+(** Run the campaign in the calling domain. *)

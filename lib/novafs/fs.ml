@@ -956,7 +956,9 @@ let slot_csum_ok pm ~off csum =
 
 (* Walk one inode's log and rebuild its DRAM state. Returns [Error msg] for
    structural corruption that must reject the mount; degradable damage
-   (fortis checksum failures, unreachable log head) marks the inode instead. *)
+   (fortis checksum failures, unreachable log head) marks the inode instead.
+   A chain of distinct pages has fewer than [n_pages] hops, so more means an
+   on-media [lp_next] cycle the tail is never reached from. *)
 let scan_log t node tail =
   let psz = page_size t in
   let head_off = L.page_off t.lay node.head in
@@ -971,7 +973,8 @@ let scan_log t node tail =
   end
   else begin
     let entries = ref [] in
-    let rec walk page addr =
+    let n_pages = t.lay.L.cfg.L.n_pages in
+    let rec walk ~hops page addr =
       if addr = tail then Ok (L.page_off t.lay page, addr)
       else begin
         let page_start = L.page_off t.lay page in
@@ -979,13 +982,15 @@ let scan_log t node tail =
         let pos = addr - page_start in
         let jump () =
           let next = Pm.read_u32 t.pm ~off:(page_start + L.lp_next) in
-          if next = 0 || next >= t.lay.L.cfg.L.n_pages then
+          if hops >= n_pages then
+            Error (Printf.sprintf "nova: inode %d log chain cycles" node.ino)
+          else if next = 0 || next >= n_pages then
             Error
               (Printf.sprintf "nova: inode %d log ends before tail (tail=%d addr=%d)" node.ino
                  tail addr)
           else if Pm.read_u32 t.pm ~off:(L.page_off t.lay next + L.lp_magic) <> L.log_page_magic
           then Error (Printf.sprintf "nova: inode %d log chain hits uninitialised page" node.ino)
-          else walk next (L.page_off t.lay next + L.lp_header)
+          else walk ~hops:(hops + 1) next (L.page_off t.lay next + L.lp_header)
         in
         if pos + 2 > psz then jump ()
         else if body.[pos] = '\000' then jump ()
@@ -1000,10 +1005,10 @@ let scan_log t node tail =
             Error (Printf.sprintf "nova: inode %d has a corrupt log entry at %d" node.ino addr)
           | Ok (e, elen) ->
             entries := (`Entry e, addr) :: !entries;
-            walk page (addr + elen)
+            walk ~hops page (addr + elen)
       end
     in
-    match walk node.head (head_off + L.lp_header) with
+    match walk ~hops:0 node.head (head_off + L.lp_header) with
     | Error _ as e -> e
     | Ok (tail_page_start, effective_tail) ->
       node.tail <- effective_tail;

@@ -27,19 +27,30 @@ let test_mutate_never_empty () =
   done
 
 let test_cov_plumbing () =
-  Cov.disable ();
-  Cov.reset ();
-  Cov.mark "ignored-when-disabled";
-  Alcotest.(check int) "disabled marks ignored" 0 (Cov.count ());
-  Cov.enable ();
-  Cov.mark "a";
-  Cov.mark "b";
-  Cov.mark "a";
-  Alcotest.(check int) "distinct points" 2 (Cov.count ());
-  Alcotest.(check (list string)) "sorted hits" [ "a"; "b" ] (Cov.hits ());
-  Cov.reset ();
-  Alcotest.(check int) "reset clears" 0 (Cov.count ());
-  Cov.disable ()
+  Cov.mark "outside";
+  let v, hits =
+    Cov.collect (fun () ->
+        Cov.mark "b";
+        Cov.mark "a";
+        Cov.mark "b";
+        (* Marks made on another domain during the collection are not this
+           domain's. *)
+        Domain.join (Domain.spawn (fun () -> Cov.mark "other-domain"));
+        42)
+  in
+  Alcotest.(check int) "collect returns f's value" 42 v;
+  Alcotest.(check (list string)) "distinct in-scope points, sorted" [ "a"; "b" ] hits;
+  (* A raise inside [collect] propagates and ends that collection: marks
+     made afterwards go to the enclosing scope (here the outer collect; at
+     top level, nowhere), not to the aborted one. *)
+  let (), outer =
+    Cov.collect (fun () ->
+        (match Cov.collect (fun () -> Cov.mark "inner"; failwith "boom") with
+        | _ -> Alcotest.fail "collect swallowed the exception"
+        | exception Failure _ -> ());
+        Cov.mark "after-raise")
+  in
+  Alcotest.(check (list string)) "collection restored after a raise" [ "after-raise" ] outer
 
 let mk_report summary_kind =
   {

@@ -229,9 +229,31 @@ let test_failed_rename_rolls_tail_back () =
        orphaned delete entry can never be published by a later commit. *)
     Alcotest.(check int) "tails agree after failed rename" (media_tail ()) (dram_tail ())
 
+(* --- hostile image: a log page whose lp_next loops back into the chain --- *)
+
+let test_cyclic_log_chain_rejected () =
+  let config = Novafs.config ~n_pages:64 () in
+  let lay = Novafs.Layout.v config in
+  let image = Pmem.Image.create ~size:lay.Novafs.Layout.size in
+  let pm = Persist.Pm.create image in
+  let t = Novafs.Fs.mkfs pm config in
+  ignore (Novafs.Fs.create t ~dir:0 ~name:"a");
+  let slot = Novafs.Layout.inode_off lay 0 in
+  let head = Persist.Pm.read_u32 pm ~off:(slot + Novafs.Layout.i_log_head) in
+  let head_off = Novafs.Layout.page_off lay head in
+  (* The root's head page links to itself, and the tail sits inside the
+     page header, where no entry boundary can ever reach it. *)
+  Pmem.Image.write_u32 image ~off:(head_off + Novafs.Layout.lp_next) head;
+  Pmem.Image.write_u64 image ~off:(slot + Novafs.Layout.i_tail) (head_off + 1);
+  match Novafs.Fs.mount pm config with
+  | Ok _ -> Alcotest.fail "mounted an image whose log chain cycles"
+  | Error e -> Alcotest.(check string) "cycle reported" "nova: inode 0 log chain cycles" e
+
 let suite =
   suite
   @ [
       Alcotest.test_case "failed rename rolls the tail back" `Quick
         test_failed_rename_rolls_tail_back;
+      Alcotest.test_case "cyclic log chain fails the mount" `Quick
+        test_cyclic_log_chain_rejected;
     ]

@@ -1,8 +1,7 @@
 (* Tests for the unified Chipmunk.Run execution API: budget cap
    interactions, the shared single-workload entry point, the campaign
-   budget synonyms, and the sharded fuzzer's cross-job determinism
-   contract (jobs=1 and jobs=N with the same seed report identical
-   findings). *)
+   budget synonyms, and the fuzzer's determinism contract (the same seed
+   twice reports identical findings and counts). *)
 
 module Run = Chipmunk.Run
 
@@ -148,31 +147,26 @@ let fuzz_events (r : Fuzz.Fuzzer.result) seen =
 let test_fuzzer_findings_cap () =
   (* With every NOVA bug armed, the epoch that reaches the cap finds
      several new fingerprints; only the first is kept and minimized. *)
-  List.iter
-    (fun jobs ->
-      let seen, minimize = recording_hook () in
-      let config =
-        Fuzz.Fuzzer.config ~rng_seed:11
-          ~budget:(Run.budget ~max_execs:2000 ~stop_after_findings:1 ())
-          ~exec:{ Fuzz.Fuzzer.default_config.Fuzz.Fuzzer.exec with Run.minimize = Some minimize; jobs }
-          ()
-      in
-      let r = Fuzz.Fuzzer.run ~config (nova_buggy ()) in
-      Alcotest.(check int) "stops at one finding" 1 (List.length r.Fuzz.Fuzzer.events);
-      fuzz_events r seen;
-      Alcotest.(check bool) "did not use the whole exec budget" true
-        (r.Fuzz.Fuzzer.execs < 2000))
-    [ 1; 2 ]
+  let seen, minimize = recording_hook () in
+  let config =
+    Fuzz.Fuzzer.config ~rng_seed:11
+      ~budget:(Run.budget ~max_execs:2000 ~stop_after_findings:1 ())
+      ~exec:{ Fuzz.Fuzzer.default_config.Fuzz.Fuzzer.exec with Run.minimize = Some minimize }
+      ()
+  in
+  let r = Fuzz.Fuzzer.run ~config (nova_buggy ()) in
+  Alcotest.(check int) "stops at one finding" 1 (List.length r.Fuzz.Fuzzer.events);
+  fuzz_events r seen;
+  Alcotest.(check bool) "did not use the whole exec budget" true (r.Fuzz.Fuzzer.execs < 2000)
 
-(* --- Cross-job determinism (the tentpole contract) --- *)
+(* --- Same seed, same run --- *)
 
-let fuzz_at jobs =
+let fuzz_once () =
   let seen, minimize = recording_hook () in
   let config =
     Fuzz.Fuzzer.config ~rng_seed:11
       ~budget:(Run.budget ~max_execs:256 ())
-      ~exec:
-        (Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } ~minimize ~jobs ())
+      ~exec:(Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } ~minimize ())
       ()
   in
   let r = Fuzz.Fuzzer.run ~config (bug4_driver ()) in
@@ -181,22 +175,21 @@ let fuzz_at jobs =
 
 let event_key (e : Fuzz.Fuzzer.event) = (e.Fuzz.Fuzzer.fingerprint, e.Fuzz.Fuzzer.at_exec)
 
-let test_fuzzer_jobs_deterministic () =
-  let r1 = fuzz_at 1 in
+let test_fuzzer_same_seed_same_result () =
+  let r1 = fuzz_once () in
+  let r2 = fuzz_once () in
   Alcotest.(check bool) "found something" true (r1.Fuzz.Fuzzer.events <> []);
-  List.iter
-    (fun jobs ->
-      let rn = fuzz_at jobs in
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "identical fingerprints and at_exec attributions (jobs=%d)" jobs)
-        (List.map event_key r1.Fuzz.Fuzzer.events)
-        (List.map event_key rn.Fuzz.Fuzzer.events);
-      Alcotest.(check int) "same exec count" r1.Fuzz.Fuzzer.execs rn.Fuzz.Fuzzer.execs;
-      Alcotest.(check int) "same crash states" r1.Fuzz.Fuzzer.crash_states
-        rn.Fuzz.Fuzzer.crash_states;
-      Alcotest.(check int) "same coverage" r1.Fuzz.Fuzzer.coverage rn.Fuzz.Fuzzer.coverage;
-      Alcotest.(check int) "same corpus" r1.Fuzz.Fuzzer.corpus_size rn.Fuzz.Fuzzer.corpus_size)
-    [ 2; 4 ]
+  Alcotest.(check (list (pair string int)))
+    "identical fingerprints and at_exec attributions"
+    (List.map event_key r1.Fuzz.Fuzzer.events)
+    (List.map event_key r2.Fuzz.Fuzzer.events);
+  Alcotest.(check int) "same exec count" r1.Fuzz.Fuzzer.execs r2.Fuzz.Fuzzer.execs;
+  Alcotest.(check int) "same crash states" r1.Fuzz.Fuzzer.crash_states
+    r2.Fuzz.Fuzzer.crash_states;
+  Alcotest.(check int) "same coverage" r1.Fuzz.Fuzzer.coverage r2.Fuzz.Fuzzer.coverage;
+  Alcotest.(check int) "same corpus" r1.Fuzz.Fuzzer.corpus_size r2.Fuzz.Fuzzer.corpus_size;
+  Alcotest.(check int) "same dedup hits" r1.Fuzz.Fuzzer.dedup_hits r2.Fuzz.Fuzzer.dedup_hits;
+  Alcotest.(check int) "same vcache hits" r1.Fuzz.Fuzzer.vcache_hits r2.Fuzz.Fuzzer.vcache_hits
 
 let suite =
   [
@@ -218,6 +211,6 @@ let suite =
     Alcotest.test_case "fuzzer: exec cap exact mid-epoch" `Quick test_fuzzer_exec_cap_exact;
     Alcotest.test_case "fuzzer: findings cap stops the campaign" `Quick
       test_fuzzer_findings_cap;
-    Alcotest.test_case "fuzzer: jobs=1 == jobs=4 per seed" `Quick
-      test_fuzzer_jobs_deterministic;
+    Alcotest.test_case "fuzzer: same seed, same result" `Quick
+      test_fuzzer_same_seed_same_result;
   ]

@@ -95,28 +95,30 @@ let test_digest_undo_rollback () =
 
 (* --- Vcache unit behaviour --- *)
 
-let test_vcache_find_add_sync () =
+let test_vcache_find_add_shared () =
   let c = Vcache.create () in
   let k = Vcache.key ~fs:"nova" ~image_digest:42 ~phase_digest:"abc" in
   Alcotest.(check bool) "empty cache misses" true (Vcache.find c k = None);
+  Alcotest.(check int) "empty cache has no entries" 0 (Vcache.entries c);
   Vcache.add c k [];
   Alcotest.(check bool) "consistent verdict cached as Some []" true
     (Vcache.find c k = Some []);
-  Alcotest.(check int) "not yet published" 0 (Vcache.entries c);
-  Vcache.sync c;
-  Alcotest.(check int) "published at sync" 1 (Vcache.entries c);
-  (* Another domain sees the entry only through its own sync. *)
-  let seen_after_sync =
+  Alcotest.(check int) "entries counts the add at once" 1 (Vcache.entries c);
+  Vcache.add c k [ R.Unusable "later" ];
+  Alcotest.(check bool) "first verdict wins" true (Vcache.find c k = Some []);
+  (* Another domain sees the entry with no sync step, and its adds are
+     visible back here. *)
+  let k' = Vcache.key ~fs:"nova" ~image_digest:43 ~phase_digest:"abc" in
+  let seen =
     Domain.join
       (Domain.spawn (fun () ->
-           let before = Vcache.find c k in
-           Vcache.sync c;
-           (before, Vcache.find c k)))
+           let v = Vcache.find c k in
+           Vcache.add c k' [];
+           v))
   in
-  Alcotest.(check bool) "fresh domain misses before sync" true
-    (fst seen_after_sync = None);
-  Alcotest.(check bool) "fresh domain hits after sync" true
-    (snd seen_after_sync = Some [])
+  Alcotest.(check bool) "fresh domain hits" true (seen = Some []);
+  Alcotest.(check bool) "its add is visible here" true (Vcache.find c k' = Some []);
+  Alcotest.(check int) "two entries" 2 (Vcache.entries c)
 
 let test_vcache_key_separates () =
   (* The key must separate file systems and phases even at equal digests. *)
@@ -195,7 +197,7 @@ let test_harness_vcache_second_run_hits () =
     (Printf.sprintf "second run served from the cache (%d hits)"
        r2.Harness.stats.Harness.vcache_hits)
     true (r2.Harness.stats.Harness.vcache_hits > 0);
-  Alcotest.(check bool) "cache holds published entries" true (Vcache.entries vcache > 0)
+  Alcotest.(check bool) "cache holds entries" true (Vcache.entries vcache > 0)
 
 (* --- record / replay_recorded split --- *)
 
@@ -253,7 +255,7 @@ let suite =
       test_digest_snapshot_restore;
     Alcotest.test_case "digest: undo rollback restores it exactly" `Quick
       test_digest_undo_rollback;
-    Alcotest.test_case "vcache: find/add/sync across domains" `Quick test_vcache_find_add_sync;
+    Alcotest.test_case "vcache: find/add shared across domains" `Quick test_vcache_find_add_shared;
     Alcotest.test_case "vcache: key separates fs/phase/digest" `Quick test_vcache_key_separates;
     Alcotest.test_case "campaign: findings identical with vcache on/off" `Quick
       test_campaign_vcache_transparent;
