@@ -14,10 +14,18 @@ test:
 # Minimizer smoke test: shrink one known catalogued bug to a reproducer
 # (must strictly reduce the workload and keep the fingerprint — the CLI
 # exits non-zero otherwise), then rebuild and re-verify the artifact.
+# Then the report-file flow: save a fuzz campaign's findings, minimize the
+# first saved report under the fuzzer's cap, and reproduce the result.
 shrink-smoke:
 	dune exec bin/chipmunk_cli.exe -- minimize --bug 4 --expect-shrink \
 	  --out _build/bug-4.repro.json
 	dune exec bin/chipmunk_cli.exe -- reproduce --bug 4 _build/bug-4.repro.json
+	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 96 \
+	  --seed 7 --save _build/fuzz-save
+	dune exec bin/chipmunk_cli.exe -- minimize \
+	  _build/fuzz-save/finding-00.report.json --buggy --cap 2
+	dune exec bin/chipmunk_cli.exe -- reproduce --buggy \
+	  _build/fuzz-save/finding-00.report.json.min.json
 
 # Fuzzer smoke test: two short campaigns on buggy NOVA with the same seed
 # must find something and report the identical finding lines (a fuzz run

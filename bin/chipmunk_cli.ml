@@ -439,7 +439,7 @@ let minimize_cmd =
           Chipmunk.Report.fingerprint o.Shrink.Minimize.report
           = Chipmunk.Report.fingerprint report
         in
-        let reverifies = Chipmunk.Reproduce.verify driver o.Shrink.Minimize.report in
+        let reverifies = Chipmunk.Reproduce.verify ~opts driver o.Shrink.Minimize.report in
         Printf.printf "fingerprint preserved: %b; reproducer re-verifies: %b\n" fp_preserved
           reverifies;
         Shrink.Artifact.save ~path:out (Shrink.Artifact.of_outcome o);

@@ -1,7 +1,8 @@
 (* Post-mortem workflow: a bug report carries enough detail to rebuild the
    exact crash state it describes (paper Figure 1). This example finds a
-   bug, re-derives the crash image from the report alone, mounts it, and
-   inspects the damage down to the device bytes.
+   bug, re-derives the crash image from the report plus the harness opts it
+   was found under (the defaults here), mounts it, and inspects the damage
+   down to the device bytes.
 
    Run with:  dune exec examples/postmortem.exe *)
 
@@ -32,7 +33,8 @@ let () =
   print_endline "--- the report, as a developer would receive it ---";
   Format.printf "%a@." Chipmunk.Report.pp report;
 
-  (* Rebuild the crash state from nothing but the report. *)
+  (* Rebuild the crash state from the report; [~opts] would name the
+     harness opts had the finding come from non-default ones. *)
   print_endline "--- post-mortem: rebuilding the crash state ---";
   (match Chipmunk.Reproduce.crash_state driver report with
   | Error e -> Printf.printf "cannot rebuild: %s\n" e

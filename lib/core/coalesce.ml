@@ -18,7 +18,11 @@ let contiguous_with unit (s : Persist.Trace.store) =
   | [] -> false
   | (addr, d) :: _ -> addr + String.length d = s.Persist.Trace.addr
 
-let add ~coalesce ~data_threshold vec (s : Persist.Trace.store) ~syscall =
+(* The bulk-data heuristic's threshold: non-temporal stores at least this
+   large are taken to be file data. *)
+let data_threshold = 64
+
+let add ~coalesce vec (s : Persist.Trace.store) ~syscall =
   let fresh =
     {
       seq = s.Persist.Trace.seq;
@@ -47,6 +51,8 @@ let add ~coalesce ~data_threshold vec (s : Persist.Trace.store) ~syscall =
       :: rest
     else fresh :: vec
   | _ -> fresh :: vec
+
+let apply write t = List.iter (fun (addr, data) -> write ~off:addr data) t.parts
 
 let describe t =
   let lo, hi = span t in

@@ -22,13 +22,17 @@ val bytes : t -> int
 val span : t -> int * int
 (** Lowest address and one-past-highest address covered. *)
 
-val add :
-  coalesce:bool -> data_threshold:int -> t list -> Persist.Trace.store -> syscall:int option -> t list
+val add : coalesce:bool -> t list -> Persist.Trace.store -> syscall:int option -> t list
 (** Fold one logged store into the in-flight vector (kept newest-first).
     With [coalesce] true, the store is fused into the newest unit when
     either (a) it is address-contiguous with it, same kind and function, and
     from the same syscall, or (b) both are non-temporal stores of at least
-    [data_threshold] bytes from the same syscall and function — the paper's
-    "large buffers are file data" heuristic. *)
+    64 bytes from the same syscall and function — the paper's "large
+    buffers are file data" heuristic. A fresh unit always has a larger
+    [seq] than every unit already in the vector, so in-flight order is
+    [seq] order. *)
+
+val apply : (off:int -> string -> unit) -> t -> unit
+(** Write every part of the unit with [write], in program order. *)
 
 val describe : t -> string

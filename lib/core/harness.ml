@@ -5,7 +5,6 @@ module Image = Pmem.Image
 type opts = {
   cap : int option;
   coalesce : bool;
-  data_threshold : int;
   check_usability : bool;
   max_states_per_point : int;
   stop_on_first : bool;
@@ -18,7 +17,6 @@ let default_opts =
   {
     cap = None;
     coalesce = true;
-    data_threshold = 64;
     check_usability = true;
     max_states_per_point = 512;
     stop_on_first = false;
@@ -49,6 +47,14 @@ type recording = {
   rec_trace : Persist.Trace.t;
   rec_base : Pmem.Image.t;
   rec_outcomes : Vfs.Workload.outcome list;
+}
+
+type crash_point = {
+  fence_no : int;
+  phase : Checker.phase;
+  after_syscall : int option;
+  at_fence : bool;
+  in_flight : Coalesce.t list;
 }
 
 exception Stop
@@ -154,14 +160,72 @@ let record ?(opts = default_opts) (driver : Vfs.Driver.t) calls =
   Pm.set_logger pm None;
   { rec_calls = calls; rec_trace = trace; rec_base = base; rec_outcomes = outcomes }
 
+let walk ?(opts = default_opts) ~replay trace f =
+  let vec = ref [] (* newest first *) in
+  let cur_syscall = ref None in
+  let last_done = ref None in
+  let fence_no = ref 0 in
+  let point ~at_fence phase =
+    incr fence_no;
+    let in_flight = List.rev !vec in
+    let after_syscall = match phase with Checker.After i -> Some i | _ -> !last_done in
+    f { fence_no = !fence_no; phase; after_syscall; at_fence; in_flight };
+    in_flight
+  in
+  Trace.iter trace (function
+    | Trace.Store s -> vec := Coalesce.add ~coalesce:opts.coalesce !vec s ~syscall:!cur_syscall
+    | Trace.Fence ->
+      let phase =
+        match (!cur_syscall, !last_done) with
+        | Some i, _ -> Checker.During i
+        | None, Some i -> Checker.After i
+        | None, None -> Checker.Initial
+      in
+      List.iter (Coalesce.apply (Image.write_string replay)) (point ~at_fence:true phase);
+      vec := []
+    | Trace.Syscall_begin { idx; _ } -> cur_syscall := Some idx
+    | Trace.Syscall_end { idx; _ } ->
+      cur_syscall := None;
+      ignore (point ~at_fence:false (Checker.After idx));
+      last_done := Some idx)
+
+let mount_and_check ?(opts = default_opts) ?stats ?undo (driver : Vfs.Driver.t) ~workload
+    ~oracle ~phase image =
+  let pm = Pm.create image in
+  Pm.set_undo pm undo;
+  let failed () = Option.iter (fun s -> s.failed_mounts <- s.failed_mounts + 1) stats in
+  let kinds =
+    match driver.Vfs.Driver.mount pm with
+    | exception e ->
+      failed ();
+      [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
+    | Error m ->
+      failed ();
+      [ Report.Unmountable m ]
+    | Ok h -> (
+      match
+        let tree = Vfs.Walker.capture h in
+        let ks =
+          Checker.check ~atomic_data:driver.Vfs.Driver.atomic_data
+            ~consistency:driver.Vfs.Driver.consistency ~workload ~oracle ~phase ~tree
+        in
+        if ks = [] && opts.check_usability then
+          match usability_probe h tree with Some m -> [ Report.Unusable m ] | None -> []
+        else ks
+      with
+      | ks -> ks
+      | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ])
+  in
+  Pm.set_undo pm None;
+  kinds
+
 (* Phases 2+3: oracle, then the replay loop over the trace. [replay] is
    consumed (mutated throughout); pass a snapshot to keep the base image. *)
 let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     ~replay =
   (* Phase 2: the oracle. *)
   let oracle = Oracle.run calls in
-  (* Phase 3: replay. [replay] always holds the fully-fenced prefix of the
-     trace. *)
+  (* Phase 3: replay. *)
   let stats =
     {
       crash_points = 0;
@@ -175,27 +239,20 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
   in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let reports = ref [] in
-  let vec = ref [] (* newest first *) in
-  let cur_syscall = ref None in
-  let last_done = ref None in
-  let fence_no = ref 0 in
   let workload_arr = Array.of_list calls in
   let fsync_boundary idx =
     idx < Array.length workload_arr && Vfs.Syscall.is_fsync_family workload_arr.(idx)
   in
-  let emit ~phase ~subset_seqs ~n kinds =
+  let emit (p : crash_point) ~subset_seqs kinds =
     List.iter
       (fun kind ->
         let crash_point =
           {
-            Report.fence_no = !fence_no;
-            during_syscall = (match phase with Checker.During i -> Some i | _ -> None);
-            after_syscall =
-              (match phase with
-              | Checker.After i -> Some i
-              | Checker.During _ | Checker.Initial -> !last_done);
+            Report.fence_no = p.fence_no;
+            during_syscall = (match p.phase with Checker.During i -> Some i | _ -> None);
+            after_syscall = p.after_syscall;
             subset = subset_seqs;
-            in_flight = n;
+            in_flight = List.length p.in_flight;
           }
         in
         let r = { Report.fs = driver.Vfs.Driver.name; workload = calls; crash_point; kind } in
@@ -223,38 +280,8 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       Hashtbl.add phase_prefixes phase p;
       p
   in
-  (* Mount and check the current (mutated) replay image. [undo] is armed on
-   the mount's [Pm] so recovery-time writes are also rolled back by the
-   caller. *)
-  let mount_and_check ~phase ~undo =
-    let pm2 = Pm.create replay in
-    Pm.set_undo pm2 (Some undo);
-    let kinds =
-      match driver.Vfs.Driver.mount pm2 with
-      | exception e ->
-        stats.failed_mounts <- stats.failed_mounts + 1;
-        [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
-      | Error m ->
-        stats.failed_mounts <- stats.failed_mounts + 1;
-        [ Report.Unmountable m ]
-      | Ok h -> (
-        match
-          let tree = Vfs.Walker.capture h in
-          let ks =
-            Checker.check ~atomic_data:driver.Vfs.Driver.atomic_data
-              ~consistency:driver.Vfs.Driver.consistency ~workload:calls ~oracle ~phase ~tree
-          in
-          if ks = [] && opts.check_usability then
-            match usability_probe h tree with
-            | Some m -> [ Report.Unusable m ]
-            | None -> []
-          else ks
-        with
-        | ks -> ks
-        | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ])
-    in
-    Pm.set_undo pm2 None;
-    kinds
+  let check_replay ~phase ~undo =
+    mount_and_check ~opts ~stats ~undo driver ~workload:calls ~oracle ~phase replay
   in
   (* One enumerated crash state: apply its writes onto the replay image
      under an undo session, digest the result (O(dirty lines) thanks to the
@@ -266,16 +293,20 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
      - campaign-wide verdict cache ([vcache]): equivalent states reached at
        other crash points or in other workloads replay the memoized kinds
        without mounting. Reports still go through [emit] with this
-       occurrence's crash point, so finding sets are unchanged. *)
-  let check_state ~phase ~point_seen ~base_units units_arr subset_idxs ~n =
+       occurrence's crash point, so finding sets are unchanged.
+     The state's writes are [base_units] and the chosen subset merged back
+     into in-flight (= sequence-number) order; the report's subset names
+     all of them, so {!Reproduce} rebuilds the same image. *)
+  let check_state (p : crash_point) ~point_seen ~base_units units_arr subset_idxs =
     stats.crash_states <- stats.crash_states + 1;
-    let subset_units = List.map (fun i -> units_arr.(i)) subset_idxs in
-    let replay_units = base_units @ subset_units in
+    let replay_units =
+      List.merge
+        (fun (a : Coalesce.t) (b : Coalesce.t) -> compare a.seq b.seq)
+        base_units
+        (List.map (fun i -> units_arr.(i)) subset_idxs)
+    in
     let undo = Persist.Undo.create replay in
-    List.iter
-      (fun (u : Coalesce.t) ->
-        List.iter (fun (addr, data) -> Persist.Undo.write_string undo ~off:addr data) u.parts)
-      replay_units;
+    List.iter (Coalesce.apply (Persist.Undo.write_string undo)) replay_units;
     let dg = Image.digest replay in
     let skip =
       opts.dedup_states
@@ -294,21 +325,18 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let finish kinds =
         Persist.Undo.rollback undo;
         if kinds <> [] then
-          let subset_seqs =
-            List.map (fun (u : Coalesce.t) -> u.Coalesce.seq) subset_units
-          in
-          emit ~phase ~subset_seqs ~n kinds
+          emit p ~subset_seqs:(List.map (fun (u : Coalesce.t) -> u.seq) replay_units) kinds
       in
       match vcache with
-      | None -> finish (mount_and_check ~phase ~undo)
+      | None -> finish (check_replay ~phase:p.phase ~undo)
       | Some vc -> (
-        let key = Vcache.key_of ~prefix:(phase_prefix phase) ~image_digest:dg in
+        let key = Vcache.key_of ~prefix:(phase_prefix p.phase) ~image_digest:dg in
         match Vcache.find vc key with
         | Some kinds ->
           stats.vcache_hits <- stats.vcache_hits + 1;
           finish kinds
         | None ->
-          let kinds = mount_and_check ~phase ~undo in
+          let kinds = check_replay ~phase:p.phase ~undo in
           Vcache.add vc key kinds;
           finish kinds)
     end
@@ -342,22 +370,21 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
         List.exists (fun (roff, rlen) -> addr < roff + rlen && roff < e) reads)
       u.Coalesce.parts
   in
-  let check_point ~phase =
+  let check_point (p : crash_point) =
     let weak = driver.Vfs.Driver.consistency = Vfs.Driver.Weak in
     let should_check =
       if not weak then true
-      else match phase with Checker.After i -> fsync_boundary i | _ -> false
+      else match p.phase with Checker.After i -> fsync_boundary i | _ -> false
     in
     if should_check then begin
       stats.crash_points <- stats.crash_points + 1;
-      let all_units = List.rev !vec in
       let units_arr, cold_units =
-        if opts.read_set_heuristic && all_units <> [] then begin
+        if opts.read_set_heuristic && p.in_flight <> [] then begin
           let reads = recovery_read_set () in
-          let hot, cold = List.partition (overlaps_reads reads) all_units in
+          let hot, cold = List.partition (overlaps_reads reads) p.in_flight in
           (Array.of_list hot, cold)
         end
-        else (Array.of_list all_units, [])
+        else (Array.of_list p.in_flight, [])
       in
       (* Under the read-set heuristic, subsets are enumerated over the hot
          units only — but the cold (never-read) units still exist, and
@@ -377,40 +404,14 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       ignore
         (enumerate_subsets ~n ~cap:opts.cap ~limit:opts.max_states_per_point (fun idxs ->
              List.iter
-               (fun base_units -> check_state ~phase ~point_seen ~base_units units_arr idxs ~n)
+               (fun base_units -> check_state p ~point_seen ~base_units units_arr idxs)
                bases))
     end
   in
-  let apply_all () =
-    List.iter
-      (fun (u : Coalesce.t) ->
-        List.iter (fun (addr, data) -> Image.write_string replay ~off:addr data) u.Coalesce.parts)
-      (List.rev !vec);
-    vec := []
-  in
-  let phase_now () =
-    match !cur_syscall with
-    | Some i -> Checker.During i
-    | None -> ( match !last_done with Some i -> Checker.After i | None -> Checker.Initial)
-  in
   (try
-     Trace.iter trace (fun op ->
-         match op with
-         | Trace.Store s ->
-           vec :=
-             Coalesce.add ~coalesce:opts.coalesce ~data_threshold:opts.data_threshold !vec s
-               ~syscall:!cur_syscall
-         | Trace.Fence ->
-           stats.fences <- stats.fences + 1;
-           incr fence_no;
-           check_point ~phase:(phase_now ());
-           apply_all ()
-         | Trace.Syscall_begin { idx; _ } -> cur_syscall := Some idx
-         | Trace.Syscall_end { idx; _ } ->
-           cur_syscall := None;
-           incr fence_no;
-           check_point ~phase:(Checker.After idx);
-           last_done := Some idx)
+     walk ~opts ~replay trace (fun p ->
+         if p.at_fence then stats.fences <- stats.fences + 1;
+         check_point p)
    with Stop -> ());
   { reports = List.rev !reports; stats; trace; outcomes }
 

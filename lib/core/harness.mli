@@ -14,7 +14,6 @@ type opts = {
           ([None] = exhaustive). The paper finds a cap of 2 exposes every
           bug in its corpus (Observation 7). *)
   coalesce : bool;  (** Fuse logically-related stores (section 3.2). *)
-  data_threshold : int;  (** Minimum bytes for the bulk-data heuristic. *)
   check_usability : bool;
       (** After the oracle checks, probe the recovered file system: create a
           file in every directory, then delete everything. *)
@@ -113,8 +112,41 @@ val test_workload :
     [vcache], when given, memoizes checker verdicts campaign-wide (see
     {!Vcache}). Findings are identical with or without it. *)
 
-val usability_probe : Vfs.Handle.t -> Vfs.Walker.tree -> string option
-(** The post-recovery usability probe (create a file in every directory,
-    write to it, remove it, then delete every file and directory bottom-up);
-    [Some msg] describes the first operation that failed. Exposed so
-    {!Reproduce} re-checks crash states exactly as the harness did. *)
+(** {1 Crash states}
+
+    The one definition of how a recording becomes crash states, shared by
+    the replay loop above and by {!Reproduce}. *)
+
+type crash_point = {
+  fence_no : int;  (** 1-based index among all fences and syscall ends. *)
+  phase : Checker.phase;  (** Outside a syscall, [After] the last one done. *)
+  after_syscall : int option;  (** Last completed syscall. *)
+  at_fence : bool;  (** A store fence, not a syscall boundary. *)
+  in_flight : Coalesce.t list;
+      (** Oldest first. A crash state is the fence prefix plus the units a
+          report's [subset] names, applied in this order. *)
+}
+
+val walk :
+  ?opts:opts -> replay:Pmem.Image.t -> Persist.Trace.t -> (crash_point -> unit) -> unit
+(** Call [f] at every crash point of a trace, with [replay] (starting as
+    the recording's [rec_base]) holding the fully-fenced prefix; at a fence,
+    then apply the in-flight vector to [replay]. Only [opts.coalesce]
+    matters. An exception from [f] stops the walk at that point. *)
+
+val mount_and_check :
+  ?opts:opts ->
+  ?stats:stats ->
+  ?undo:Persist.Undo.t ->
+  Vfs.Driver.t ->
+  workload:Vfs.Syscall.t list ->
+  oracle:Oracle.t ->
+  phase:Checker.phase ->
+  Pmem.Image.t ->
+  Report.kind list
+(** Mount the crash image, walk the recovered tree and check it against
+    the oracle at [phase]; when that passes and [opts.check_usability],
+    run the usability probe (create a file in every directory, then delete
+    everything). Never raises: failures become report kinds, and a failed
+    mount is counted in [stats]. Recovery writes the image, logged to
+    [undo] when given. [] means the state is consistent. *)

@@ -1,135 +1,68 @@
-module Pm = Persist.Pm
-module Trace = Persist.Trace
-module Image = Pmem.Image
-
 type crash_state = {
   image : Pmem.Image.t;
   mount : unit -> (Vfs.Handle.t, string) result;
   check : unit -> Report.kind list;
 }
 
-exception Found of Image.t * Checker.phase * Coalesce.t list
-exception Mismatch of string
+exception Found of Harness.crash_point
 
-(* Re-run the recorded workload and replay the trace up to the report's
-   crash point, applying exactly the subset of in-flight writes the report
-   names (by sequence number). Never raises: a report that does not match
-   this driver (wrong file system, crash point past the end of the trace,
-   subset naming writes that are not in flight there) is an [Error], as is
-   any hardware fault the re-run provokes. *)
-let rebuild (driver : Vfs.Driver.t) (report : Report.t) =
+(* Re-record the report's workload and walk its trace exactly as the
+   harness does, stopping at the report's crash point, then apply the
+   in-flight units the report's subset names. Never raises: a report that
+   does not match this driver and these opts (wrong file system, crash
+   point past the end of the trace, subset naming writes that are not in
+   flight there) is an [Error], as is any hardware fault the re-run
+   provokes. *)
+let rebuild ~opts (driver : Vfs.Driver.t) (report : Report.t) =
   let cp = report.Report.crash_point in
   if driver.Vfs.Driver.name <> report.Report.fs then
     Error
       (Printf.sprintf "report is for file system %S, driver is %S" report.Report.fs
          driver.Vfs.Driver.name)
   else
-    try
-      let img = Image.create ~size:driver.Vfs.Driver.device_size in
-      let pm = Pm.create img in
-      let handle = driver.Vfs.Driver.mkfs pm in
-      let base = Image.snapshot img in
-      let trace = Trace.create () in
-      Pm.trace_to pm trace;
-      let before idx call = Pm.mark_syscall_begin pm ~idx ~descr:(Vfs.Syscall.to_string call) in
-      let after idx _ ret = Pm.mark_syscall_end pm ~idx ~ret in
-      let _ = Vfs.Workload.run ~before ~after handle report.Report.workload in
-      Pm.set_logger pm None;
-      (* Walk the trace like the harness does, counting crash points the same
-         way (every fence and every syscall end), until we hit [cp.fence_no]. *)
-      let replay = base in
-      let vec = ref [] in
-      let cur_syscall = ref None in
-      let fence_no = ref 0 in
-      let wanted = Hashtbl.create 8 in
-      List.iter (fun s -> Hashtbl.replace wanted s ()) cp.Report.subset;
-      let stop_here phase =
-        let units = List.rev !vec in
-        let missing =
-          List.filter
-            (fun s -> not (List.exists (fun (u : Coalesce.t) -> u.Coalesce.seq = s) units))
-            cp.Report.subset
-        in
-        if missing <> [] then
-          raise
-            (Mismatch
-               (Printf.sprintf "subset names sequence number(s) %s not in flight at the crash point"
-                  (String.concat ", " (List.map string_of_int missing))));
-        List.iter
-          (fun (u : Coalesce.t) ->
-            if Hashtbl.mem wanted u.Coalesce.seq then
-              List.iter (fun (addr, data) -> Image.write_string replay ~off:addr data) u.Coalesce.parts)
-          units;
-        raise (Found (replay, phase, units))
-      in
-      let apply_all () =
-        List.iter
-          (fun (u : Coalesce.t) ->
-            List.iter (fun (addr, data) -> Image.write_string replay ~off:addr data) u.Coalesce.parts)
-          (List.rev !vec);
-        vec := []
-      in
-      Trace.iter trace (fun op ->
-          match op with
-          | Trace.Store s ->
-            vec := Coalesce.add ~coalesce:true ~data_threshold:64 !vec s ~syscall:!cur_syscall
-          | Trace.Fence ->
-            incr fence_no;
-            if !fence_no = cp.Report.fence_no then
-              stop_here
-                (match !cur_syscall with Some i -> Checker.During i | None -> Checker.Initial);
-            apply_all ()
-          | Trace.Syscall_begin { idx; _ } -> cur_syscall := Some idx
-          | Trace.Syscall_end { idx; _ } ->
-            cur_syscall := None;
-            incr fence_no;
-            if !fence_no = cp.Report.fence_no then stop_here (Checker.After idx));
-      Error "crash point not reached: report does not match this configuration"
+    match
+      let r = Harness.record ~opts driver report.Report.workload in
+      let image = r.Harness.rec_base in
+      match
+        Harness.walk ~opts ~replay:image r.Harness.rec_trace (fun p ->
+            if p.Harness.fence_no = cp.Report.fence_no then raise (Found p))
+      with
+      | () -> Error "crash point not reached: report does not match this configuration"
+      | exception Found p -> (
+        let seqs = List.map (fun (u : Coalesce.t) -> u.Coalesce.seq) p.Harness.in_flight in
+        match List.filter (fun s -> not (List.mem s seqs)) cp.Report.subset with
+        | [] ->
+          List.iter
+            (fun (u : Coalesce.t) ->
+              if List.mem u.Coalesce.seq cp.Report.subset then
+                Coalesce.apply (Pmem.Image.write_string image) u)
+            p.Harness.in_flight;
+          Ok (image, p)
+        | missing ->
+          Error
+            (Printf.sprintf "subset names sequence number(s) %s not in flight at the crash point"
+               (String.concat ", " (List.map string_of_int missing))))
     with
-    | Found (image, phase, units) -> Ok (image, phase, units)
-    | Mismatch m -> Error m
-    | e -> Error ("reproduction failed: " ^ Pmem.Fault.to_string e)
+    | res -> res
+    | exception e -> Error ("reproduction failed: " ^ Pmem.Fault.to_string e)
 
-let in_flight_at driver report =
-  match rebuild driver report with Ok (_, _, units) -> Ok units | Error _ as e -> e
+let in_flight_at ?(opts = Harness.default_opts) driver report =
+  Result.map (fun (_, p) -> p.Harness.in_flight) (rebuild ~opts driver report)
 
-let crash_state driver report =
-  match rebuild driver report with
-  | Error _ as e -> e
-  | Ok (image, phase, _units) ->
-    let mount () =
-      let copy = Image.snapshot image in
-      driver.Vfs.Driver.mount (Pm.create copy)
-    in
-    let check () =
-      let copy = Image.snapshot image in
-      match driver.Vfs.Driver.mount (Pm.create copy) with
-      | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
-      | Error m -> [ Report.Unmountable m ]
-      | Ok h -> (
-        match
-          let tree = Vfs.Walker.capture h in
-          let oracle = Oracle.run report.Report.workload in
-          let ks =
-            Checker.check ~atomic_data:driver.Vfs.Driver.atomic_data
-              ~consistency:driver.Vfs.Driver.consistency ~workload:report.Report.workload ~oracle
-              ~phase ~tree
-          in
-          (* Mirror the harness: a state that passes the oracle checks must
-             also survive the usability probe, so [Unusable] findings
-             re-verify too. *)
-          if ks = [] then
-            match Harness.usability_probe h tree with
-            | Some m -> [ Report.Unusable m ]
-            | None -> []
-          else ks
-        with
-        | ks -> ks
-        | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ])
-    in
-    Ok { image; mount; check }
+let crash_state ?(opts = Harness.default_opts) driver (report : Report.t) =
+  Result.map
+    (fun (image, (p : Harness.crash_point)) ->
+      let workload = report.Report.workload in
+      let oracle = Oracle.run workload in
+      let mount () = driver.Vfs.Driver.mount (Persist.Pm.create (Pmem.Image.snapshot image)) in
+      let check () =
+        Harness.mount_and_check ~opts driver ~workload ~oracle ~phase:p.Harness.phase
+          (Pmem.Image.snapshot image)
+      in
+      { image; mount; check })
+    (rebuild ~opts driver report)
 
-let verify driver report =
-  match crash_state driver report with
+let verify ?opts driver report =
+  match crash_state ?opts driver report with
   | Error _ -> false
   | Ok cs -> cs.check () <> []

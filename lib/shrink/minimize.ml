@@ -154,14 +154,14 @@ let minimize_workload ~opts driver (report : R.t) =
 (* Phase 2: ddmin over the replayed in-flight subset, using the
    deterministic crash-state rebuild as the probe. A candidate passes when
    the rebuilt state still checks to a kind with the target fingerprint. *)
-let minimize_subset driver (report : R.t) =
+let minimize_subset ~opts driver (report : R.t) =
   let target = R.fingerprint report in
   let runs = ref 0 in
   let matched : (string, R.kind) Hashtbl.t = Hashtbl.create 16 in
   let test subset =
     incr runs;
     let candidate = with_subset report subset in
-    match Chipmunk.Reproduce.crash_state driver candidate with
+    match Chipmunk.Reproduce.crash_state ~opts driver candidate with
     | Error _ -> false
     | Ok cs -> (
       let kinds = cs.Chipmunk.Reproduce.check () in
@@ -186,8 +186,8 @@ let syscall_name workload = function
 (* Per-write culprit annotations for the surviving subset: address span,
    byte count and the persist operation (function + issuing syscall) each
    unit came from. *)
-let culprits_of driver (report : R.t) =
-  match Chipmunk.Reproduce.in_flight_at driver report with
+let culprits_of ~opts driver (report : R.t) =
+  match Chipmunk.Reproduce.in_flight_at ~opts driver report with
   | Error _ -> []
   | Ok units ->
     List.filter_map
@@ -218,7 +218,7 @@ let run ?(opts = Chipmunk.Harness.default_opts) driver (report : R.t) =
   match minimize_workload ~opts driver report with
   | None, _, _ -> Error "the report does not reproduce under this driver and these options"
   | Some wl_min, harness_runs, replay_probe_hits ->
-    let final, check_runs = minimize_subset driver wl_min in
+    let final, check_runs = minimize_subset ~opts driver wl_min in
     if R.fingerprint final <> target then
       Error "minimization changed the fingerprint (ddmin accepted a bad candidate)"
     else
@@ -235,7 +235,7 @@ let run ?(opts = Chipmunk.Harness.default_opts) driver (report : R.t) =
               check_runs;
               replay_probe_hits;
             };
-          culprits = culprits_of driver final;
+          culprits = culprits_of ~opts driver final;
         }
 
 let rewrite ?opts driver report =

@@ -22,9 +22,10 @@
       probes.
     - {b crash-subset minimization}: ddmin over the crash point's replayed
       in-flight writes, each probe a {!Chipmunk.Reproduce.crash_state}
-      rebuild + check — yielding the smallest set of writes that still
-      fails, with a per-write {!culprit} annotation naming the address
-      span and the persist operation that issued it. *)
+      rebuild + check under the same harness opts — yielding the smallest
+      set of writes that still fails, with a per-write {!culprit}
+      annotation naming the address span and the persist operation that
+      issued it. *)
 
 type culprit = {
   seq : int;  (** Sequence number in the in-flight vector. *)
@@ -75,7 +76,9 @@ val run :
   (outcome, string) result
 (** Minimize [report] against [driver]. [opts] must be the harness options
     the report was found under (fingerprints can depend on the replay cap
-    and granularity); they default to {!Chipmunk.Harness.default_opts}.
+    and granularity; crash states on granularity and coalescing); both
+    phases and the culprit annotation use them. They default to
+    {!Chipmunk.Harness.default_opts}.
     Errors when the report does not reproduce on [driver] at all. The
     outcome's fingerprint is guaranteed equal to the input's. *)
 

@@ -10,7 +10,7 @@ let store ~seq ~addr ~data ?(kind = Trace.Nt) ?(func = "memcpy_nt") () =
   { Trace.seq; addr; data; kind; func }
 
 let add vec s ~syscall =
-  Chipmunk.Coalesce.add ~coalesce:true ~data_threshold:64 vec s ~syscall
+  Chipmunk.Coalesce.add ~coalesce:true vec s ~syscall
 
 let test_coalesce_contiguous () =
   let vec = add [] (store ~seq:0 ~addr:100 ~data:"ab" ()) ~syscall:(Some 0) in
@@ -50,12 +50,12 @@ let test_coalesce_kind_mismatch () =
 let test_coalesce_disabled () =
   let big = String.make 128 'x' in
   let vec =
-    Chipmunk.Coalesce.add ~coalesce:false ~data_threshold:64 []
+    Chipmunk.Coalesce.add ~coalesce:false []
       (store ~seq:0 ~addr:1000 ~data:big ())
       ~syscall:(Some 0)
   in
   let vec =
-    Chipmunk.Coalesce.add ~coalesce:false ~data_threshold:64 vec
+    Chipmunk.Coalesce.add ~coalesce:false vec
       (store ~seq:1 ~addr:1128 ~data:big ())
       ~syscall:(Some 0)
   in

@@ -176,6 +176,47 @@ let test_reproduce_error_paths () =
   expect_error "in_flight_at on a foreign report"
     (Chipmunk.Reproduce.in_flight_at other_fs rep)
 
+(* --- Reproduce under every harness configuration --- *)
+
+(* A crash state is rebuilt from a report plus the harness opts it was
+   found under, through the harness's own record, crash-point walk and
+   check. So under any configuration, every report the harness emits must
+   re-verify, and so must the minimized first finding of each trigger. *)
+let test_reproduce_under_every_opts () =
+  let d = Chipmunk.Harness.default_opts in
+  let configs =
+    [
+      ("default", d);
+      ("read_set_heuristic", { d with read_set_heuristic = true });
+      ("coalesce = false", { d with coalesce = false });
+      ( "instruction-level, no coalescing, cap 2",
+        { d with granularity = Persist.Pm.Instruction_level; coalesce = false; cap = Some 2 } );
+    ]
+  in
+  List.iter
+    (fun (name, opts) ->
+      List.iter
+        (fun (b : Catalog.t) ->
+          let driver = b.Catalog.driver () in
+          let r = Chipmunk.Harness.test_workload ~opts driver b.Catalog.trigger in
+          List.iter
+            (fun rep ->
+              if not (Chipmunk.Reproduce.verify ~opts driver rep) then
+                Alcotest.failf "%s, bug %d: report does not reproduce:\n%s" name
+                  b.Catalog.bug_no (R.summary rep))
+            r.Chipmunk.Harness.reports;
+          match r.Chipmunk.Harness.reports with
+          | [] -> ()
+          | rep :: _ -> (
+            match Shrink.Minimize.run ~opts driver rep with
+            | Error e -> Alcotest.failf "%s, bug %d: minimize failed: %s" name b.Catalog.bug_no e
+            | Ok o ->
+              if not (Chipmunk.Reproduce.verify ~opts driver o.Shrink.Minimize.report) then
+                Alcotest.failf "%s, bug %d: minimized report does not re-verify" name
+                  b.Catalog.bug_no))
+        Catalog.all)
+    configs
+
 (* --- Campaign ~minimize (post-dedup wiring) --- *)
 
 let catalog_suite () =
@@ -287,6 +328,8 @@ let suite =
     Alcotest.test_case "report json: malformed input is an error" `Quick
       test_report_of_json_errors;
     Alcotest.test_case "reproduce: error paths never raise" `Quick test_reproduce_error_paths;
+    Alcotest.test_case "reproduce: every report under every opts" `Quick
+      test_reproduce_under_every_opts;
     Alcotest.test_case "campaign: ~minimize preserves findings" `Quick test_campaign_minimize;
     Alcotest.test_case "artifact: outcome round trip" `Quick test_artifact_roundtrip;
     Alcotest.test_case "artifact: bare report loads" `Quick test_artifact_bare_report;
