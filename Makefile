@@ -28,13 +28,14 @@ shrink-smoke:
 	  _build/fuzz-save/finding-00.report.json.min.json
 
 # Fuzzer smoke test: two short campaigns on buggy NOVA with the same seed
-# must find something and report the identical finding lines (a fuzz run
-# is a pure function of its seed).
+# must find something and report the identical finding and triage cluster
+# lines (a fuzz run is a pure function of its seed, and so is its
+# clustering).
 fuzz-smoke:
 	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 96 \
-	  --seed 7 | grep '^finding' > _build/fuzz-smoke-1.txt
+	  --seed 7 | grep -E '^(finding|  cluster)' > _build/fuzz-smoke-1.txt
 	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 96 \
-	  --seed 7 | grep '^finding' > _build/fuzz-smoke-2.txt
+	  --seed 7 | grep -E '^(finding|  cluster)' > _build/fuzz-smoke-2.txt
 	test -s _build/fuzz-smoke-1.txt
 	diff -u _build/fuzz-smoke-1.txt _build/fuzz-smoke-2.txt
 

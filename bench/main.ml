@@ -705,15 +705,17 @@ let ablation () =
       Vfs.Syscall.Close { fd_var = 0 };
     ]
   in
-  Printf.printf "%-44s %12s %10s %12s\n" "configuration" "trace recs" "max infl" "crash states";
+  Printf.printf "%-44s %12s %10s %12s %10s\n" "configuration" "trace recs" "max infl"
+    "crash states" "truncated";
   List.iter
     (fun (name, granularity, coalesce, cap) ->
       let opts = { Chipmunk.Harness.default_opts with coalesce; granularity; cap } in
       let r = Chipmunk.Harness.test_workload ~opts (Novafs.driver ()) w in
-      Printf.printf "%-44s %12d %10d %12d\n" name
+      let st = r.Chipmunk.Harness.stats in
+      Printf.printf "%-44s %12d %10d %12d %10d\n" name
         (Persist.Trace.length r.Chipmunk.Harness.trace)
-        r.Chipmunk.Harness.stats.Chipmunk.Harness.max_in_flight
-        r.Chipmunk.Harness.stats.Chipmunk.Harness.crash_states)
+        st.Chipmunk.Harness.max_in_flight st.Chipmunk.Harness.crash_states
+        st.Chipmunk.Harness.truncated_points)
     [
       ("function-level + coalescing (Chipmunk)", Persist.Pm.Function_level, true, None);
       ("function-level, no coalescing", Persist.Pm.Function_level, false, None);

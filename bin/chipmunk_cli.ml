@@ -86,12 +86,17 @@ let common_term =
     const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ max_seconds_arg $ stop_after_arg
     $ minimize_flag)
 
-(* The shared "cache:" stats footer line: hit counts and rates over the
-   enumerated crash states. *)
-let cache_line ~crash_states ~dedup_hits ~vcache_hits =
+(* The shared stats footer: the "cache:" line (hit counts and rates over
+   the enumerated crash states), then a "truncated:" line when the subset
+   enumeration's safety valve skipped crash states anywhere. *)
+let footer ~crash_states ~dedup_hits ~vcache_hits ~truncated_points =
   let rate n = if crash_states = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int crash_states in
   Printf.printf "cache: dedup %d hits (%.1f%%), vcache %d hits (%.1f%%)\n" dedup_hits
-    (rate dedup_hits) vcache_hits (rate vcache_hits)
+    (rate dedup_hits) vcache_hits (rate vcache_hits);
+  if truncated_points > 0 then
+    Printf.printf
+      "truncated: %d crash point(s) hit max_states_per_point; some crash states were not checked\n"
+      truncated_points
 
 (* Harness opts from the shared flags; [default_cap] is the subcommand's
    cap when --cap is 0 (None = exhaustive). *)
@@ -178,9 +183,10 @@ let ace_cmd =
           fs suite r.Chipmunk.Campaign.workloads_run r.Chipmunk.Campaign.crash_points
           r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.elapsed
           r.Chipmunk.Campaign.max_in_flight;
-        cache_line ~crash_states:r.Chipmunk.Campaign.crash_states
+        footer ~crash_states:r.Chipmunk.Campaign.crash_states
           ~dedup_hits:r.Chipmunk.Campaign.dedup_hits
-          ~vcache_hits:r.Chipmunk.Campaign.vcache_hits;
+          ~vcache_hits:r.Chipmunk.Campaign.vcache_hits
+          ~truncated_points:r.Chipmunk.Campaign.truncated_points;
         if r.Chipmunk.Campaign.events = [] then print_endline "no bugs found"
         else begin
           Printf.printf "%d unique finding(s):\n" (List.length r.Chipmunk.Campaign.events);
@@ -232,8 +238,9 @@ let fuzz_cmd =
       Printf.printf "%s: %d execs, %d crash states, coverage %d, corpus %d, %.2fs\n" fs
         r.Fuzz.Fuzzer.execs r.Fuzz.Fuzzer.crash_states r.Fuzz.Fuzzer.coverage
         r.Fuzz.Fuzzer.corpus_size r.Fuzz.Fuzzer.elapsed;
-      cache_line ~crash_states:r.Fuzz.Fuzzer.crash_states
-        ~dedup_hits:r.Fuzz.Fuzzer.dedup_hits ~vcache_hits:r.Fuzz.Fuzzer.vcache_hits;
+      footer ~crash_states:r.Fuzz.Fuzzer.crash_states
+        ~dedup_hits:r.Fuzz.Fuzzer.dedup_hits ~vcache_hits:r.Fuzz.Fuzzer.vcache_hits
+        ~truncated_points:r.Fuzz.Fuzzer.truncated_points;
       Printf.printf "%d unique finding(s) in %d cluster(s)\n"
         (List.length r.Fuzz.Fuzzer.events)
         (List.length r.Fuzz.Fuzzer.clusters);
@@ -306,11 +313,12 @@ let replay_cmd =
           Chipmunk.Run.exec ~opts:(opts_of_common c) ~use_vcache:(not c.no_vcache) ()
         in
         let r = Chipmunk.Run.workload ~exec driver workload in
-        Printf.printf "%s: %d crash states checked\n" fs
-          r.Chipmunk.Harness.stats.Chipmunk.Harness.crash_states;
-        cache_line ~crash_states:r.Chipmunk.Harness.stats.Chipmunk.Harness.crash_states
-          ~dedup_hits:r.Chipmunk.Harness.stats.Chipmunk.Harness.dedup_hits
-          ~vcache_hits:r.Chipmunk.Harness.stats.Chipmunk.Harness.vcache_hits;
+        let st = r.Chipmunk.Harness.stats in
+        Printf.printf "%s: %d crash states checked\n" fs st.Chipmunk.Harness.crash_states;
+        footer ~crash_states:st.Chipmunk.Harness.crash_states
+          ~dedup_hits:st.Chipmunk.Harness.dedup_hits
+          ~vcache_hits:st.Chipmunk.Harness.vcache_hits
+          ~truncated_points:st.Chipmunk.Harness.truncated_points;
         (match r.Chipmunk.Harness.reports with
         | [] ->
           print_endline "crash consistent";

@@ -14,6 +14,7 @@ type result = {
   crash_points : int;
   dedup_hits : int;
   vcache_hits : int;
+  truncated_points : int;
   elapsed : float;
   max_in_flight : int;
 }
@@ -53,13 +54,14 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
      occurrences within the findings cap. *)
   let found = Run.findings ?minimize:exec.Run.minimize budget in
   let states = ref 0 and points = ref 0 and dedups = ref 0 and vhits = ref 0 in
-  let max_if = ref 0 in
+  let truncated = ref 0 and max_if = ref 0 in
   List.iter
     (fun (index, (workload_name, _), (reports, (s : Harness.stats), elapsed)) ->
       states := !states + s.Harness.crash_states;
       points := !points + s.Harness.crash_points;
       dedups := !dedups + s.Harness.dedup_hits;
       vhits := !vhits + s.Harness.vcache_hits;
+      truncated := !truncated + s.Harness.truncated_points;
       max_if := max !max_if s.Harness.max_in_flight;
       Run.add found reports (fun fingerprint report ->
           {
@@ -78,6 +80,7 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
     crash_points = !points;
     dedup_hits = !dedups;
     vcache_hits = !vhits;
+    truncated_points = !truncated;
     elapsed = Unix.gettimeofday () -. t0;
     max_in_flight = !max_if;
   }

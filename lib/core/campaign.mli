@@ -34,6 +34,9 @@ type result = {
           (summed {!Harness.stats.vcache_hits}); [0] when the campaign ran
           with [exec.use_vcache = false]. Hit counts vary with scheduling
           at [jobs > 1]; findings do not. *)
+  truncated_points : int;
+      (** Summed {!Harness.stats.truncated_points}: crash points where
+          [max_states_per_point] skipped crash states. *)
   elapsed : float;
   max_in_flight : int;
 }
@@ -49,9 +52,9 @@ val run :
     fingerprint across the whole campaign. Defaults: {!Run.default_exec}
     and {!Run.unlimited}.
 
-    Each worker runs {!Harness.test_workload} on its own device image, so
-    no harness state is shared. Findings, their fingerprints and their
-    [workload_index] attributions are deterministic across job counts
+    Each worker runs {!Harness.test_workload} on its domain's own device
+    images, so no harness state is shared. Findings, their fingerprints and
+    their [workload_index] attributions are deterministic across job counts
     because results are merged in workload-index order with ties broken by
     lowest index. [exec.minimize] is applied in that merge phase, after
     campaign-wide dedup (see {!Run.findings}) — its cost is paid once per

@@ -33,6 +33,7 @@ type stats = {
   mutable fences : int;
   mutable dedup_hits : int;
   mutable vcache_hits : int;
+  mutable truncated_points : int;
 }
 
 type result = {
@@ -62,7 +63,9 @@ exception Stop
 (* Enumerate index subsets of {0..n-1} in increasing size order, invoking
    [yield] on each; sizes above [cap] are skipped, and enumeration stops
    after [limit] subsets. The empty subset (the fully-fenced prefix state)
-   is always yielded first. *)
+   is always yielded first. Every [combo] call leads to at least one
+   subset, so the budget check raises only when a subset is actually
+   skipped: the result says whether [limit] truncated the enumeration. *)
 let enumerate_subsets ~n ~cap ~limit yield =
   let count = ref 0 in
   let budget () = !count < limit in
@@ -71,22 +74,22 @@ let enumerate_subsets ~n ~cap ~limit yield =
     yield s
   in
   let max_size = match cap with None -> n | Some c -> min c n in
-  (try
-     emit [];
-     for size = 1 to max_size do
-       (* Combinations of [size] indices, lexicographic. *)
-       let rec combo acc start remaining =
-         if not (budget ()) then raise Exit
-         else if remaining = 0 then emit (List.rev acc)
-         else
-           for i = start to n - remaining do
-             combo (i :: acc) (i + 1) (remaining - 1)
-           done
-       in
-       combo [] 0 size
-     done
-   with Exit -> ());
-  !count
+  try
+    emit [];
+    for size = 1 to max_size do
+      (* Combinations of [size] indices, lexicographic. *)
+      let rec combo acc start remaining =
+        if not (budget ()) then raise Exit
+        else if remaining = 0 then emit (List.rev acc)
+        else
+          for i = start to n - remaining do
+            combo (i :: acc) (i + 1) (remaining - 1)
+          done
+      in
+      combo [] 0 size
+    done;
+    false
+  with Exit -> true
 
 (* The post-recovery usability probe: create a file in every directory,
    write to it, remove it, then delete every file and directory. *)
@@ -139,16 +142,16 @@ let usability_probe (h : Vfs.Handle.t) tree =
     dirs_deep_first;
   !fail
 
-(* Phase 1: execute the workload on an instrumented fresh file system,
-   logging every PM write. The recording is self-contained: [rec_base] is
-   the post-mkfs image and [rec_trace] the full write log, so crash states
-   can be rebuilt from it any number of times without re-running the
-   workload (see [replay_recorded]). *)
-let record ?(opts = default_opts) (driver : Vfs.Driver.t) calls =
-  let img = Image.create ~size:driver.Vfs.Driver.device_size in
-  let pm = Pm.create img in
+(* Phase 1: execute the workload on an instrumented fresh file system on
+   [cpu] (cleared here), logging every PM write. [base] turns the post-mkfs
+   image into [rec_base]: a snapshot for a self-contained recording, from
+   which crash states can be rebuilt any number of times without re-running
+   the workload (see [replay_recorded]). *)
+let record_on ~opts (driver : Vfs.Driver.t) calls ~cpu ~base =
+  Image.clear cpu;
+  let pm = Pm.create cpu in
   let handle = driver.Vfs.Driver.mkfs pm in
-  let base = Image.snapshot img in
+  let base = base cpu in
   let trace = Trace.create () in
   Pm.set_granularity pm opts.granularity;
   Pm.trace_to pm trace;
@@ -159,6 +162,29 @@ let record ?(opts = default_opts) (driver : Vfs.Driver.t) calls =
   let outcomes = Vfs.Workload.run ~before ~after handle calls in
   Pm.set_logger pm None;
   { rec_calls = calls; rec_trace = trace; rec_base = base; rec_outcomes = outcomes }
+
+(* One reusable (CPU view, replay) image pair per domain, so a workload
+   allocates no device images. The pair is taken out of the slot while in
+   use: a nested call on the same domain finds the slot empty and makes its
+   own pair, and a call that raises simply drops its pair. *)
+let image_pair : (Image.t * Image.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let with_image_pair size f =
+  let pair =
+    match Domain.DLS.get image_pair with
+    | Some ((cpu, _) as p) when Image.size cpu = size ->
+      Domain.DLS.set image_pair None;
+      p
+    | _ -> (Image.create ~size, Image.create ~size)
+  in
+  let r = f pair in
+  Domain.DLS.set image_pair (Some pair);
+  r
+
+let record ?(opts = default_opts) (driver : Vfs.Driver.t) calls =
+  with_image_pair driver.Vfs.Driver.device_size (fun (cpu, _) ->
+      record_on ~opts driver calls ~cpu ~base:Image.snapshot)
 
 let walk ?(opts = default_opts) ~replay trace f =
   let vec = ref [] (* newest first *) in
@@ -235,6 +261,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       fences = 0;
       dedup_hits = 0;
       vcache_hits = 0;
+      truncated_points = 0;
     }
   in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -401,11 +428,13 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let n = Array.length units_arr in
       stats.max_in_flight <- max stats.max_in_flight n;
       let point_seen : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-      ignore
-        (enumerate_subsets ~n ~cap:opts.cap ~limit:opts.max_states_per_point (fun idxs ->
-             List.iter
-               (fun base_units -> check_state p ~point_seen ~base_units units_arr idxs)
-               bases))
+      let truncated =
+        enumerate_subsets ~n ~cap:opts.cap ~limit:opts.max_states_per_point (fun idxs ->
+            List.iter
+              (fun base_units -> check_state p ~point_seen ~base_units units_arr idxs)
+              bases)
+      in
+      if truncated then stats.truncated_points <- stats.truncated_points + 1
     end
   in
   (try
@@ -420,8 +449,11 @@ let replay_recorded ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) r =
     ~outcomes:r.rec_outcomes ~replay:(Image.snapshot r.rec_base)
 
 let test_workload ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) calls =
-  let r = record ~opts driver calls in
-  (* [rec_base] is consumed directly: one-shot runs never reuse it, and this
-     avoids a full-image copy per workload in the campaign hot path. *)
-  replay_phases ~opts ?vcache driver ~calls ~trace:r.rec_trace
-    ~outcomes:r.rec_outcomes ~replay:r.rec_base
+  with_image_pair driver.Vfs.Driver.device_size (fun (cpu, replay) ->
+      let r =
+        record_on ~opts driver calls ~cpu ~base:(fun cpu ->
+            Image.restore replay ~from:cpu;
+            replay)
+      in
+      replay_phases ~opts ?vcache driver ~calls ~trace:r.rec_trace
+        ~outcomes:r.rec_outcomes ~replay)

@@ -17,7 +17,9 @@ type opts = {
   check_usability : bool;
       (** After the oracle checks, probe the recovered file system: create a
           file in every directory, then delete everything. *)
-  max_states_per_point : int;  (** Safety valve on subset explosion. *)
+  max_states_per_point : int;
+      (** Safety valve on subset explosion; crash points it cuts are
+          counted in [stats.truncated_points]. *)
   stop_on_first : bool;  (** Stop at the first unique report (campaigns). *)
   granularity : Persist.Pm.granularity;
       (** Function-level (Chipmunk, the default) or instruction-level
@@ -66,6 +68,10 @@ type stats = {
           crash point, deterministic per workload), vcache hit counts
           depend on what other workloads — possibly on other domains —
           populated the cache first; findings are unaffected either way. *)
+  mutable truncated_points : int;
+      (** Crash points whose subset enumeration was cut short by
+          [opts.max_states_per_point]: some crash states there were never
+          built or checked. *)
 }
 
 type result = {
@@ -87,7 +93,10 @@ type recording = {
 
 val record : ?opts:opts -> Vfs.Driver.t -> Vfs.Syscall.t list -> recording
 (** Phase 1 only: run [calls] on a fresh instrumented file system and log
-    its PM writes. [opts] matters only for [granularity]. *)
+    its PM writes. [opts] matters only for [granularity]. The file system
+    is formatted on this domain's reusable CPU-view image; [rec_base] is an
+    independent snapshot of it, so the recording stays valid after later
+    calls. *)
 
 val replay_recorded :
   ?opts:opts ->
@@ -108,6 +117,13 @@ val test_workload :
   result
 (** Run the full pipeline ({!record} then replay) for one workload on one
     file system.
+
+    Each domain keeps one (CPU view, replay) image pair of the device's
+    size and reuses it across calls, so a call allocates no device image.
+    A call takes the pair out of its slot while it runs: a nested call on
+    the same domain (say, from inside a driver's [mkfs]) makes its own
+    pair, and a call that raises drops its pair. Results are the same as
+    on fresh images.
 
     [vcache], when given, memoizes checker verdicts campaign-wide (see
     {!Vcache}). Findings are identical with or without it. *)

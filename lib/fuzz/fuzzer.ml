@@ -36,6 +36,7 @@ type result = {
   corpus_size : int;
   dedup_hits : int;
   vcache_hits : int;
+  truncated_points : int;
   events : event list;
   clusters : Triage.cluster list;
   elapsed : float;
@@ -50,6 +51,7 @@ let run ?(config = default_config) driver =
   let vcache = if config.exec.Run.use_vcache then Some (Chipmunk.Vcache.create ()) else None in
   let vhits = ref 0 in
   let dhits = ref 0 in
+  let truncated = ref 0 in
   (* Corpus as an array so epoch snapshots are O(1) to capture and index;
      it only ever grows, at epoch boundaries, in execution order. *)
   let corpus = ref [||] in
@@ -98,6 +100,7 @@ let run ?(config = default_config) driver =
       states := !states + st.Chipmunk.Harness.crash_states;
       dhits := !dhits + st.Chipmunk.Harness.dedup_hits;
       vhits := !vhits + st.Chipmunk.Harness.vcache_hits;
+      truncated := !truncated + st.Chipmunk.Harness.truncated_points;
       if List.exists (fun p -> not (Hashtbl.mem seen_cov p)) hits then
         fresh_seeds := workload :: !fresh_seeds;
       List.iter (fun p -> Hashtbl.replace seen_cov p ()) hits;
@@ -119,6 +122,7 @@ let run ?(config = default_config) driver =
     corpus_size = Array.length !corpus;
     dedup_hits = !dhits;
     vcache_hits = !vhits;
+    truncated_points = !truncated;
     events = Run.events found;
     clusters = Triage.cluster (List.rev !all_reports);
     elapsed = elapsed ();

@@ -85,6 +85,9 @@ type result = {
           {!Chipmunk.Harness.stats.vcache_hits}); [0] with
           [exec.use_vcache = false]. Deterministic per seed, like every
           other count in this record. *)
+  truncated_points : int;
+      (** Summed {!Chipmunk.Harness.stats.truncated_points}: crash points
+          where [max_states_per_point] skipped crash states. *)
   events : event list;  (** Unique findings in discovery order. *)
   clusters : Triage.cluster list;
   elapsed : float;

@@ -17,26 +17,40 @@ let tokens r =
   |> List.filter (fun s -> String.length s > 1)
   |> List.sort_uniq String.compare
 
-let similarity a b =
-  let ta = tokens a and tb = tokens b in
-  let inter = List.length (List.filter (fun t -> List.mem t tb) ta) in
-  let union = List.length (List.sort_uniq String.compare (ta @ tb)) in
+(* Jaccard similarity of two sorted, duplicate-free token lists in one
+   merge: the intersection is the equal heads, the union the rest. *)
+let jaccard ta tb =
+  let rec inter n a b =
+    match (a, b) with
+    | x :: a', y :: b' ->
+      let c = String.compare x y in
+      if c = 0 then inter (n + 1) a' b' else if c < 0 then inter n a' b else inter n a b'
+    | _ -> n
+  in
+  let inter = inter 0 ta tb in
+  let union = List.length ta + List.length tb - inter in
   if union = 0 then 1.0 else float_of_int inter /. float_of_int union
+
+let similarity a b = jaccard (tokens a) (tokens b)
+
+(* Each report is tokenized once; a cluster keeps its representative's
+   tokens, so placing a report costs one merge per cluster tried. *)
+type open_cluster = {
+  rep : Chipmunk.Report.t;
+  rep_tokens : string list;
+  mutable rev_members : Chipmunk.Report.t list;
+}
 
 let cluster ?(threshold = 0.6) reports =
   let clusters = ref [] in
   List.iter
     (fun r ->
-      let rec place = function
-        | [] -> clusters := !clusters @ [ ref (r, [ r ]) ]
-        | c :: rest ->
-          let rep, members = !c in
-          if similarity rep r >= threshold then c := (rep, r :: members) else place rest
-      in
-      place !clusters)
+      let tr = tokens r in
+      match List.find_opt (fun c -> jaccard c.rep_tokens tr >= threshold) !clusters with
+      | Some c -> c.rev_members <- r :: c.rev_members
+      | None -> clusters := !clusters @ [ { rep = r; rep_tokens = tr; rev_members = [ r ] } ])
     reports;
-  List.map (fun c -> let rep, members = !c in { representative = rep; members = List.rev members })
-    !clusters
+  List.map (fun c -> { representative = c.rep; members = List.rev c.rev_members }) !clusters
   |> List.sort (fun a b -> compare (List.length b.members) (List.length a.members))
 
 let minimize ?opts driver clusters =

@@ -33,11 +33,33 @@ let hash_line data size idx =
   done;
   !h
 
+(* The line hashes and root of a zero-filled device depend only on its
+   size: hash them once per size (campaigns create and clear images of one
+   or two sizes, thousands of times) and hand out copies. The table is
+   shared by every domain, hence the lock. *)
+let zero_memo : (int, int array * int) Hashtbl.t = Hashtbl.create 4
+let zero_memo_lock = Mutex.create ()
+
+let zero_state size =
+  Mutex.protect zero_memo_lock (fun () ->
+      match Hashtbl.find_opt zero_memo size with
+      | Some z -> z
+      | None ->
+        let data = Bytes.make size '\000' in
+        let line_hash = Array.init (n_lines size) (hash_line data size) in
+        let z = (line_hash, Array.fold_left ( + ) 0 line_hash) in
+        Hashtbl.add zero_memo size z;
+        z)
+
 let create ~size =
-  let data = Bytes.make size '\000' in
-  let line_hash = Array.init (n_lines size) (hash_line data size) in
-  let root = Array.fold_left ( + ) 0 line_hash in
-  { data; size; line_hash; root }
+  let line_hash, root = zero_state size in
+  { data = Bytes.make size '\000'; size; line_hash = Array.copy line_hash; root }
+
+let clear t =
+  let line_hash, root = zero_state t.size in
+  Bytes.fill t.data 0 t.size '\000';
+  Array.blit line_hash 0 t.line_hash 0 (Array.length line_hash);
+  t.root <- root
 
 let size t = t.size
 

@@ -20,7 +20,13 @@
 type t
 
 val create : size:int -> t
-(** A zero-filled device of [size] bytes. *)
+(** A zero-filled device of [size] bytes. The zero state's line hashes are
+    computed once per size and copied, so this costs an allocation, not a
+    hash of the whole device. *)
+
+val clear : t -> unit
+(** Reset [t] in place to the zero-filled state {!create} returns: bytes,
+    line hashes and digest. *)
 
 val size : t -> int
 

@@ -186,6 +186,109 @@ let test_campaign_dedups_across_workloads () =
   Alcotest.(check int) "fingerprints unique" (List.length fps)
     (List.length (List.sort_uniq compare fps))
 
+(* --- Harness: one reusable image pair per domain --- *)
+
+module Harness = Chipmunk.Harness
+
+let nova_bug_triggers () =
+  List.filter_map
+    (fun (b : Catalog.t) -> if b.Catalog.fs = "NOVA" then Some b.Catalog.trigger else None)
+    Catalog.all
+
+let buggy_nova () = Option.get (Catalog.buggy_driver "nova") ()
+
+(* Everything a workload's result says, minus the trace. *)
+let summary (r : Harness.result) =
+  ( List.map Chipmunk.Report.fingerprint r.Harness.reports,
+    r.Harness.reports,
+    r.Harness.stats,
+    r.Harness.outcomes )
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let check_same what expected actual =
+  Alcotest.(check bool) what true (summary expected = summary actual)
+
+let test_pair_reuse () =
+  let d = buggy_nova () in
+  match nova_bug_triggers () with
+  | a :: b :: _ ->
+    let alone = in_fresh_domain (fun () -> Harness.test_workload d b) in
+    Alcotest.(check bool) "b finds something" true (alone.Harness.reports <> []);
+    ignore (Harness.test_workload d a);
+    check_same "b after a = b alone" alone (Harness.test_workload d b);
+    check_same "b again = b alone" alone (Harness.test_workload d b)
+  | _ -> Alcotest.fail "need two NOVA triggers"
+
+let test_pair_reuse_after_raise () =
+  let d = buggy_nova () in
+  let raising =
+    {
+      d with
+      Vfs.Driver.mkfs =
+        (fun pm ->
+          let h = d.Vfs.Driver.mkfs pm in
+          let mkdir ~path =
+            ignore (h.Vfs.Handle.mkdir ~path);
+            failwith "boom"
+          in
+          { h with Vfs.Handle.mkdir });
+    }
+  in
+  let a =
+    Vfs.Syscall.
+      [
+        Creat { path = "/f"; fd_var = 0 };
+        Write { fd_var = 0; data = { seed = 3; len = 300 } };
+        Mkdir { path = "/d" };
+      ]
+  in
+  let b = List.hd (nova_bug_triggers ()) in
+  let alone = in_fresh_domain (fun () -> Harness.test_workload d b) in
+  (match Harness.test_workload raising a with
+  | _ -> Alcotest.fail "the driver should have raised"
+  | exception Failure _ -> ());
+  check_same "b after a raising call = b alone" alone (Harness.test_workload d b)
+
+let test_pair_nested () =
+  let d = buggy_nova () in
+  match nova_bug_triggers () with
+  | a :: b :: _ ->
+    let inner = ref None in
+    let nesting =
+      {
+        d with
+        Vfs.Driver.mkfs =
+          (fun pm ->
+            inner := Some (Harness.test_workload d a);
+            d.Vfs.Driver.mkfs pm);
+      }
+    in
+    let outer = Harness.test_workload nesting b in
+    check_same "outer = unnested" (in_fresh_domain (fun () -> Harness.test_workload d b)) outer;
+    check_same "inner = unnested"
+      (in_fresh_domain (fun () -> Harness.test_workload d a))
+      (Option.get !inner)
+  | _ -> Alcotest.fail "need two NOVA triggers"
+
+(* --- Harness: subset truncation is counted --- *)
+
+let test_truncation_counted () =
+  let b = List.hd Catalog.all in
+  let run opts =
+    (Harness.test_workload ~opts (b.Catalog.driver ()) b.Catalog.trigger).Harness.stats
+  in
+  let cut = run { Harness.default_opts with max_states_per_point = 1 } in
+  Alcotest.(check bool) "in-flight writes" true (cut.Harness.max_in_flight > 0);
+  Alcotest.(check bool) "truncation counted" true (cut.Harness.truncated_points > 0);
+  Alcotest.(check int) "default opts do not truncate" 0
+    (run Harness.default_opts).Harness.truncated_points
+
+let test_no_truncation_seq1 () =
+  let r = Chipmunk.Campaign.run (buggy_nova ()) (Ace.seq1 Ace.Strong) in
+  Alcotest.(check bool) "ran" true (r.Chipmunk.Campaign.crash_states > 0);
+  Alcotest.(check int) "nothing truncated" 0 r.Chipmunk.Campaign.truncated_points
+
 let suite =
   [
     Alcotest.test_case "coalesce contiguous stores" `Quick test_coalesce_contiguous;
@@ -203,4 +306,9 @@ let suite =
     Alcotest.test_case "campaign stops after findings" `Quick test_campaign_stop_after_findings;
     Alcotest.test_case "campaign workload bound" `Quick test_campaign_max_workloads;
     Alcotest.test_case "campaign dedup" `Quick test_campaign_dedups_across_workloads;
+    Alcotest.test_case "image pair: reuse is invisible" `Quick test_pair_reuse;
+    Alcotest.test_case "image pair: reuse after a raise" `Quick test_pair_reuse_after_raise;
+    Alcotest.test_case "image pair: nested call" `Quick test_pair_nested;
+    Alcotest.test_case "truncated crash points counted" `Quick test_truncation_counted;
+    Alcotest.test_case "default seq-1 never truncates" `Quick test_no_truncation_seq1;
   ]

@@ -82,6 +82,67 @@ let test_triage_similarity_bounds () =
   let b = mk_report (Chipmunk.Report.Unusable "completely different words entirely") in
   Alcotest.(check bool) "different below 1" true (Fuzz.Triage.similarity a b < 1.0)
 
+(* The quadratic clustering [Triage.cluster] replaced, kept as the
+   reference: re-tokenize both reports on every comparison. *)
+let reference_similarity a b =
+  let ta = Fuzz.Triage.tokens a and tb = Fuzz.Triage.tokens b in
+  let inter = List.length (List.filter (fun t -> List.mem t tb) ta) in
+  let union = List.length (List.sort_uniq String.compare (ta @ tb)) in
+  if union = 0 then 1.0 else float_of_int inter /. float_of_int union
+
+let reference_cluster ?(threshold = 0.6) reports =
+  let clusters = ref [] in
+  List.iter
+    (fun r ->
+      let rec place = function
+        | [] -> clusters := !clusters @ [ ref (r, [ r ]) ]
+        | c :: rest ->
+          let rep, members = !c in
+          if reference_similarity rep r >= threshold then c := (rep, r :: members)
+          else place rest
+      in
+      place !clusters)
+    reports;
+  List.map (fun c -> let rep, members = !c in (rep, List.rev members)) !clusters
+  |> List.sort (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
+
+let test_triage_matches_reference () =
+  let config =
+    Fuzz.Fuzzer.config ~rng_seed:1
+      ~budget:(Chipmunk.Run.budget ~max_execs:512 ~max_seconds:60.0 ())
+      ()
+  in
+  let r = Fuzz.Fuzzer.run ~config (Option.get (Catalog.buggy_driver "nova") ()) in
+  (* Every report of the run, once: each one is a member of one cluster. *)
+  let reports = List.concat_map (fun c -> c.Fuzz.Triage.members) r.Fuzz.Fuzzer.clusters in
+  Alcotest.(check bool) "several clusters" true (List.length r.Fuzz.Fuzzer.clusters > 1);
+  let fp = Chipmunk.Report.fingerprint in
+  let shuffled =
+    let rng = Random.State.make [| 1 |] in
+    List.map (fun x -> (Random.State.bits rng, x)) reports |> List.sort compare |> List.map snd
+  in
+  List.iter
+    (fun (what, reports) ->
+      let got =
+        List.map
+          (fun c -> (fp c.Fuzz.Triage.representative, List.map fp c.Fuzz.Triage.members))
+          (Fuzz.Triage.cluster reports)
+      in
+      let want =
+        List.map (fun (rep, members) -> (fp rep, List.map fp members)) (reference_cluster reports)
+      in
+      Alcotest.(check (list (pair string (list string)))) what want got)
+    [ ("in cluster order", reports); ("reversed", List.rev reports); ("shuffled", shuffled) ];
+  let sample = List.filteri (fun i _ -> i < 40) shuffled in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Fuzz.Triage.similarity a b <> reference_similarity a b then
+            Alcotest.failf "similarity differs on %s / %s" (fp a) (fp b))
+        sample)
+    sample
+
 let test_fuzzer_finds_injected_bug () =
   let bugs = { Novafs.Bugs.none with bug4_inplace_dentry_invalidate = true } in
   let driver = Novafs.driver ~config:(Novafs.config ~bugs ()) () in
@@ -130,6 +191,8 @@ let suite =
     Alcotest.test_case "coverage plumbing" `Quick test_cov_plumbing;
     Alcotest.test_case "triage groups similar reports" `Quick test_triage_groups_similar;
     Alcotest.test_case "triage similarity bounds" `Quick test_triage_similarity_bounds;
+    Alcotest.test_case "triage matches the quadratic reference" `Quick
+      test_triage_matches_reference;
     Alcotest.test_case "fuzzer finds injected bug" `Quick test_fuzzer_finds_injected_bug;
     Alcotest.test_case "fuzzer silent on clean FS" `Quick test_fuzzer_clean_is_silent;
     Alcotest.test_case "fuzzer deterministic per seed" `Quick test_fuzzer_deterministic_given_seed;

@@ -79,6 +79,41 @@ let prop_snapshot_independent =
         Image.read snap ~off ~len:(String.length s) = String.make (String.length s) '\000'
       end)
 
+(* The zero state is memoized per size: a fresh or cleared image must
+   still be what hashing it from scratch gives, at any size, including
+   ones with a partial last cache line. *)
+let prop_zero_memo =
+  QCheck.Test.make ~name:"zero-image memo: create and clear agree with rehash" ~count:100
+    QCheck.(
+      pair (int_range 1 1000) (small_list (pair (int_bound 1000) (string_of_size Gen.(1 -- 80)))))
+    (fun (size, writes) ->
+      let img = Image.create ~size in
+      let consistent () = Image.digest img = Image.rehash img in
+      let write_all () =
+        List.iter
+          (fun (off, s) ->
+            let len = min (String.length s) size in
+            Image.write_string img ~off:(off mod (size - len + 1)) (String.sub s 0 len))
+          writes
+      in
+      let fresh_ok = consistent () in
+      write_all ();
+      let written_ok = consistent () in
+      Image.clear img;
+      let cleared_ok = Image.equal img (Image.create ~size) && consistent () in
+      (* Writes after a clear patch the zero state's line hashes. *)
+      write_all ();
+      fresh_ok && written_ok && cleared_ok && consistent ())
+
+let prop_zero_memo_domains =
+  QCheck.Test.make ~name:"zero-image memo: concurrent creates agree" ~count:30
+    QCheck.(int_range 1 100_000)
+    (fun size ->
+      let spawn () = Domain.spawn (fun () -> Image.digest (Image.create ~size)) in
+      let a = spawn () and b = spawn () in
+      let da = Domain.join a and db = Domain.join b in
+      da = db && da = Image.rehash (Image.create ~size))
+
 let suite =
   [
     Alcotest.test_case "create zeroed" `Quick test_create_zeroed;
@@ -89,4 +124,6 @@ let suite =
     Alcotest.test_case "crc32" `Quick test_checksum;
     Alcotest.test_case "hexdump" `Quick test_hexdump;
     QCheck_alcotest.to_alcotest prop_snapshot_independent;
+    QCheck_alcotest.to_alcotest prop_zero_memo;
+    QCheck_alcotest.to_alcotest prop_zero_memo_domains;
   ]
