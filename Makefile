@@ -45,6 +45,9 @@ fuzz-smoke:
 # and with the verdict cache off, then once more at --jobs 2 (one verdict
 # cache shared by both worker domains under its lock); the per-finding
 # fingerprint lines must match exactly (only the hit-rate footer may differ).
+# Buggy PMFS runs with caches at their defaults and with both off: its
+# journal replay and the usability probe write the most per crash state,
+# so a wrong checkpoint rollback shows there first.
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
 	  | grep '^fingerprint' > _build/cache-smoke-default.txt
@@ -58,6 +61,12 @@ cache-smoke:
 	diff -u _build/cache-smoke-nodedup.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-jobs2.txt
+	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
+	  | grep '^fingerprint' > _build/cache-smoke-pmfs-default.txt
+	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
+	  --no-dedup --no-vcache | grep '^fingerprint' > _build/cache-smoke-pmfs-nocache.txt
+	test -s _build/cache-smoke-pmfs-default.txt
+	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-default.txt
 
 # Rewrite BENCH_parallel.json (sequential vs parallel wall-clock, dedup
 # hit-rate, states/sec) so the perf trajectory is tracked across PRs.

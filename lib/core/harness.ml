@@ -5,7 +5,6 @@ module Image = Pmem.Image
 type opts = {
   cap : int option;
   coalesce : bool;
-  check_usability : bool;
   max_states_per_point : int;
   stop_on_first : bool;
   granularity : Pm.granularity;
@@ -17,7 +16,6 @@ let default_opts =
   {
     cap = None;
     coalesce = true;
-    check_usability = true;
     max_states_per_point = 512;
     stop_on_first = false;
     granularity = Pm.Function_level;
@@ -215,35 +213,29 @@ let walk ?(opts = default_opts) ~replay trace f =
       ignore (point ~at_fence:false (Checker.After idx));
       last_done := Some idx)
 
-let mount_and_check ?(opts = default_opts) ?stats ?undo (driver : Vfs.Driver.t) ~workload
-    ~oracle ~phase image =
+let mount_and_check ?stats (driver : Vfs.Driver.t) ~workload ~oracle ~phase image =
   let pm = Pm.create image in
-  Pm.set_undo pm undo;
   let failed () = Option.iter (fun s -> s.failed_mounts <- s.failed_mounts + 1) stats in
-  let kinds =
-    match driver.Vfs.Driver.mount pm with
-    | exception e ->
-      failed ();
-      [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
-    | Error m ->
-      failed ();
-      [ Report.Unmountable m ]
-    | Ok h -> (
-      match
-        let tree = Vfs.Walker.capture h in
-        let ks =
-          Checker.check ~atomic_data:driver.Vfs.Driver.atomic_data
-            ~consistency:driver.Vfs.Driver.consistency ~workload ~oracle ~phase ~tree
-        in
-        if ks = [] && opts.check_usability then
-          match usability_probe h tree with Some m -> [ Report.Unusable m ] | None -> []
-        else ks
-      with
-      | ks -> ks
-      | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ])
-  in
-  Pm.set_undo pm None;
-  kinds
+  match driver.Vfs.Driver.mount pm with
+  | exception e ->
+    failed ();
+    [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
+  | Error m ->
+    failed ();
+    [ Report.Unmountable m ]
+  | Ok h -> (
+    match
+      let tree = Vfs.Walker.capture h in
+      let ks =
+        Checker.check ~atomic_data:driver.Vfs.Driver.atomic_data
+          ~consistency:driver.Vfs.Driver.consistency ~workload ~oracle ~phase ~tree
+      in
+      if ks = [] then
+        match usability_probe h tree with Some m -> [ Report.Unusable m ] | None -> []
+      else ks
+    with
+    | ks -> ks
+    | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ])
 
 (* Phases 2+3: oracle, then the replay loop over the trace. [replay] is
    consumed (mutated throughout); pass a snapshot to keep the base image. *)
@@ -307,13 +299,14 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       Hashtbl.add phase_prefixes phase p;
       p
   in
-  let check_replay ~phase ~undo =
-    mount_and_check ~opts ~stats ~undo driver ~workload:calls ~oracle ~phase replay
+  let check_replay ~phase =
+    mount_and_check ~stats driver ~workload:calls ~oracle ~phase replay
   in
   (* One enumerated crash state: apply its writes onto the replay image
-     under an undo session, digest the result (O(dirty lines) thanks to the
-     image's incremental digest), then consult the two caches before paying
-     for a mount+check:
+     under a checkpoint (rolled back once the state is done, undoing the
+     writes and whatever recovery and the probe wrote), digest the result
+     (O(dirty lines) thanks to the image's incremental digest), then
+     consult the two caches before paying for a mount+check:
      - per-point dedup ([opts.dedup_states]): subsets producing
        byte-identical images at this crash point are checked once; keyed by
        the post-apply digest.
@@ -332,8 +325,8 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
         base_units
         (List.map (fun i -> units_arr.(i)) subset_idxs)
     in
-    let undo = Persist.Undo.create replay in
-    List.iter (Coalesce.apply (Persist.Undo.write_string undo)) replay_units;
+    Image.checkpoint replay;
+    List.iter (Coalesce.apply (Image.write_string replay)) replay_units;
     let dg = Image.digest replay in
     let skip =
       opts.dedup_states
@@ -347,15 +340,15 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
         false
       end
     in
-    if skip then Persist.Undo.rollback undo
+    if skip then Image.rollback replay
     else begin
       let finish kinds =
-        Persist.Undo.rollback undo;
+        Image.rollback replay;
         if kinds <> [] then
           emit p ~subset_seqs:(List.map (fun (u : Coalesce.t) -> u.seq) replay_units) kinds
       in
       match vcache with
-      | None -> finish (check_replay ~phase:p.phase ~undo)
+      | None -> finish (check_replay ~phase:p.phase)
       | Some vc -> (
         let key = Vcache.key_of ~prefix:(phase_prefix p.phase) ~image_digest:dg in
         match Vcache.find vc key with
@@ -363,7 +356,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
           stats.vcache_hits <- stats.vcache_hits + 1;
           finish kinds
         | None ->
-          let kinds = check_replay ~phase:p.phase ~undo in
+          let kinds = check_replay ~phase:p.phase in
           Vcache.add vc key kinds;
           finish kinds)
     end
@@ -374,9 +367,8 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
      inspects. Writes recovery never reads cannot change its outcome, so
      subsets are enumerated over the hot units only. *)
   let recovery_read_set () =
-    let undo = Persist.Undo.create replay in
+    Image.checkpoint replay;
     let pm2 = Pm.create replay in
-    Pm.set_undo pm2 (Some undo);
     let reads = ref [] in
     Pm.set_read_hook pm2 (Some (fun off len -> reads := (off, len) :: !reads));
     (try
@@ -385,9 +377,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
        | Error _ -> ()
        | Ok _ -> ()
      with _ -> ());
-    Pm.set_read_hook pm2 None;
-    Pm.set_undo pm2 None;
-    Persist.Undo.rollback undo;
+    Image.rollback replay;
     !reads
   in
   let overlaps_reads reads (u : Coalesce.t) =

@@ -14,9 +14,6 @@ type opts = {
           ([None] = exhaustive). The paper finds a cap of 2 exposes every
           bug in its corpus (Observation 7). *)
   coalesce : bool;  (** Fuse logically-related stores (section 3.2). *)
-  check_usability : bool;
-      (** After the oracle checks, probe the recovered file system: create a
-          file in every directory, then delete everything. *)
   max_states_per_point : int;
       (** Safety valve on subset explosion; crash points it cuts are
           counted in [stats.truncated_points]. *)
@@ -151,9 +148,7 @@ val walk :
     matters. An exception from [f] stops the walk at that point. *)
 
 val mount_and_check :
-  ?opts:opts ->
   ?stats:stats ->
-  ?undo:Persist.Undo.t ->
   Vfs.Driver.t ->
   workload:Vfs.Syscall.t list ->
   oracle:Oracle.t ->
@@ -161,8 +156,9 @@ val mount_and_check :
   Pmem.Image.t ->
   Report.kind list
 (** Mount the crash image, walk the recovered tree and check it against
-    the oracle at [phase]; when that passes and [opts.check_usability],
-    run the usability probe (create a file in every directory, then delete
-    everything). Never raises: failures become report kinds, and a failed
-    mount is counted in [stats]. Recovery writes the image, logged to
-    [undo] when given. [] means the state is consistent. *)
+    the oracle at [phase]; when that passes, run the usability probe
+    (create a file in every directory, then delete everything). Never
+    raises: failures become report kinds, and a failed mount is counted in
+    [stats]. Recovery and the probe write the image; to keep it, open an
+    {!Pmem.Image.checkpoint} before and {!Pmem.Image.rollback} after.
+    [] means the state is consistent. *)

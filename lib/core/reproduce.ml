@@ -56,7 +56,7 @@ let crash_state ?(opts = Harness.default_opts) driver (report : Report.t) =
       let oracle = Oracle.run workload in
       let mount () = driver.Vfs.Driver.mount (Persist.Pm.create (Pmem.Image.snapshot image)) in
       let check () =
-        Harness.mount_and_check ~opts driver ~workload ~oracle ~phase:p.Harness.phase
+        Harness.mount_and_check driver ~workload ~oracle ~phase:p.Harness.phase
           (Pmem.Image.snapshot image)
       in
       { image; mount; check })

@@ -11,7 +11,6 @@ type granularity = Function_level | Instruction_level
 type t = {
   image : Pmem.Image.t;
   mutable logger : (Trace.op -> unit) option;
-  mutable undo : Undo.t option;
   mutable read_hook : (int -> int -> unit) option;
   mutable seq : int;
   mutable granularity : granularity;
@@ -22,7 +21,6 @@ let create image =
   {
     image;
     logger = None;
-    undo = None;
     read_hook = None;
     seq = 0;
     granularity = Function_level;
@@ -37,7 +35,6 @@ let size t = Pmem.Image.size t.image
 let stats t = t.stats
 let set_logger t logger = t.logger <- logger
 let trace_to t trace = t.logger <- Some (Trace.record trace)
-let set_undo t undo = t.undo <- undo
 let set_read_hook t hook = t.read_hook <- hook
 
 let note_read t ~off ~len =
@@ -54,9 +51,6 @@ let next_seq t =
   s
 
 let raw_write t ~off data =
-  (match t.undo with
-  | None -> ()
-  | Some undo -> Undo.note undo ~off ~len:(String.length data));
   Pmem.Image.write_string t.image ~off data;
   t.stats.bytes_written <- t.stats.bytes_written + String.length data
 

@@ -41,10 +41,6 @@ val set_logger : t -> (Trace.op -> unit) option -> unit
 val trace_to : t -> Trace.t -> unit
 (** [set_logger] with a logger that appends to the given trace. *)
 
-val set_undo : t -> Undo.t option -> unit
-(** When set, every mutation first records its pre-image in the undo log.
-    Used by the checker to roll back its own mutations of a crash state. *)
-
 type granularity =
   | Function_level
       (** One trace record per persistence-function call — Chipmunk's

@@ -1,18 +1,43 @@
 (* The image maintains an incremental content digest alongside the bytes: a
    64-bit-ish (63-bit native int) FNV-style hash per cache line, folded into a
-   rolling root by commutative addition. Every mutation rehashes only the
-   touched lines and patches the root (subtract old line hash, add new), so
-   digesting a crash state costs O(lines dirtied by the in-flight writes)
-   rather than O(device size). The digest is a pure function of the byte
-   contents — restoring bytes (e.g. Persist.Undo.rollback writing back
-   pre-images through [write_string]) restores the digest by construction. *)
+   rolling root by commutative addition. Hashing is deferred: a write only
+   marks the lines it touches stale, and the next [digest] (or [snapshot],
+   [restore], [equal], [checkpoint]) rehashes each stale line once and
+   patches the root (subtract old line hash, add new). Digesting a crash
+   state costs O(lines dirtied by the in-flight writes), not O(device size),
+   and lines nobody digests are never hashed. The digest is a pure function
+   of the byte contents.
+
+   A checkpoint saves each cache line's bytes and line hash on the first
+   write to it, and [rollback] blits those lines back and restores their
+   hashes and the root, so the checker's own writes to a crash state are
+   undone without hashing anything.
+
+   Invariants: [root] is the sum of [line_hash]; a line's [line_hash] is
+   its [hash_line] unless its stale flag is set; each stale line is on
+   [stale] once. While a checkpoint is open, every line written since has
+   its saved flag set and is on [saved] once, and every stale line is
+   saved (the checkpoint started with no stale lines). *)
 
 type t = {
   data : Bytes.t;
   size : int;
   line_hash : int array;
   mutable root : int;
+  zero : int array * int;  (** The zero state's line hashes and root, shared. *)
+  flags : Bytes.t;  (** Per line: [stale_flag] lor [saved_flag]. *)
+  mutable stale : int array;  (** Stale line indices, [n_stale] of them. *)
+  mutable n_stale : int;
+  mutable ckpt_open : bool;
+  mutable ckpt_root : int;
+  mutable saved : int array;  (** Saved line indices, [n_saved] of them. *)
+  mutable saved_hash : int array;
+  mutable saved_data : Bytes.t;  (** Saved line [i] at [i * cache_line]. *)
+  mutable n_saved : int;
 }
+
+let stale_flag = 1
+let saved_flag = 2
 
 (* FNV-1a offset basis / prime, basis truncated to fit OCaml's 63-bit int;
    the per-line seed mixes the line index in so identical lines at different
@@ -51,15 +76,29 @@ let zero_state size =
         Hashtbl.add zero_memo size z;
         z)
 
-let create ~size =
-  let line_hash, root = zero_state size in
-  { data = Bytes.make size '\000'; size; line_hash = Array.copy line_hash; root }
+let line = Const.cache_line
 
-let clear t =
-  let line_hash, root = zero_state t.size in
-  Bytes.fill t.data 0 t.size '\000';
-  Array.blit line_hash 0 t.line_hash 0 (Array.length line_hash);
-  t.root <- root
+let of_parts ~data ~size ~line_hash ~root ~zero =
+  {
+    data;
+    size;
+    line_hash;
+    root;
+    zero;
+    flags = Bytes.make (n_lines size) '\000';
+    stale = [||];
+    n_stale = 0;
+    ckpt_open = false;
+    ckpt_root = 0;
+    saved = [||];
+    saved_hash = [||];
+    saved_data = Bytes.empty;
+    n_saved = 0;
+  }
+
+let create ~size =
+  let ((line_hash, root) as zero) = zero_state size in
+  of_parts ~data:(Bytes.make size '\000') ~size ~line_hash:(Array.copy line_hash) ~root ~zero
 
 let size t = t.size
 
@@ -67,19 +106,116 @@ let check t ~off ~len =
   if off < 0 || len < 0 || off + len > t.size then
     Fault.out_of_bounds ~off ~len ~size:t.size
 
-(* Rehash the lines intersecting [off, off+len) and patch the root. Call
-   after the bytes have been mutated; bounds are already checked. *)
-let touch t ~off ~len =
-  if len > 0 then begin
-    let l0 = off / Const.cache_line and l1 = (off + len - 1) / Const.cache_line in
-    for l = l0 to l1 do
-      let h = hash_line t.data t.size l in
-      t.root <- t.root - Array.unsafe_get t.line_hash l + h;
-      Array.unsafe_set t.line_hash l h
-    done
-  end
+let grow a n = if n < Array.length a then a else Array.append a (Array.make (max 16 n) 0)
 
-let digest t = t.root lxor (t.size * fnv_prime)
+let rec zero_from data i stop =
+  if i + 8 <= stop then Bytes.get_int64_ne data i = 0L && zero_from data (i + 8) stop
+  else i >= stop || (Bytes.get data i = '\000' && zero_from data (i + 1) stop)
+
+(* Rehash every stale line once and patch the root. An all-zero line (mkfs
+   zeroes whole tables) takes its hash from the zero state instead. *)
+let sync t =
+  let zero_hash = fst t.zero in
+  for i = 0 to t.n_stale - 1 do
+    let l = Array.unsafe_get t.stale i in
+    let off = l * line in
+    let h =
+      if zero_from t.data off (min t.size (off + line)) then Array.unsafe_get zero_hash l
+      else hash_line t.data t.size l
+    in
+    t.root <- t.root - Array.unsafe_get t.line_hash l + h;
+    Array.unsafe_set t.line_hash l h;
+    Bytes.unsafe_set t.flags l
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.flags l) land lnot stale_flag))
+  done;
+  t.n_stale <- 0
+
+(* Save line [l]'s bytes and hash for [rollback]. Its hash is current: an
+   unsaved line is not stale while a checkpoint is open. *)
+let save t l =
+  let n = t.n_saved in
+  if n = Array.length t.saved then begin
+    t.saved <- grow t.saved n;
+    t.saved_hash <- grow t.saved_hash n;
+    let d = Bytes.create (Array.length t.saved * line) in
+    Bytes.blit t.saved_data 0 d 0 (n * line);
+    t.saved_data <- d
+  end;
+  let off = l * line in
+  Array.unsafe_set t.saved n l;
+  Array.unsafe_set t.saved_hash n (Array.unsafe_get t.line_hash l);
+  Bytes.blit t.data off t.saved_data (n * line) (min line (t.size - off));
+  t.n_saved <- n + 1
+
+(* Call before mutating [off, off+len) (bounds already checked): save the
+   lines a checkpoint has not saved yet, and mark the lines stale. *)
+let touch t ~off ~len =
+  if len > 0 then
+    for l = off / line to (off + len - 1) / line do
+      let f = Char.code (Bytes.unsafe_get t.flags l) in
+      let f =
+        if t.ckpt_open && f land saved_flag = 0 then begin
+          save t l;
+          f lor saved_flag
+        end
+        else f
+      in
+      let f =
+        if f land stale_flag = 0 then begin
+          if t.n_stale = Array.length t.stale then t.stale <- grow t.stale t.n_stale;
+          Array.unsafe_set t.stale t.n_stale l;
+          t.n_stale <- t.n_stale + 1;
+          f lor stale_flag
+        end
+        else f
+      in
+      Bytes.unsafe_set t.flags l (Char.unsafe_chr f)
+    done
+
+(* Forget stale lines and any open checkpoint; the caller resets the line
+   hashes and root. *)
+let drop_tracking t =
+  for i = 0 to t.n_stale - 1 do
+    Bytes.unsafe_set t.flags (Array.unsafe_get t.stale i) '\000'
+  done;
+  for i = 0 to t.n_saved - 1 do
+    Bytes.unsafe_set t.flags (Array.unsafe_get t.saved i) '\000'
+  done;
+  t.n_stale <- 0;
+  t.n_saved <- 0;
+  t.ckpt_open <- false
+
+let clear t =
+  let line_hash, root = t.zero in
+  drop_tracking t;
+  Bytes.fill t.data 0 t.size '\000';
+  Array.blit line_hash 0 t.line_hash 0 (Array.length line_hash);
+  t.root <- root
+
+let checkpoint t =
+  if t.ckpt_open then invalid_arg "Image.checkpoint: a checkpoint is already open";
+  sync t;
+  t.ckpt_root <- t.root;
+  t.ckpt_open <- true
+
+let rollback t =
+  if not t.ckpt_open then invalid_arg "Image.rollback: no checkpoint is open";
+  for i = 0 to t.n_saved - 1 do
+    let l = Array.unsafe_get t.saved i in
+    let off = l * line in
+    Bytes.blit t.saved_data (i * line) t.data off (min line (t.size - off));
+    Array.unsafe_set t.line_hash l (Array.unsafe_get t.saved_hash i);
+    Bytes.unsafe_set t.flags l '\000'
+  done;
+  (* Every stale line was saved, so none is stale now. *)
+  t.n_stale <- 0;
+  t.n_saved <- 0;
+  t.root <- t.ckpt_root;
+  t.ckpt_open <- false
+
+let digest t =
+  sync t;
+  t.root lxor (t.size * fnv_prime)
 
 let rehash t =
   let root = ref 0 in
@@ -110,49 +246,51 @@ let read_u64 t ~off =
 
 let write_string t ~off s =
   check t ~off ~len:(String.length s);
-  Bytes.blit_string s 0 t.data off (String.length s);
-  touch t ~off ~len:(String.length s)
+  touch t ~off ~len:(String.length s);
+  Bytes.blit_string s 0 t.data off (String.length s)
 
 let fill t ~off ~len c =
   check t ~off ~len;
-  Bytes.fill t.data off len c;
-  touch t ~off ~len
+  touch t ~off ~len;
+  Bytes.fill t.data off len c
 
 let write_u8 t ~off v =
   check t ~off ~len:1;
-  Bytes.set t.data off (Char.chr (v land 0xFF));
-  touch t ~off ~len:1
+  touch t ~off ~len:1;
+  Bytes.set t.data off (Char.chr (v land 0xFF))
 
 let write_u16 t ~off v =
   check t ~off ~len:2;
-  Bytes.set_uint16_le t.data off (v land 0xFFFF);
-  touch t ~off ~len:2
+  touch t ~off ~len:2;
+  Bytes.set_uint16_le t.data off (v land 0xFFFF)
 
 let write_u32 t ~off v =
   check t ~off ~len:4;
-  Bytes.set_int32_le t.data off (Int32.of_int (v land 0xFFFFFFFF));
-  touch t ~off ~len:4
+  touch t ~off ~len:4;
+  Bytes.set_int32_le t.data off (Int32.of_int (v land 0xFFFFFFFF))
 
 let write_u64 t ~off v =
   check t ~off ~len:8;
-  Bytes.set_int64_le t.data off (Int64.of_int v);
-  touch t ~off ~len:8
+  touch t ~off ~len:8;
+  Bytes.set_int64_le t.data off (Int64.of_int v)
 
 let snapshot t =
-  {
-    data = Bytes.copy t.data;
-    size = t.size;
-    line_hash = Array.copy t.line_hash;
-    root = t.root;
-  }
+  sync t;
+  of_parts ~data:(Bytes.copy t.data) ~size:t.size ~line_hash:(Array.copy t.line_hash)
+    ~root:t.root ~zero:t.zero
 
 let restore t ~from =
   if t.size <> from.size then Fault.fail "restore: size mismatch (%d vs %d)" t.size from.size;
+  sync from;
+  drop_tracking t;
   Bytes.blit from.data 0 t.data 0 t.size;
   Array.blit from.line_hash 0 t.line_hash 0 (Array.length t.line_hash);
   t.root <- from.root
 
-let equal a b = a.size = b.size && a.root = b.root && Bytes.equal a.data b.data
+let equal a b =
+  sync a;
+  sync b;
+  a.size = b.size && a.root = b.root && Bytes.equal a.data b.data
 
 let hexdump ?(off = 0) ?len t =
   let len = match len with Some l -> l | None -> t.size - off in

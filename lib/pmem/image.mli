@@ -10,12 +10,20 @@
     violation, mirroring how a stray kernel access would fault on real
     hardware.
 
-    The image also maintains an incremental content {!digest}: a per-cache-line
-    hash folded into a rolling root, updated on every mutation. Each write
-    rehashes only the lines it touches, so the digest of a crash state costs
-    O(dirty lines), not O(device size). The digest is a pure function of the
-    byte contents, so restoring bytes (e.g. {!Persist.Undo.rollback} writing
-    pre-images back through {!write_string}) restores the digest exactly. *)
+    The image also maintains an incremental content {!digest}: a
+    per-cache-line hash folded into a rolling root. Hashing is deferred: a
+    write only marks its lines stale, and the next {!digest}, {!snapshot},
+    {!restore}, {!equal} or {!checkpoint} rehashes each stale line once. So
+    the digest of a crash state costs O(dirty lines), not O(device size),
+    and lines nobody digests are never hashed. The digest is a pure function
+    of the byte contents.
+
+    A {!checkpoint} lets the checker mutate a crash state in place (a mount
+    may replay a journal; the usability probe creates and deletes files) and
+    {!rollback} undo every write since, through any path: the first write to
+    each cache line saves that line's bytes and hash, and rollback copies
+    them back. This is the paper's undo log of pre-images (end of section
+    3.3), kept per cache line instead of per write. *)
 
 type t
 
@@ -26,14 +34,15 @@ val create : size:int -> t
 
 val clear : t -> unit
 (** Reset [t] in place to the zero-filled state {!create} returns: bytes,
-    line hashes and digest. *)
+    line hashes and digest. Discards an open checkpoint. *)
 
 val size : t -> int
 
 val digest : t -> int
-(** The rolling content digest, maintained incrementally. Equal bytes imply
-    equal digests; distinct digests imply distinct bytes. Collisions between
-    distinct contents are possible but need ~2^31 states by birthday bound. *)
+(** The rolling content digest, maintained incrementally (stale lines are
+    rehashed first). Equal bytes imply equal digests; distinct digests imply
+    distinct bytes. Collisions between distinct contents are possible but
+    need ~2^31 states by birthday bound. *)
 
 val rehash : t -> int
 (** Recompute {!digest} from scratch over the whole image (O(size)). Test
@@ -61,10 +70,21 @@ val write_u32 : t -> off:int -> int -> unit
 val write_u64 : t -> off:int -> int -> unit
 
 val snapshot : t -> t
-(** An independent copy of the image. *)
+(** An independent copy of the image, with no checkpoint open. *)
 
 val restore : t -> from:t -> unit
-(** Overwrite [t]'s contents with those of [from]. Sizes must match. *)
+(** Overwrite [t]'s contents with those of [from]. Sizes must match.
+    Discards [t]'s open checkpoint. *)
+
+val checkpoint : t -> unit
+(** Open a checkpoint: from now on the first write to each cache line saves
+    that line's bytes and hash, whichever function writes it.
+    @raise Invalid_argument if a checkpoint is already open. *)
+
+val rollback : t -> unit
+(** Restore the bytes and digest [t] had at {!checkpoint}, and close the
+    checkpoint. Costs O(lines written since), and hashes nothing.
+    @raise Invalid_argument if no checkpoint is open. *)
 
 val equal : t -> t -> bool
 

@@ -271,6 +271,91 @@ let test_pair_nested () =
       (Option.get !inner)
   | _ -> Alcotest.fail "need two NOVA triggers"
 
+(* --- Harness: a failing recovery leaves no trace on the crash state --- *)
+
+let pmfs_trigger () =
+  List.find (fun (b : Catalog.t) -> b.Catalog.fs = "PMFS") Catalog.all
+
+(* Buggy PMFS whose mount runs the real recovery, scribbles over the device
+   through [Pm] (across cache lines, and twice on some), then fails. *)
+let scribbling_pmfs fail =
+  let d = Option.get (Catalog.buggy_driver "pmfs") () in
+  let mount pm =
+    ignore (d.Vfs.Driver.mount pm);
+    Persist.Pm.memcpy_nt pm ~off:60 (String.make 100 '\xa5');
+    Persist.Pm.store pm ~off:130 "garbage";
+    Persist.Pm.memset_nt pm ~off:(d.Vfs.Driver.device_size - 70) ~len:70 '\xff';
+    Persist.Pm.store_u64 pm ~off:0 (-1);
+    fail ()
+  in
+  { d with Vfs.Driver.mount }
+
+let test_failed_recovery_rolled_back () =
+  let b = pmfs_trigger () in
+  let workload = b.Catalog.trigger in
+  let r = Harness.record (b.Catalog.driver ()) workload in
+  let image = r.Harness.rec_base in
+  Harness.walk ~replay:image r.Harness.rec_trace ignore;
+  let before = Pmem.Image.snapshot image in
+  let oracle = Chipmunk.Oracle.run workload in
+  let phase = Chipmunk.Checker.After (List.length workload - 1) in
+  List.iter
+    (fun (what, fail, expected) ->
+      Pmem.Image.checkpoint image;
+      let kinds = Harness.mount_and_check (scribbling_pmfs fail) ~workload ~oracle ~phase image in
+      Alcotest.(check bool) (what ^ ": reported") true (List.exists expected kinds);
+      Alcotest.(check bool) (what ^ ": recovery wrote") false (Pmem.Image.equal image before);
+      Pmem.Image.rollback image;
+      Alcotest.(check bool) (what ^ ": bytes restored") true (Pmem.Image.equal image before);
+      Alcotest.(check int) (what ^ ": digest = rehash") (Pmem.Image.rehash image)
+        (Pmem.Image.digest image))
+    [
+      ( "raise",
+        (fun () -> failwith "recovery blew up"),
+        function Chipmunk.Report.Recovery_fault _ -> true | _ -> false );
+      ( "Error",
+        (fun () -> Error "rejected"),
+        function Chipmunk.Report.Unmountable _ -> true | _ -> false );
+    ]
+
+(* The read-set heuristic probe-mounts each crash point's prefix state on
+   the pooled replay image under a checkpoint; rolling it back must leave
+   nothing for later crash points, or for the next workload on the same
+   domain, to see. Every probe mount must therefore find the device exactly
+   as a plain walk of the recording has it at that point. *)
+let test_read_set_rollback_repeatable () =
+  let b = pmfs_trigger () in
+  let d = b.Catalog.driver () in
+  let opts = { Harness.default_opts with read_set_heuristic = true } in
+  let r = Harness.record d b.Catalog.trigger in
+  let replay = r.Harness.rec_base in
+  let prefixes = ref [] in
+  Harness.walk ~replay r.Harness.rec_trace (fun p ->
+      if p.Harness.in_flight <> [] then prefixes := Pmem.Image.digest replay :: !prefixes);
+  let mounted = ref [] in
+  let spying =
+    {
+      d with
+      Vfs.Driver.mount =
+        (fun pm ->
+          mounted := Pmem.Image.digest (Persist.Pm.image pm) :: !mounted;
+          d.Vfs.Driver.mount pm);
+    }
+  in
+  let run () = Harness.test_workload ~opts spying b.Catalog.trigger in
+  let first = run () in
+  Alcotest.(check bool) "finds the bug" true (first.Harness.reports <> []);
+  let rec subsequence xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | _, [] -> false
+    | x :: xs', y :: ys' -> subsequence (if x = y then xs' else xs) ys'
+  in
+  Alcotest.(check bool) "probe mounts see the walked prefix states" true
+    (!prefixes <> [] && subsequence (List.rev !prefixes) (List.rev !mounted));
+  check_same "second run = first run" first (run ());
+  check_same "= a fresh domain" (in_fresh_domain run) first
+
 (* --- Harness: subset truncation is counted --- *)
 
 let test_truncation_counted () =
@@ -309,6 +394,8 @@ let suite =
     Alcotest.test_case "image pair: reuse is invisible" `Quick test_pair_reuse;
     Alcotest.test_case "image pair: reuse after a raise" `Quick test_pair_reuse_after_raise;
     Alcotest.test_case "image pair: nested call" `Quick test_pair_nested;
+    Alcotest.test_case "failed recovery rolled back" `Quick test_failed_recovery_rolled_back;
+    Alcotest.test_case "read-set probe rolled back" `Quick test_read_set_rollback_repeatable;
     Alcotest.test_case "truncated crash points counted" `Quick test_truncation_counted;
     Alcotest.test_case "default seq-1 never truncates" `Quick test_no_truncation_seq1;
   ]

@@ -67,29 +67,38 @@ let test_markers_and_epochs () =
     Alcotest.(check int) "max" 2 s.Persist.Analysis.max
   | _ -> Alcotest.fail "expected one creat summary"
 
+(* The checker undoes its own writes to a crash state through an image
+   checkpoint: pre-images come back, and the checkpoint is closed after. *)
 let test_undo_rollback () =
   let img = Pmem.Image.create ~size:256 in
   Pmem.Image.write_string img ~off:0 "original";
-  let undo = Persist.Undo.create img in
-  Persist.Undo.write_string undo ~off:0 "clobber!";
-  Persist.Undo.write_string undo ~off:4 "zzzz";
+  Pmem.Image.checkpoint img;
+  Pmem.Image.write_string img ~off:0 "clobber!";
+  Pmem.Image.write_string img ~off:4 "zzzz";
   Alcotest.(check string) "mutated" "clobzzzz" (Pmem.Image.read img ~off:0 ~len:8);
-  Persist.Undo.rollback undo;
+  Pmem.Image.rollback img;
   Alcotest.(check string) "rolled back" "original" (Pmem.Image.read img ~off:0 ~len:8);
-  Alcotest.(check int) "log empty" 0 (Persist.Undo.entries undo)
+  Alcotest.check_raises "log empty: rollback closed the checkpoint"
+    (Invalid_argument "Image.rollback: no checkpoint is open") (fun () ->
+      Pmem.Image.rollback img);
+  (* A new checkpoint starts with nothing saved: the old pre-images are
+     not replayed over later writes. *)
+  Pmem.Image.write_string img ~off:0 "kept";
+  Pmem.Image.checkpoint img;
+  Pmem.Image.rollback img;
+  Alcotest.(check string) "nothing left to undo" "keptinal" (Pmem.Image.read img ~off:0 ~len:8)
 
 let test_undo_via_pm () =
   let img = Pmem.Image.create ~size:256 in
   let pm = Pm.create img in
   Pm.memcpy_nt pm ~off:0 "base data here";
   let snap = Pmem.Image.snapshot img in
-  let undo = Persist.Undo.create img in
-  Pm.set_undo pm (Some undo);
+  Pmem.Image.checkpoint img;
   Pm.memcpy_nt pm ~off:0 "XXXX";
   Pm.memset_nt pm ~off:8 ~len:4 'y';
   Pm.store pm ~off:20 "zz";
-  Pm.set_undo pm None;
-  Persist.Undo.rollback undo;
+  Pm.store_u64 pm ~off:60 (-1);
+  Pmem.Image.rollback img;
   Alcotest.(check bool) "image restored" true (Pmem.Image.equal img snap)
 
 let prop_undo_restores_exactly =
@@ -101,13 +110,13 @@ let prop_undo_restores_exactly =
         Pmem.Image.write_u8 img ~off:i (i * 7 mod 256)
       done;
       let snap = Pmem.Image.snapshot img in
-      let undo = Persist.Undo.create img in
+      Pmem.Image.checkpoint img;
       List.iter
         (fun (off, s) ->
           if String.length s > 0 && off + String.length s <= 256 then
-            Persist.Undo.write_string undo ~off s)
+            Pmem.Image.write_string img ~off s)
         writes;
-      Persist.Undo.rollback undo;
+      Pmem.Image.rollback img;
       Pmem.Image.equal img snap)
 
 let test_stats () =

@@ -114,6 +114,140 @@ let prop_zero_memo_domains =
       let da = Domain.join a and db = Domain.join b in
       da = db && da = Image.rehash (Image.create ~size))
 
+(* Checkpoints and deferred line hashing against a model: a plain [Bytes]
+   plus a copy taken at [checkpoint]. Sizes are never a multiple of the
+   cache line, and offsets cluster on the first few lines so writes repeat
+   on a line and cross line boundaries. *)
+type op =
+  | W_string of int * string
+  | W_fill of int * int * char
+  | W_int of int * int * int  (** width in bytes, offset, value *)
+  | Checkpoint
+  | Rollback
+  | Digest
+  | Snapshot
+  | Restore
+  | Clear
+
+let show_op = function
+  | W_string (o, s) -> Printf.sprintf "write_string %d %S" o s
+  | W_fill (o, n, c) -> Printf.sprintf "fill %d %d %C" o n c
+  | W_int (w, o, v) -> Printf.sprintf "write_u%d %d %d" (8 * w) o v
+  | Checkpoint -> "checkpoint"
+  | Rollback -> "rollback"
+  | Digest -> "digest"
+  | Snapshot -> "snapshot"
+  | Restore -> "restore"
+  | Clear -> "clear"
+
+let gen_op =
+  let open QCheck.Gen in
+  let off =
+    oneof [ map2 (fun l o -> (l * Const.cache_line) + o) (int_bound 3) (int_bound 63); nat ]
+  in
+  frequency
+    [
+      (4, map2 (fun o s -> W_string (o, s)) off (string_size ~gen:char (1 -- 150)));
+      (2, map3 (fun o n c -> W_fill (o, n, c)) off (1 -- 130) char);
+      (4, map3 (fun w o v -> W_int (w, o, v)) (oneofl [ 1; 2; 4; 8 ]) off int);
+      (2, return Checkpoint);
+      (2, return Rollback);
+      (2, return Digest);
+      (1, return Snapshot);
+      (1, return Restore);
+      (1, return Clear);
+    ]
+
+let arb_checkpoint_run =
+  QCheck.make
+    ~print:(fun (size, ops) ->
+      Printf.sprintf "size %d: %s" size (String.concat "; " (List.map show_op ops)))
+    QCheck.Gen.(
+      pair
+        (map2 (fun k r -> (k * Const.cache_line) + r) (int_bound 10) (1 -- (Const.cache_line - 1)))
+        (list_size (1 -- 60) gen_op))
+
+let prop_checkpoint_model =
+  QCheck.Test.make ~name:"checkpoint: image agrees with a bytes model" ~count:500
+    arb_checkpoint_run (fun (size, ops) ->
+      let img = Image.create ~size in
+      let model = Bytes.make size '\000' in
+      let ckpt = ref None (* model bytes and digest at checkpoint *) in
+      let snap = ref None (* image snapshot and its model bytes *) in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      (* Clamp a write of [len] bytes at [off] into the device. *)
+      let place off len =
+        let len = min len size in
+        (off mod (size - len + 1), len)
+      in
+      List.iteri
+        (fun step op ->
+          let fail what = QCheck.Test.fail_reportf "step %d (%s): %s" step (show_op op) what in
+          (match op with
+          | W_string (off, s) ->
+            let off, len = place off (String.length s) in
+            let s = String.sub s 0 len in
+            Image.write_string img ~off s;
+            Bytes.blit_string s 0 model off len
+          | W_fill (off, len, c) ->
+            let off, len = place off len in
+            Image.fill img ~off ~len c;
+            Bytes.fill model off len c
+          | W_int (w, off, v) ->
+            if w <= size then begin
+              let off, _ = place off w in
+              (match w with
+              | 1 -> Image.write_u8 img ~off v
+              | 2 -> Image.write_u16 img ~off v
+              | 4 -> Image.write_u32 img ~off v
+              | _ -> Image.write_u64 img ~off v);
+              for i = 0 to w - 1 do
+                Bytes.set model (off + i) (Char.chr ((v asr (8 * i)) land 0xFF))
+              done
+            end
+          | Checkpoint -> (
+            match !ckpt with
+            | Some _ ->
+              if not (raises (fun () -> Image.checkpoint img)) then
+                fail "nested checkpoint did not raise"
+            | None ->
+              let d = Image.rehash img in
+              Image.checkpoint img;
+              ckpt := Some (Bytes.copy model, d))
+          | Rollback -> (
+            match !ckpt with
+            | None ->
+              if not (raises (fun () -> Image.rollback img)) then
+                fail "rollback with no checkpoint did not raise"
+            | Some (bytes, d) ->
+              Image.rollback img;
+              Bytes.blit bytes 0 model 0 size;
+              ckpt := None;
+              if Image.digest img <> d then fail "rollback did not restore the digest")
+          | Digest ->
+            if Image.digest img <> Image.rehash img then fail "digest <> rehash"
+          | Snapshot ->
+            let s = Image.snapshot img in
+            if not (Image.equal s img) then fail "snapshot differs from its source";
+            snap := Some (s, Bytes.copy model)
+          | Restore -> (
+            match !snap with
+            | None -> ()
+            | Some (s, bytes) ->
+              if Image.read s ~off:0 ~len:size <> Bytes.to_string bytes then
+                fail "snapshot changed after it was taken";
+              Image.restore img ~from:s;
+              Bytes.blit bytes 0 model 0 size;
+              ckpt := None)
+          | Clear ->
+            Image.clear img;
+            Bytes.fill model 0 size '\000';
+            ckpt := None);
+          if Image.read img ~off:0 ~len:size <> Bytes.to_string model then
+            fail "bytes differ from the model")
+        ops;
+      Image.digest img = Image.rehash img)
+
 let suite =
   [
     Alcotest.test_case "create zeroed" `Quick test_create_zeroed;
@@ -126,4 +260,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_snapshot_independent;
     QCheck_alcotest.to_alcotest prop_zero_memo;
     QCheck_alcotest.to_alcotest prop_zero_memo_domains;
+    QCheck_alcotest.to_alcotest prop_checkpoint_model;
   ]

@@ -79,16 +79,16 @@ let test_digest_undo_rollback () =
     Image.write_u8 img ~off (Random.State.int rng 256)
   done;
   let d0 = Image.digest img in
-  let undo = Persist.Undo.create img in
+  Image.checkpoint img;
   for _ = 1 to 100 do
     let off = Random.State.int rng size in
     let len = 1 + Random.State.int rng (min 100 (size - off)) in
-    Persist.Undo.write_string undo ~off
+    Image.write_string img ~off
       (String.init len (fun _ -> Char.chr (Random.State.int rng 256)))
   done;
   Alcotest.(check int) "mutated digest still incremental" (Image.rehash img)
     (Image.digest img);
-  Persist.Undo.rollback undo;
+  Image.rollback img;
   Alcotest.(check int) "rollback restores the digest" d0 (Image.digest img);
   Alcotest.(check int) "restored digest matches a rehash" (Image.rehash img)
     (Image.digest img)
