@@ -47,30 +47,38 @@ fuzz-smoke:
 # fingerprint lines must match exactly (only the hit-rate footer may differ).
 # Buggy PMFS runs with caches at their defaults and with both off: its
 # journal replay and the usability probe write the most per crash state,
-# so a wrong checkpoint rollback shows there first.
+# so a wrong checkpoint rollback shows there first. No run may print a
+# "truncated:" footer: under default opts every crash state is checked.
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
+	  | tee _build/cache-smoke-default.out \
 	  | grep '^fingerprint' > _build/cache-smoke-default.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  --no-dedup | grep '^fingerprint' > _build/cache-smoke-nodedup.txt
+	  --no-dedup | tee _build/cache-smoke-nodedup.out \
+	  | grep '^fingerprint' > _build/cache-smoke-nodedup.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  --no-vcache | grep '^fingerprint' > _build/cache-smoke-novcache.txt
+	  --no-vcache | tee _build/cache-smoke-novcache.out \
+	  | grep '^fingerprint' > _build/cache-smoke-novcache.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  --jobs 2 | grep '^fingerprint' > _build/cache-smoke-jobs2.txt
+	  --jobs 2 | tee _build/cache-smoke-jobs2.out \
+	  | grep '^fingerprint' > _build/cache-smoke-jobs2.txt
 	test -s _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-nodedup.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-jobs2.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
+	  | tee _build/cache-smoke-pmfs-default.out \
 	  | grep '^fingerprint' > _build/cache-smoke-pmfs-default.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
-	  --no-dedup --no-vcache | grep '^fingerprint' > _build/cache-smoke-pmfs-nocache.txt
+	  --no-dedup --no-vcache | tee _build/cache-smoke-pmfs-nocache.out \
+	  | grep '^fingerprint' > _build/cache-smoke-pmfs-nocache.txt
 	test -s _build/cache-smoke-pmfs-default.txt
 	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-default.txt
+	! grep -H '^truncated:' _build/cache-smoke-*.out
 
-# Rewrite BENCH_parallel.json (sequential vs parallel wall-clock, dedup
-# hit-rate, states/sec) so the perf trajectory is tracked across PRs.
-# Override the worker-domain count with CHIPMUNK_JOBS=N.
+# Rewrite BENCH_parallel.json (findings and deterministic cache counts of
+# one campaign under each cache config, and whether a run over one worker
+# domain per core finds the same). Wall-clock figures come from perfbench/.
 bench-perf:
 	dune exec bench/main.exe parallel
 

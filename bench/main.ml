@@ -9,24 +9,20 @@
      cap-sweep    Obs. 7   - minimal replayed-writes cap per bug
      inflight     sect 3.2 - in-flight write statistics per syscall
      perf         Obs. 2 + sect 6.2 - Bechamel microbenchmarks
-     parallel     perf tracking - sequential vs --jobs, dedup hit-rate
-                  (rewrites BENCH_parallel.json for cross-PR comparison)
+     parallel     cache and job-count transparency - findings and cache
+                  counts per config (rewrites BENCH_parallel.json)
      shrink       minimizer  - delta-debugging shrink factors over the bug
                   corpus (rewrites BENCH_shrink.json)
      ablation     DESIGN.md - coalescing design choice
 
    Running with no argument executes everything. Campaign-level experiments
-   shard workloads across domains; set CHIPMUNK_JOBS=N to override. *)
+   shard workloads across one domain per core ([Pool.default_jobs]). *)
 
 let line = String.make 78 '-'
 let header title = Printf.printf "\n%s\n%s\n%s\n" line title line
 
-(* Worker domains for the campaign-level experiments; override with
-   CHIPMUNK_JOBS=N (the perf-tracking JSON records the value used). *)
-let jobs =
-  match Sys.getenv_opt "CHIPMUNK_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> Chipmunk.Pool.default_jobs ())
-  | None -> Chipmunk.Pool.default_jobs ()
+(* Worker domains for the campaign-level experiments. *)
+let jobs = Chipmunk.Pool.default_jobs ()
 
 (* ------------------------------------------------------------------ *)
 (* E1: Table 1                                                         *)
@@ -453,48 +449,35 @@ let perf () =
   | None -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Parallel campaign + dedup cache perf tracking                       *)
+(* Cache and job-count transparency                                    *)
 
-(* Machine-readable perf snapshot so the trajectory (sequential vs
-   domain-sharded wall-clock, dedup hit-rate, states/sec) is comparable
-   across commits: every run rewrites BENCH_parallel.json in the working
-   directory. *)
+(* The same campaign with no caches, dedup only, both caches, and both
+   caches over [jobs] domains must report identical findings. Rewrites
+   BENCH_parallel.json with the jobs=1 counts, which are deterministic, and
+   the findings; wall-clock measurement lives in perfbench/. *)
 let parallel_perf () =
-  header
-    (Printf.sprintf
-       "Parallel campaign + crash-state dedup (jobs=%d, %d core(s) recommended)" jobs
-       (Domain.recommended_domain_count ()));
+  header (Printf.sprintf "Cache and job-count transparency (jobs=%d)" jobs);
   let mk_driver () =
     match Catalog.buggy_driver "nova" with
     | Some mk -> mk ()
     | None -> Novafs.driver ()
   in
   let suite () = Seq.append (Ace.seq1 Ace.Strong) (Seq.take 600 (Ace.seq2 Ace.Strong)) in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Four configs, each isolating one layer: no caches at all, the
-     per-point dedup alone, dedup + verdict cache (the default), and the
-     full config sharded over domains. *)
+  let campaign exec = Chipmunk.Campaign.run ~exec (mk_driver ()) (suite ()) in
   let no_dedup = { Chipmunk.Harness.default_opts with dedup_states = false } in
-  let campaign exec = time (fun () -> Chipmunk.Campaign.run ~exec (mk_driver ()) (suite ())) in
-  let seq_nc, t_seq_nc = campaign (Chipmunk.Run.exec ~opts:no_dedup ~use_vcache:false ()) in
-  let seq_d, t_seq_d = campaign (Chipmunk.Run.exec ~use_vcache:false ()) in
-  let seq, t_seq = campaign Chipmunk.Run.default_exec in
-  let par, t_par = campaign (Chipmunk.Run.exec ~jobs ()) in
+  let seq_nc = campaign (Chipmunk.Run.exec ~opts:no_dedup ~use_vcache:false ()) in
+  let seq_d = campaign (Chipmunk.Run.exec ~use_vcache:false ()) in
+  let seq = campaign Chipmunk.Run.default_exec in
+  let par = campaign (Chipmunk.Run.exec ~jobs ()) in
   let fps (r : Chipmunk.Campaign.result) =
     List.map (fun e -> e.Chipmunk.Campaign.fingerprint) r.Chipmunk.Campaign.events
   in
   let findings_equal = List.for_all (fun r -> fps r = fps seq) [ par; seq_nc; seq_d ] in
-  (* Two rates, one base each: every enumerated crash state, and only the
-     states that were actually mounted and checked (neither cache hit). *)
+  (* States that were actually mounted and checked (neither cache hit). *)
   let mounts (r : Chipmunk.Campaign.result) =
     r.Chipmunk.Campaign.crash_states - r.Chipmunk.Campaign.dedup_hits
     - r.Chipmunk.Campaign.vcache_hits
   in
-  let per_sec n t = float_of_int n /. t in
   let hit_rate =
     float_of_int seq_d.Chipmunk.Campaign.dedup_hits
     /. float_of_int (max 1 seq_d.Chipmunk.Campaign.crash_states)
@@ -503,62 +486,42 @@ let parallel_perf () =
     float_of_int seq.Chipmunk.Campaign.vcache_hits
     /. float_of_int (max 1 seq.Chipmunk.Campaign.crash_states)
   in
-  let row label (r : Chipmunk.Campaign.result) t =
-    Printf.printf "%-24s %8.2fs %10d states %8d dedup %8d vcache %10.0f states/s %10.0f mounts/s %4d findings\n"
-      label t r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
-      r.Chipmunk.Campaign.vcache_hits
-      (per_sec r.Chipmunk.Campaign.crash_states t)
-      (per_sec (mounts r) t)
+  let row label (r : Chipmunk.Campaign.result) =
+    Printf.printf "%-24s %10d states %8d dedup %8d vcache %8d mounts %4d findings\n" label
+      r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
+      r.Chipmunk.Campaign.vcache_hits (mounts r)
       (List.length r.Chipmunk.Campaign.events)
   in
-  row "sequential, no caches" seq_nc t_seq_nc;
-  row "sequential, dedup only" seq_d t_seq_d;
-  row "sequential (full)" seq t_seq;
-  row (Printf.sprintf "parallel (jobs=%d)" jobs) par t_par;
-  Printf.printf
-    "dedup hit-rate %.1f%% (speedup %.2fx), vcache hit-rate %.1f%% (speedup %.2fx), \
-     parallel speedup %.2fx, findings %s\n"
-    (100.0 *. hit_rate) (t_seq_nc /. t_seq_d) (100.0 *. vcache_hit_rate) (t_seq_d /. t_seq)
-    (t_seq /. t_par)
+  row "sequential, no caches" seq_nc;
+  row "sequential, dedup only" seq_d;
+  row "sequential (full)" seq;
+  Printf.printf "dedup hit-rate %.1f%%, vcache hit-rate %.1f%%, findings at jobs=%d %s\n"
+    (100.0 *. hit_rate) (100.0 *. vcache_hit_rate) jobs
     (if findings_equal then "identical" else "DIFFER");
   let module J = Chipmunk.Json in
-  let run_obj (r : Chipmunk.Campaign.result) t =
+  let run_obj (r : Chipmunk.Campaign.result) =
     J.obj
       [
-        ("seconds", Printf.sprintf "%.4f" t);
         ("workloads", string_of_int r.Chipmunk.Campaign.workloads_run);
         ("crash_points", string_of_int r.Chipmunk.Campaign.crash_points);
         ("crash_states", string_of_int r.Chipmunk.Campaign.crash_states);
         ("dedup_hits", string_of_int r.Chipmunk.Campaign.dedup_hits);
         ("vcache_hits", string_of_int r.Chipmunk.Campaign.vcache_hits);
         ("mounts", string_of_int (mounts r));
-        ("states_per_sec", Printf.sprintf "%.1f" (per_sec r.Chipmunk.Campaign.crash_states t));
-        ("mounts_per_sec", Printf.sprintf "%.1f" (per_sec (mounts r) t));
         ("findings", string_of_int (List.length r.Chipmunk.Campaign.events));
       ]
   in
   let json =
     J.obj
       [
-        ("schema", J.str "chipmunk-bench-parallel/4");
+        ("schema", J.str "chipmunk-bench-parallel/5");
         ("suite", J.str "nova-buggy seq1 + seq2[:600]");
         ("jobs", string_of_int jobs);
-        ("recommended_domains", string_of_int (Domain.recommended_domain_count ()));
-        ( "rate_bases",
-          J.obj
-            [
-              ("states_per_sec", J.str "crash_states / seconds");
-              ("mounts_per_sec", J.str "mounts / seconds, mounts = crash_states - dedup_hits - vcache_hits");
-            ] );
-        ("sequential_no_dedup", run_obj seq_nc t_seq_nc);
-        ("sequential_dedup_only", run_obj seq_d t_seq_d);
-        ("sequential", run_obj seq t_seq);
-        ("parallel", run_obj par t_par);
+        ("sequential_no_dedup", run_obj seq_nc);
+        ("sequential_dedup_only", run_obj seq_d);
+        ("sequential", run_obj seq);
         ("dedup_hit_rate", Printf.sprintf "%.4f" hit_rate);
-        ("dedup_speedup", Printf.sprintf "%.3f" (t_seq_nc /. t_seq_d));
         ("vcache_hit_rate", Printf.sprintf "%.4f" vcache_hit_rate);
-        ("vcache_speedup", Printf.sprintf "%.3f" (t_seq_d /. t_seq));
-        ("parallel_speedup", Printf.sprintf "%.3f" (t_seq /. t_par));
         ("findings_equal", string_of_bool findings_equal);
         ( "findings",
           J.arr

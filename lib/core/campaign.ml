@@ -4,7 +4,6 @@ type event = {
   workload_name : string;
   workload_index : int;
   elapsed : float;
-  states_so_far : int;
 }
 
 type result = {
@@ -70,7 +69,6 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
             workload_name;
             workload_index = index;
             elapsed;
-            states_so_far = !states;
           }))
     completed;
   {

@@ -18,7 +18,6 @@ type event = {
   elapsed : float;
       (** Wall-clock completion time (seconds since campaign start) of the
           workload that found it — the same contract at every job count. *)
-  states_so_far : int;  (** Crash states checked before the discovery. *)
 }
 
 type result = {

@@ -287,7 +287,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
      everything the checker consults at a phase besides the image itself,
      pre-combined with the fs name into the key prefix so per-state key
      building is a tuple allocation. One prefix per phase per workload,
-     each O(1) off the oracle's incremental boundary digests. *)
+     each O(1) off the oracle's boundary digests. *)
   let call_texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
   let phase_prefixes : (Checker.phase, string) Hashtbl.t = Hashtbl.create 8 in
   let phase_prefix phase =

@@ -1,6 +1,6 @@
 type t = {
   trees : Vfs.Walker.tree array;
-  digests : int array;  (* incrementally maintained, one per boundary *)
+  digests : int array;  (* [Vfs.Walker.digest] of each boundary tree *)
   targets : string option array;
   rets : int array;
 }
@@ -11,47 +11,17 @@ let post t i = t.trees.(i + 1)
 let final t = t.trees.(Array.length t.trees - 1)
 let target t i = t.targets.(i)
 let ret t i = t.rets.(i)
-let digest t i = t.digests.(i)
 let pre_digest t i = t.digests.(i)
 let post_digest t i = t.digests.(i + 1)
-let redigest t i = Vfs.Walker.digest t.trees.(i)
 
 let run calls =
-  let h, fs = Memfs.tracked () in
+  let h = Memfs.handle () in
   let n = List.length calls in
   let trees = Array.make (n + 1) [] in
-  let digests = Array.make (n + 1) 0 in
   let targets = Array.make n None in
   let rets = Array.make n 0 in
   let var_paths : (int, string) Hashtbl.t = Hashtbl.create 8 in
   trees.(0) <- Vfs.Walker.capture h;
-  (* Path-keyed node hashes, patched from Memfs's dirty set after every
-     syscall so each boundary digest costs O(changed nodes), not O(tree) —
-     the [Pmem.Image] rolling-digest design applied to the oracle tree.
-     [redigest] is the from-scratch check (the analogue of [Image.rehash]). *)
-  let node_hash : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let root = ref 0 in
-  List.iter
-    (fun (nd : Vfs.Walker.node) ->
-      let hn = Vfs.Walker.hash_node nd in
-      Hashtbl.replace node_hash nd.path hn;
-      root := !root + hn)
-    trees.(0);
-  ignore (Memfs.Fs.drain_changes fs);
-  digests.(0) <- Vfs.Walker.combine ~root:!root ~count:(Hashtbl.length node_hash);
-  let patch path =
-    (match Hashtbl.find_opt node_hash path with
-    | None -> ()
-    | Some h0 ->
-      root := !root - h0;
-      Hashtbl.remove node_hash path);
-    match Vfs.Walker.probe h path with
-    | None -> ()
-    | Some nd ->
-      let hn = Vfs.Walker.hash_node nd in
-      Hashtbl.replace node_hash path hn;
-      root := !root + hn
-  in
   let before idx call =
     let target_of var = Hashtbl.find_opt var_paths var in
     targets.(idx) <-
@@ -86,10 +56,7 @@ let run calls =
            (fun var p -> if p = path then Hashtbl.remove var_paths var)
            (Hashtbl.copy var_paths)
        | _ -> ());
-    List.iter patch (Memfs.Fs.drain_changes fs);
-    digests.(idx + 1) <-
-      Vfs.Walker.combine ~root:!root ~count:(Hashtbl.length node_hash);
     trees.(idx + 1) <- Vfs.Walker.capture h
   in
   let _ = Vfs.Workload.run ~before ~after h calls in
-  { trees; digests; targets; rets }
+  { trees; digests = Array.map Vfs.Walker.digest trees; targets; rets }

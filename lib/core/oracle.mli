@@ -29,18 +29,8 @@ val target : t -> int -> string option
 val ret : t -> int -> int
 (** Oracle return value of syscall [i]. *)
 
-val digest : t -> int -> int
-(** Digest of the tree at boundary [i] (boundary 0 is the initial tree,
-    boundary [i+1] follows syscall [i]) — equal to [Vfs.Walker.digest] of
-    that tree, but maintained incrementally in O(changed nodes) per syscall
-    from {!Memfs}'s dirty-path set. *)
-
 val pre_digest : t -> int -> int
-(** Digest of [pre t i]; [digest t i]. *)
+(** [Vfs.Walker.digest (pre t i)], computed once per boundary by {!run}. *)
 
 val post_digest : t -> int -> int
-(** Digest of [post t i]; [digest t (i + 1)]. *)
-
-val redigest : t -> int -> int
-(** From-scratch [Vfs.Walker.digest] of the boundary-[i] tree — the test
-    oracle for {!digest}, the analogue of [Pmem.Image.rehash]. *)
+(** [Vfs.Walker.digest (post t i)], computed once per boundary by {!run}. *)

@@ -44,9 +44,8 @@ let call_text calls i = if i < Array.length calls then calls.(i) else "?"
 (* Everything the checker reads from the oracle/workload at this phase, and
    nothing more: notably NOT the syscall index itself, so equivalent phases
    of different workloads (shared ACE-family prefixes) share cache lines.
-   The tree component is the oracle's incrementally maintained boundary
-   digest — O(1) here, O(changed nodes) amortized over the oracle run —
-   instead of a re-serialization of whole trees. Call texts are
+   The tree component is the oracle's boundary digest, computed once per
+   boundary by [Oracle.run], so it is O(1) here. Call texts are
    length-prefixed so a pathological syscall rendering cannot straddle a
    separator. *)
 let phase_digest oracle ~calls (phase : Checker.phase) =

@@ -1,6 +1,5 @@
 module Types = Vfs.Types
 module Errno = Vfs.Errno
-module Path = Vfs.Path
 
 type inode = {
   ino : int;
@@ -10,21 +9,11 @@ type inode = {
   entries : (string, int) Hashtbl.t;  (* Dir only *)
   xattrs : (string, string) Hashtbl.t;
   mutable opens : int;
-  mutable links : (int * string) list;
-      (* Back-links: (parent dir ino, entry name) for every directory entry
-         naming this inode; [] for the root and for orphans kept alive by
-         open fds. Lets change tracking resolve an inode to every visible
-         path — an fd write after a rename, or to one name of a hard-linked
-         file, dirties all of them. *)
 }
 
 type fs = {
   inodes : (int, inode) Hashtbl.t;
   mutable next_ino : int;
-  mutable dirty : (string, unit) Hashtbl.t option;
-      (* When tracking is on, the set of paths whose [Walker] node may have
-         changed since the last drain. [None] (the default) keeps every
-         mutation's bookkeeping at a single match. *)
 }
 
 module Fs = struct
@@ -53,55 +42,10 @@ module Fs = struct
         entries = Hashtbl.create 8;
         xattrs = Hashtbl.create 4;
         opens = 0;
-        links = [];
       }
     in
     Hashtbl.replace t.inodes ino node;
     node
-
-  (* --- change tracking --- *)
-
-  let track_changes t =
-    match t.dirty with
-    | Some _ -> ()
-    | None -> t.dirty <- Some (Hashtbl.create 64)
-
-  let drain_changes t =
-    match t.dirty with
-    | None -> []
-    | Some d ->
-      let paths = Hashtbl.fold (fun p () acc -> p :: acc) d [] in
-      Hashtbl.reset d;
-      paths
-
-  let rec paths_of t ino =
-    if ino = root_ino then [ "/" ]
-    else
-      match get t ino with
-      | None -> []
-      | Some i ->
-        List.concat_map
-          (fun (dir, name) ->
-            List.map (fun d -> Path.concat d name) (paths_of t dir))
-          i.links
-
-  let mark t path =
-    match t.dirty with None -> () | Some d -> Hashtbl.replace d path ()
-
-  let mark_ino t ino = List.iter (mark t) (paths_of t ino)
-
-  (* Directories have exactly one back-link, so this enumerates each
-     descendant path once; hard-linked files fan out to every alias. *)
-  let rec mark_subtree t ino =
-    mark_ino t ino;
-    match get t ino with
-    | None -> ()
-    | Some i ->
-      if i.kind = Types.Dir then
-        Hashtbl.iter (fun _ cino -> mark_subtree t cino) i.entries
-
-  let remove_link i ~dir ~name =
-    i.links <- List.filter (fun (d, n) -> not (d = dir && n = name)) i.links
 
   let lookup t ~dir ~name =
     match get t dir with
@@ -130,20 +74,14 @@ module Fs = struct
   let mkdir t ~dir ~name =
     let d = get_exn t dir in
     let node = alloc t Types.Dir in
-    node.links <- [ (dir, name) ];
     Hashtbl.replace d.entries name node.ino;
     d.nlink <- d.nlink + 1;
-    mark_ino t node.ino;
-    mark_ino t dir;
     Ok node.ino
 
   let create t ~dir ~name =
     let d = get_exn t dir in
     let node = alloc t Types.Reg in
-    node.links <- [ (dir, name) ];
     Hashtbl.replace d.entries name node.ino;
-    mark_ino t node.ino;
-    mark_ino t dir;
     Ok node.ino
 
   let link t ~ino ~dir ~name =
@@ -151,10 +89,6 @@ module Fs = struct
     let f = get_exn t ino in
     Hashtbl.replace d.entries name ino;
     f.nlink <- f.nlink + 1;
-    f.links <- (dir, name) :: f.links;
-    (* The new path plus every existing alias: their nlink changed. *)
-    mark_ino t ino;
-    mark_ino t dir;
     Ok ()
 
   let maybe_reclaim t node =
@@ -168,41 +102,30 @@ module Fs = struct
     let d = get_exn t dir in
     let ino = Hashtbl.find d.entries name in
     let f = get_exn t ino in
-    (* Pre-removal: the dying path and every hard-link alias (nlink drops). *)
-    mark_ino t ino;
     Hashtbl.remove d.entries name;
-    remove_link f ~dir ~name;
     drop_link t f;
-    mark_ino t dir;
     Ok ()
 
   let rmdir t ~dir ~name =
     let d = get_exn t dir in
     let ino = Hashtbl.find d.entries name in
     let victim = get_exn t ino in
-    mark_ino t ino;
     Hashtbl.remove d.entries name;
     d.nlink <- d.nlink - 1;
     victim.nlink <- 0;
     maybe_reclaim t victim;
-    mark_ino t dir;
     Ok ()
 
   let rename t ~odir ~oname ~ndir ~nname =
     let od = get_exn t odir and nd = get_exn t ndir in
     let ino = Hashtbl.find od.entries oname in
     let moved = get_exn t ino in
-    (* Pre-mutation: old paths of the moved subtree and of any overwritten
-       target (including hard-link aliases, whose nlink is about to drop). *)
-    mark_subtree t ino;
     let tino = Hashtbl.find_opt nd.entries nname in
-    (match tino with None -> () | Some ti -> mark_subtree t ti);
     (* Remove an overwritten target first (Posix validated compatibility). *)
     (match tino with
     | None -> ()
     | Some ti ->
       let target = get_exn t ti in
-      remove_link target ~dir:ndir ~name:nname;
       (match target.kind with
       | Types.Reg -> drop_link t target
       | Types.Dir ->
@@ -211,18 +134,10 @@ module Fs = struct
         maybe_reclaim t target));
     Hashtbl.remove od.entries oname;
     Hashtbl.replace nd.entries nname ino;
-    remove_link moved ~dir:odir ~name:oname;
-    moved.links <- (ndir, nname) :: moved.links;
     if moved.kind = Types.Dir && odir <> ndir then begin
       od.nlink <- od.nlink - 1;
       nd.nlink <- nd.nlink + 1
     end;
-    (* Post-mutation: new paths of the moved subtree, surviving aliases of a
-       replaced target, and both parents (entry lists / link counts). *)
-    mark_subtree t ino;
-    (match tino with None -> () | Some ti -> mark_ino t ti);
-    mark_ino t odir;
-    mark_ino t ndir;
     Ok ()
 
   let readdir t ~dir =
@@ -247,9 +162,6 @@ module Fs = struct
   let write t ~ino ~off ~data =
     let f = get_exn t ino in
     f.data <- splice f.data ~off data;
-    (* All aliases of the inode see the new content; an orphan written
-       through a surviving fd has no paths and dirties nothing. *)
-    mark_ino t ino;
     Ok (String.length data)
 
   let truncate t ~ino ~size =
@@ -257,20 +169,17 @@ module Fs = struct
     let old_len = String.length f.data in
     if size <= old_len then f.data <- String.sub f.data 0 size
     else f.data <- f.data ^ String.make (size - old_len) '\000';
-    mark_ino t ino;
     Ok ()
 
   let fallocate t ~ino ~off ~len ~keep_size =
     let f = get_exn t ino in
     if not keep_size && off + len > String.length f.data then
       f.data <- f.data ^ String.make (off + len - String.length f.data) '\000';
-    mark_ino t ino;
     Ok ()
 
   let setxattr t ~ino ~name ~value =
     let i = get_exn t ino in
     Hashtbl.replace i.xattrs name value;
-    mark_ino t ino;
     Ok ()
 
   let getxattr t ~ino ~name =
@@ -287,7 +196,6 @@ module Fs = struct
     let i = get_exn t ino in
     if Hashtbl.mem i.xattrs name then begin
       Hashtbl.remove i.xattrs name;
-      mark_ino t ino;
       Ok ()
     end
     else Error Errno.ENOENT
@@ -308,8 +216,8 @@ end
 
 module P = Vfs.Posix.Make (Fs)
 
-let create () =
-  let t = { inodes = Hashtbl.create 64; next_ino = 2; dirty = None } in
+let handle () =
+  let t = { inodes = Hashtbl.create 64; next_ino = 2 } in
   Hashtbl.replace t.inodes Fs.root_ino
     {
       ino = Fs.root_ino;
@@ -319,13 +227,5 @@ let create () =
       entries = Hashtbl.create 8;
       xattrs = Hashtbl.create 4;
       opens = 0;
-      links = [];
     };
-  t
-
-let handle () = P.handle (P.init (create ()))
-
-let tracked () =
-  let t = create () in
-  Fs.track_changes t;
-  (P.handle (P.init t), t)
+  P.handle (P.init t)

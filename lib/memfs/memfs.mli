@@ -8,28 +8,6 @@
     there is nothing to tear or lose — which is exactly what an oracle
     needs. *)
 
-module Fs : sig
-  include Vfs.Fs_intf.INODE_OPS
-
-  val track_changes : t -> unit
-  (** Turn on dirty-path tracking (off by default, zero cost when off).
-      Every mutating op then records each path whose [Vfs.Walker] node may
-      have changed — resolved through per-inode back-links, so fd-based
-      writes after renames and hard-link nlink changes dirty every visible
-      alias, and writes to unlinked-but-open orphans dirty nothing. *)
-
-  val drain_changes : t -> string list
-  (** The dirty paths accumulated since the last drain (deduplicated, in no
-      particular order), clearing the set. Empty when tracking is off. *)
-end
-
-val create : unit -> Fs.t
-(** A fresh, empty file system containing only the root directory. *)
-
 val handle : unit -> Vfs.Handle.t
-(** [create] + POSIX layer in one step. *)
-
-val tracked : unit -> Vfs.Handle.t * Fs.t
-(** Like [handle], but with change tracking on and the underlying store
-    exposed so callers can [Fs.drain_changes] at syscall boundaries — the
-    oracle's incremental tree digest is built on this. *)
+(** A fresh, empty file system containing only the root directory, behind
+    the POSIX layer. *)

@@ -71,9 +71,6 @@ let node_of (h : Handle.t) path (st : Types.stat) =
         error = None;
       })
 
-let probe (h : Handle.t) path =
-  match h.Handle.stat ~path with Error _ -> None | Ok st -> Some (node_of h path st)
-
 let capture (h : Handle.t) =
   let nodes = ref [] in
   let rec visit path =
@@ -146,8 +143,7 @@ let serialize_node buf n =
   Buffer.add_char buf '\n'
 
 (* FNV-1a, same constants as [Pmem.Image]'s per-line hashes. Per-node hashes
-   are folded into a root by plain addition — commutative, so an incremental
-   maintainer can subtract a stale hash and add the fresh one in any order.
+   are folded into a root by plain addition, then mixed with the node count.
    The serialization starts with the path, so the sum still distinguishes
    "same bytes at a different path". *)
 
@@ -162,11 +158,9 @@ let hash_node n =
   String.iter (fun c -> h := (!h lxor Char.code c) * fnv_prime) s;
   !h
 
-let combine ~root ~count = root lxor (count * fnv_prime)
-
 let digest tree =
   let root = List.fold_left (fun acc n -> acc + hash_node n) 0 tree in
-  combine ~root ~count:(List.length tree)
+  root lxor (List.length tree * fnv_prime)
 
 let equal_node a b =
   a.path = b.path && a.kind = b.kind && a.size = b.size && a.content = b.content

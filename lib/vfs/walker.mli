@@ -24,29 +24,14 @@ type tree = node list
 
 val capture : Handle.t -> tree
 
-val probe : Handle.t -> string -> node option
-(** Inspect the single node at [path] — [None] when it does not stat. Used by
-    the oracle's incremental digest maintainer to re-hash just the changed
-    paths; unlike crash-state mounts, the oracle's reference file system never
-    errors on a live path, so [None] simply means "absent". *)
-
 val find : tree -> string -> node option
 
-val hash_node : node -> int
-(** FNV-1a over a stable byte rendering of the node that covers every field
-    [equal_node] compares (plus [nlink] unconditionally): the canonical node
-    identity behind both tree digests here. *)
-
-val combine : root:int -> count:int -> int
-(** Fold a commutative sum of per-node hashes plus the node count into a tree
-    digest; exposed so incremental maintainers produce digests byte-identical
-    to {!digest}. *)
-
 val digest : tree -> int
-(** From-scratch tree digest: [combine] over the sum of [hash_node]. Equal
-    trees (per [equal] modulo the nlink-for-directories caveat) digest
-    equally; the test battery guards that differing xattrs / nlink / errors
-    change it. *)
+(** Tree digest: an FNV-1a hash per node, over a stable byte rendering that
+    covers every field [equal_node] compares (plus [nlink] unconditionally),
+    summed and mixed with the node count. Equal trees (per [equal] modulo
+    the nlink-for-directories caveat) digest equally; the test battery
+    guards that differing xattrs / nlink / errors change it. *)
 
 val equal_node : node -> node -> bool
 (** Compare kind, size, content and directory entries; compare [nlink] for

@@ -63,6 +63,12 @@ let int_field ~key s =
     | None -> Error (Printf.sprintf "bad integer in %S" s)
   else Error (Printf.sprintf "expected %s=<int>, got %S" key s)
 
+(* A data length: generating a negative-length payload would raise. *)
+let len_field s =
+  let* len = int_field ~key:"len" s in
+  if len < 0 then Error (Printf.sprintf "len must be non-negative, got %d" len)
+  else Ok len
+
 let bool_field ~key s =
   let prefix = key ^ "=" in
   if String.length s > String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -104,13 +110,13 @@ let parse_line line =
   | [ "write"; fd; seed; len ] ->
     let* fd_var = int fd in
     let* seed = int_field ~key:"seed" seed in
-    let* len = int_field ~key:"len" len in
+    let* len = len_field len in
     Ok (S.Write { fd_var; data = { seed; len } })
   | [ "pwrite"; fd; off; seed; len ] ->
     let* fd_var = int fd in
     let* off = int_field ~key:"off" off in
     let* seed = int_field ~key:"seed" seed in
-    let* len = int_field ~key:"len" len in
+    let* len = len_field len in
     Ok (S.Pwrite { fd_var; off; data = { seed; len } })
   | [ "read"; fd; len ] ->
     let* fd_var = int fd in

@@ -29,7 +29,7 @@ val line_of_call : Syscall.t -> string
 
 val parse_line : string -> (Syscall.t, string) result
 (** Inverse of {!line_of_call}; the input must be a single non-comment,
-    non-blank line. *)
+    non-blank line. A negative [len] on [write]/[pwrite] is an error. *)
 
 val save : path:string -> Syscall.t list -> unit
 val load : path:string -> (Syscall.t list, string) result

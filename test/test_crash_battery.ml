@@ -134,7 +134,7 @@ let run_battery (name, mk) =
 
    For every driver (the buggy catalog variant when one exists, so the
    comparison also covers non-empty finding sets), run a battery slice with
-   the vcache (keyed by incremental oracle digests) and without it, at
+   the vcache (keyed by oracle boundary digests) and without it, at
    jobs=1 and jobs=4, and require byte-identical finding fingerprints. *)
 
 module Campaign = Chipmunk.Campaign

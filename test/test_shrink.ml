@@ -147,7 +147,9 @@ let test_report_of_json_errors () =
   expect_error "wrong shape" "[1,2,3]";
   expect_error "missing fields" "{}";
   expect_error "bad workload line"
-    {|{"fs":"nova","kind":"unmountable","crash_point":{"fence_no":1,"during_syscall":0,"after_syscall":null,"subset":[0],"in_flight":1},"workload":["frobnicate /x"],"evidence":"e"}|}
+    {|{"fs":"nova","kind":"unmountable","crash_point":{"fence_no":1,"during_syscall":0,"after_syscall":null,"subset":[0],"in_flight":1},"workload":["frobnicate /x"],"evidence":"e"}|};
+  expect_error "negative write length"
+    {|{"fs":"nova","kind":"unmountable","crash_point":{"fence_no":1,"during_syscall":0,"after_syscall":null,"subset":[0],"in_flight":1},"workload":["creat /f 0","write 0 seed=1 len=-5"],"evidence":"e"}|}
 
 (* --- Reproduce error paths (satellite 3) --- *)
 

@@ -292,6 +292,8 @@ let test_workload_io_errors () =
   bad "creat /f notanumber";
   bad "write 0 seed=x len=1";
   bad "open /f O_BOGUS 0";
+  bad "write 0 seed=1 len=-5";
+  bad "pwrite 0 off=0 seed=1 len=-1";
   (match Vfs.Workload_io.of_string "# only comments\n\n" with
   | Ok [] -> ()
   | _ -> Alcotest.fail "comments/blank lines should parse to empty")
