@@ -14,18 +14,19 @@ test:
 # Minimizer smoke test: shrink one known catalogued bug to a reproducer
 # (must strictly reduce the workload and keep the fingerprint — the CLI
 # exits non-zero otherwise), then rebuild and re-verify the artifact.
-# Then the report-file flow: save a fuzz campaign's findings, minimize the
-# first saved report under the fuzzer's cap, and reproduce the result.
-shrink-smoke:
-	dune exec bin/chipmunk_cli.exe -- minimize --bug 4 --expect-shrink \
-	  --out _build/bug-4.repro.json
-	dune exec bin/chipmunk_cli.exe -- reproduce --bug 4 _build/bug-4.repro.json
-	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 96 \
-	  --seed 7 --save _build/fuzz-save
-	dune exec bin/chipmunk_cli.exe -- minimize \
-	  _build/fuzz-save/finding-00.report.json --buggy --cap 2
-	dune exec bin/chipmunk_cli.exe -- reproduce --buggy \
-	  _build/fuzz-save/finding-00.report.json.min.json
+# Then the report-file flow: save a fuzz campaign's findings, minimize
+# every saved report under the fuzzer's cap, and reproduce each result.
+CLI = _build/default/bin/chipmunk_cli.exe
+
+shrink-smoke: build
+	$(CLI) minimize --bug 4 --expect-shrink --out _build/bug-4.repro.json
+	$(CLI) reproduce --bug 4 _build/bug-4.repro.json
+	rm -rf _build/fuzz-save
+	$(CLI) fuzz --fs nova --buggy --execs 256 --seed 1 --save _build/fuzz-save
+	for f in _build/fuzz-save/finding-*.report.json; do \
+	  $(CLI) minimize $$f --buggy --cap 2 && \
+	  $(CLI) reproduce --buggy $$f.min.json || exit 1; \
+	done
 
 # Fuzzer smoke test: two short campaigns on buggy NOVA with the same seed
 # must find something and report the identical finding and triage cluster

@@ -603,8 +603,7 @@ let shrink_bench () =
   let all_preserved = List.for_all (fun (_, _, p, _) -> p) ok_rows in
   let all_reverify = List.for_all (fun (_, _, _, r) -> r) ok_rows in
   let total stat = List.fold_left (fun a (_, s, _, _) -> a + stat s) 0 ok_rows in
-  let recordings = total (fun s -> s.Shrink.Minimize.harness_runs) in
-  let replay_hits = total (fun s -> s.Shrink.Minimize.replay_probe_hits) in
+  let harness_runs = total (fun s -> s.Shrink.Minimize.harness_runs) in
   let m_before = median ops_before and m_after = median ops_after in
   Printf.printf
     "\n%d/%d minimized; workload strictly shorter for %d; median ops %.1f -> %.1f \
@@ -612,10 +611,7 @@ let shrink_bench () =
     (List.length ok_rows) (List.length Catalog.all) reduced m_before m_after
     (m_before /. Float.max 1.0 m_after)
     all_preserved all_reverify;
-  Printf.printf
-    "workload-ddmin probes: %d recordings, %d served by the trace-replay cache (%.1f%%)\n"
-    recordings replay_hits
-    (100.0 *. float_of_int replay_hits /. float_of_int (max 1 (recordings + replay_hits)));
+  Printf.printf "workload-ddmin probes: %d harness runs\n" harness_runs;
   let module J = Chipmunk.Json in
   let bug_obj ((b : Catalog.t), (s : Shrink.Minimize.stats), preserved, reverifies) =
     J.obj
@@ -628,7 +624,6 @@ let shrink_bench () =
         ("subset_after", string_of_int s.Shrink.Minimize.subset_after);
         ("harness_runs", string_of_int s.Shrink.Minimize.harness_runs);
         ("check_runs", string_of_int s.Shrink.Minimize.check_runs);
-        ("replay_probe_hits", string_of_int s.Shrink.Minimize.replay_probe_hits);
         ("fingerprint_preserved", string_of_bool preserved);
         ("reverifies", string_of_bool reverifies);
       ]
@@ -636,7 +631,7 @@ let shrink_bench () =
   let json =
     J.obj
       [
-        ("schema", J.str "chipmunk-bench-shrink/1");
+        ("schema", J.str "chipmunk-bench-shrink/2");
         ("jobs", string_of_int jobs);
         ("minimized", string_of_int (List.length ok_rows));
         ("bug_instances", string_of_int (List.length Catalog.all));
@@ -645,8 +640,7 @@ let shrink_bench () =
         ("median_ops_after", Printf.sprintf "%.1f" m_after);
         ("fingerprints_preserved", string_of_bool all_preserved);
         ("reproducers_reverify", string_of_bool all_reverify);
-        ("total_recordings", string_of_int recordings);
-        ("total_replay_probe_hits", string_of_int replay_hits);
+        ("total_harness_runs", string_of_int harness_runs);
         ("bugs", J.arr (List.map bug_obj ok_rows));
       ]
   in

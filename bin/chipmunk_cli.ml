@@ -50,7 +50,7 @@ type common = {
 let cap_arg =
   let doc =
     "Cap on in-flight writes replayed per crash state (0 = the subcommand default: \
-     exhaustive for ace/replay, 2 for fuzz)."
+     exhaustive for ace/replay/minimize, 2 for fuzz)."
   in
   Arg.(value & opt int 0 & info [ "cap" ] ~docv:"N" ~doc)
 
@@ -98,11 +98,11 @@ let footer ~crash_states ~dedup_hits ~vcache_hits ~truncated_points =
       "truncated: %d crash point(s) hit max_states_per_point; some crash states were not checked\n"
       truncated_points
 
-(* Harness opts from the shared flags; [default_cap] is the subcommand's
-   cap when --cap is 0 (None = exhaustive). *)
-let opts_of_common ?default_cap (c : common) =
-  let cap = if c.cap <= 0 then default_cap else Some c.cap in
-  { Chipmunk.Harness.default_opts with cap; dedup_states = not c.no_dedup }
+(* Harness opts from the --cap and --no-dedup flags; [default_cap] is the
+   subcommand's cap when --cap is 0 (None = exhaustive). *)
+let harness_opts ?default_cap ?(no_dedup = false) cap =
+  let cap = if cap <= 0 then default_cap else Some cap in
+  { Chipmunk.Harness.default_opts with cap; dedup_states = not no_dedup }
 
 let list_cmd =
   let run () =
@@ -166,7 +166,7 @@ let ace_cmd =
         1
       | Ok workloads ->
         let max_execs = if max_workloads = 0 then None else Some max_workloads in
-        let opts = opts_of_common c in
+        let opts = harness_opts ~no_dedup:c.no_dedup c.cap in
         let minimize =
           if c.minimize then Some (Shrink.Minimize.rewrite ~opts driver) else None
         in
@@ -226,7 +226,7 @@ let fuzz_cmd =
       1
     | Ok driver ->
       (* The paper runs the fuzzer with a replayed-writes cap of 2. *)
-      let opts = opts_of_common ~default_cap:2 c in
+      let opts = harness_opts ~default_cap:2 ~no_dedup:c.no_dedup c.cap in
       let exec = Chipmunk.Run.exec ~opts ~use_vcache:(not c.no_vcache) () in
       let budget =
         Chipmunk.Run.budget ~max_execs:execs
@@ -309,9 +309,8 @@ let replay_cmd =
         Printf.eprintf "cannot load %s: %s\n" file e;
         1
       | Ok workload ->
-        let exec =
-          Chipmunk.Run.exec ~opts:(opts_of_common c) ~use_vcache:(not c.no_vcache) ()
-        in
+        let opts = harness_opts ~no_dedup:c.no_dedup c.cap in
+        let exec = Chipmunk.Run.exec ~opts ~use_vcache:(not c.no_vcache) () in
         let r = Chipmunk.Run.workload ~exec driver workload in
         let st = r.Chipmunk.Harness.stats in
         Printf.printf "%s: %d crash states checked\n" fs st.Chipmunk.Harness.crash_states;
@@ -413,17 +412,9 @@ let resolve_source ~file ~bug ~fs ~buggy ~opts =
           (driver_of_name ~buggy fs))
   | None, None -> Error "pass a report FILE or --bug N"
 
-let legacy_cap_arg =
-  let doc = "Cap on in-flight writes replayed per crash state (0 = exhaustive)." in
-  Arg.(value & opt int 0 & info [ "cap" ] ~docv:"N" ~doc)
-
-let opts_of_cap cap =
-  if cap <= 0 then Chipmunk.Harness.default_opts
-  else { Chipmunk.Harness.default_opts with cap = Some cap }
-
 let minimize_cmd =
   let run file bug fs buggy cap out expect_shrink =
-    let opts = opts_of_cap cap in
+    let opts = harness_opts cap in
     match resolve_source ~file ~bug ~fs ~buggy ~opts with
     | Error e ->
       prerr_endline e;
@@ -437,12 +428,10 @@ let minimize_cmd =
       | Ok o ->
         let s = o.Shrink.Minimize.stats in
         Printf.printf
-          "workload: %d -> %d ops; replayed writes: %d -> %d (%d recordings, %d \
-           replay-cache hits, %d rebuilds)\n"
+          "workload: %d -> %d ops; replayed writes: %d -> %d (%d harness runs, %d rebuilds)\n"
           s.Shrink.Minimize.ops_before s.Shrink.Minimize.ops_after
           s.Shrink.Minimize.subset_before s.Shrink.Minimize.subset_after
-          s.Shrink.Minimize.harness_runs s.Shrink.Minimize.replay_probe_hits
-          s.Shrink.Minimize.check_runs;
+          s.Shrink.Minimize.harness_runs s.Shrink.Minimize.check_runs;
         let fp_preserved =
           Chipmunk.Report.fingerprint o.Shrink.Minimize.report
           = Chipmunk.Report.fingerprint report
@@ -464,7 +453,7 @@ let minimize_cmd =
     (Cmd.info "minimize"
        ~doc:"Shrink a finding to a minimal, replayable reproducer (delta debugging)")
     Term.(
-      const run $ report_file_arg $ bug_opt_arg $ fs_opt_arg $ buggy_arg $ legacy_cap_arg
+      const run $ report_file_arg $ bug_opt_arg $ fs_opt_arg $ buggy_arg $ cap_arg
       $ out_arg $ expect_shrink_arg)
 
 let reproduce_cmd =

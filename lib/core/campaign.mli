@@ -35,7 +35,7 @@ type result = {
           at [jobs > 1]; findings do not. *)
   truncated_points : int;
       (** Summed {!Harness.stats.truncated_points}: crash points where
-          [max_states_per_point] skipped crash states. *)
+          {!Harness.max_states_per_point} skipped crash states. *)
   elapsed : float;
   max_in_flight : int;
 }

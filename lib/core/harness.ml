@@ -5,7 +5,6 @@ module Image = Pmem.Image
 type opts = {
   cap : int option;
   coalesce : bool;
-  max_states_per_point : int;
   stop_on_first : bool;
   granularity : Pm.granularity;
   read_set_heuristic : bool;
@@ -16,7 +15,6 @@ let default_opts =
   {
     cap = None;
     coalesce = true;
-    max_states_per_point = 512;
     stop_on_first = false;
     granularity = Pm.Function_level;
     read_set_heuristic = false;
@@ -57,6 +55,8 @@ type crash_point = {
 }
 
 exception Stop
+
+let max_states_per_point = 512
 
 (* Enumerate index subsets of {0..n-1} in increasing size order, invoking
    [yield] on each; sizes above [cap] are skipped, and enumeration stops
@@ -419,7 +419,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       stats.max_in_flight <- max stats.max_in_flight n;
       let point_seen : (int, unit) Hashtbl.t = Hashtbl.create 32 in
       let truncated =
-        enumerate_subsets ~n ~cap:opts.cap ~limit:opts.max_states_per_point (fun idxs ->
+        enumerate_subsets ~n ~cap:opts.cap ~limit:max_states_per_point (fun idxs ->
             List.iter
               (fun base_units -> check_state p ~point_seen ~base_units units_arr idxs)
               bases)

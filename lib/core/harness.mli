@@ -14,9 +14,6 @@ type opts = {
           ([None] = exhaustive). The paper finds a cap of 2 exposes every
           bug in its corpus (Observation 7). *)
   coalesce : bool;  (** Fuse logically-related stores (section 3.2). *)
-  max_states_per_point : int;
-      (** Safety valve on subset explosion; crash points it cuts are
-          counted in [stats.truncated_points]. *)
   stop_on_first : bool;  (** Stop at the first unique report (campaigns). *)
   granularity : Persist.Pm.granularity;
       (** Function-level (Chipmunk, the default) or instruction-level
@@ -44,6 +41,10 @@ type opts = {
 
 val default_opts : opts
 
+val max_states_per_point : int
+(** Safety valve on subset explosion (512): a crash point's subset
+    enumeration stops after this many crash states. *)
+
 type stats = {
   mutable crash_points : int;
   mutable crash_states : int;
@@ -67,7 +68,7 @@ type stats = {
           populated the cache first; findings are unaffected either way. *)
   mutable truncated_points : int;
       (** Crash points whose subset enumeration was cut short by
-          [opts.max_states_per_point]: some crash states there were never
+          {!max_states_per_point}: some crash states there were never
           built or checked. *)
 }
 
@@ -103,8 +104,7 @@ val replay_recorded :
   result
 (** Phases 2–3 on an existing recording: oracle + crash-state replay, on a
     snapshot of [rec_base] (the recording stays reusable). Equivalent to
-    {!test_workload} on the recording's calls, minus the re-recording —
-    the probe primitive behind [Shrink.Minimize]'s trace-replay cache. *)
+    {!test_workload} on the recording's calls, minus the re-recording. *)
 
 val test_workload :
   ?opts:opts ->

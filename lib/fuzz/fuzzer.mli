@@ -87,7 +87,7 @@ type result = {
           other count in this record. *)
   truncated_points : int;
       (** Summed {!Chipmunk.Harness.stats.truncated_points}: crash points
-          where [max_states_per_point] skipped crash states. *)
+          where {!Chipmunk.Harness.max_states_per_point} skipped crash states. *)
   events : event list;  (** Unique findings in discovery order. *)
   clusters : Triage.cluster list;
   elapsed : float;

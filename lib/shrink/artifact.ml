@@ -36,7 +36,6 @@ let stats_json (s : Minimize.stats) =
       ("subset_after", string_of_int s.Minimize.subset_after);
       ("harness_runs", string_of_int s.Minimize.harness_runs);
       ("check_runs", string_of_int s.Minimize.check_runs);
-      ("replay_probe_hits", string_of_int s.Minimize.replay_probe_hits);
     ]
 
 let to_json t =
@@ -62,20 +61,7 @@ let stats_of_json j =
   let* subset_after = int_member "subset_after" j in
   let* harness_runs = int_member "harness_runs" j in
   let* check_runs = int_member "check_runs" j in
-  (* Absent in pre-trace-replay artifacts; default rather than reject. *)
-  let replay_probe_hits =
-    match Json.member "replay_probe_hits" j with Some (Json.Int i) -> i | _ -> 0
-  in
-  Ok
-    {
-      Minimize.ops_before;
-      ops_after;
-      subset_before;
-      subset_after;
-      harness_runs;
-      check_runs;
-      replay_probe_hits;
-    }
+  Ok { Minimize.ops_before; ops_after; subset_before; subset_after; harness_runs; check_runs }
 
 let culprit_of_json j =
   let* seq = int_member "seq" j in
@@ -146,10 +132,9 @@ let pp ppf t =
   | None -> ()
   | Some s ->
     Format.fprintf ppf
-      "minimized: %d -> %d ops, %d -> %d replayed writes (%d recordings, %d replay-cache hits, %d rebuilds)@."
+      "minimized: %d -> %d ops, %d -> %d replayed writes (%d harness runs, %d rebuilds)@."
       s.Minimize.ops_before s.Minimize.ops_after s.Minimize.subset_before
-      s.Minimize.subset_after s.Minimize.harness_runs s.Minimize.replay_probe_hits
-      s.Minimize.check_runs);
+      s.Minimize.subset_after s.Minimize.harness_runs s.Minimize.check_runs);
   match t.culprits with
   | [] -> ()
   | cs ->

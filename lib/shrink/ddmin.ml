@@ -1,4 +1,4 @@
-type stats = { probes : int; cache_hits : int; probe_cache_hits : int }
+type stats = { probes : int; cache_hits : int }
 
 (* Split [l] into [n] contiguous chunks whose sizes differ by at most one
    (the first [len mod n] chunks get the extra element). *)
@@ -19,7 +19,7 @@ let split l n =
   in
   go l 0
 
-let run ?probe_cache_hits ~test items =
+let run ~test items =
   let arr = Array.of_list items in
   let len0 = Array.length arr in
   (* ddmin works on index lists so memoization keys are compact and the
@@ -72,10 +72,4 @@ let run ?probe_cache_hits ~test items =
     if len0 = 0 || check [] then []
     else go (List.init len0 Fun.id) (min 2 len0)
   in
-  ( List.map (fun i -> arr.(i)) result,
-    {
-      probes = !probes;
-      cache_hits = !hits;
-      probe_cache_hits =
-        (match probe_cache_hits with None -> 0 | Some r -> !r);
-    } )
+  (List.map (fun i -> arr.(i)) result, { probes = !probes; cache_hits = !hits })

@@ -13,21 +13,11 @@
 type stats = {
   probes : int;  (** Distinct candidates actually passed to [test]. *)
   cache_hits : int;  (** Candidates answered from the memo table. *)
-  probe_cache_hits : int;
-      (** Probes that [test] itself answered cheaply from a caller-side
-          cache (e.g. {!Minimize}'s trace-replay probe, which skips
-          re-recording when the candidate is a prefix of a memoized
-          recording). [0] unless the caller passed [?probe_cache_hits]. *)
 }
 
-val run : ?probe_cache_hits:int ref -> test:('a list -> bool) -> 'a list -> 'a list * stats
+val run : test:('a list -> bool) -> 'a list -> 'a list * stats
 (** [run ~test items] assumes [test items = true] (if it is not, no
     reduction is found and the input comes back unchanged). The empty
     candidate is probed first, so a vacuously reproducible predicate
     minimizes to []. [test] must be deterministic: probe results are
-    memoized by candidate.
-
-    [?probe_cache_hits] is a counter owned and incremented by [test]; its
-    final value is reported back in [stats.probe_cache_hits] so callers
-    that layer their own probe cache under [test] get one coherent stats
-    record. *)
+    memoized by candidate. *)

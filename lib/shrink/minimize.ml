@@ -18,17 +18,23 @@ type stats = {
   subset_after : int;
   harness_runs : int;
   check_runs : int;
-  replay_probe_hits : int;
 }
 
 type outcome = { report : R.t; stats : stats; culprits : culprit list }
 
 (* fd-var closure: walk the candidate in order, keeping track of which
-   fd-vars a surviving creat/open has bound, and drop any call that uses an
-   unbound one. A close does not unbind — the original program may legally
-   probe a closed descriptor (the executor answers EBADF), and a repair
-   must never be stricter than the program it repairs. *)
-let repair_fds calls =
+   fd-vars a surviving creat/open has bound, and drop any call that uses one
+   the input binds but the candidate has not bound yet. An fd-var the input
+   never binds (the fuzzer's -1, say) was already unbound in the input, so
+   its uses stay. A close does not unbind — the original program may
+   legally probe a closed descriptor (the executor answers EBADF), and a
+   repair must never be stricter than the program it repairs. *)
+let repair_fds ~input calls =
+  let bindable =
+    List.filter_map
+      (function S.Creat { fd_var; _ } | S.Open { fd_var; _ } -> Some fd_var | _ -> None)
+      input
+  in
   let bound : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   List.filter
     (fun call ->
@@ -44,7 +50,7 @@ let repair_fds calls =
       | S.Fallocate { fd_var; _ }
       | S.Fsync { fd_var }
       | S.Fdatasync { fd_var } ->
-        Hashtbl.mem bound fd_var
+        Hashtbl.mem bound fd_var || not (List.mem fd_var bindable)
       | S.Mkdir _ | S.Link _ | S.Unlink _ | S.Remove _ | S.Rename _ | S.Truncate _
       | S.Rmdir _ | S.Sync | S.Setxattr _ | S.Removexattr _ ->
         true)
@@ -56,91 +62,32 @@ let with_subset (report : R.t) subset =
 let calls_key calls = String.concat "\n" (List.map S.to_string calls)
 let subset_key subset = String.concat "," (List.map string_of_int subset)
 
-let rec is_prefix pre l =
-  match (pre, l) with
-  | [], _ -> true
-  | x :: pre', y :: l' -> x = y && is_prefix pre' l'
-  | _ :: _, [] -> false
-
-(* The file systems under test are deterministic, so the PM trace of a
-   prefix workload is exactly the prefix of the full recording's trace up
-   to the [calls_kept]-th Syscall_end marker. *)
-let truncate_trace trace ~calls_kept =
-  let t = Persist.Trace.create () in
-  (try
-     Persist.Trace.iter trace (fun op ->
-         Persist.Trace.record t op;
-         match op with
-         | Persist.Trace.Syscall_end { idx; _ } when idx >= calls_kept - 1 -> raise Exit
-         | _ -> ())
-   with Exit -> ());
-  t
-
-(* Recordings kept for prefix matching; a dropped one just means the next
-   matching probe re-records. Each recording holds a full device image, so
-   the memo is deliberately small. *)
-let max_memo_recordings = 8
-
 (* Phase 1: ddmin over the workload. Each probe repairs the candidate,
-   rebuilds its crash states and asks whether any report still carries the
-   target fingerprint. The report for the winning candidate is re-derived
-   from its own run, so its crash point (fence numbering, syscall indices,
-   subset) is consistent with the shorter trace.
-
-   Probes lean on two caches. The trace-replay cache: when the candidate is
-   a syscall prefix of a memoized recording (ddmin probes contiguous
-   chunks, so first-chunk and drop-a-tail-chunk candidates are prefixes —
-   of the seeded full-workload recording to begin with), phase 1 is skipped
-   and crash states are rebuilt from the truncated cached trace. And a
-   per-minimization {!Chipmunk.Vcache}: candidates share most of their
-   crash states, so verdicts memoized on one probe answer the next. *)
+   runs it through {!Chipmunk.Harness.test_workload} — the same record,
+   walk and check every campaign uses — and asks whether any report still
+   carries the target fingerprint. The report for the winning candidate is
+   re-derived from its own run, so its crash point (fence numbering,
+   syscall indices, subset) is consistent with the shorter trace. Probes
+   share a per-minimization {!Chipmunk.Vcache}: candidates share most of
+   their crash states, so verdicts memoized on one probe answer the next. *)
 let minimize_workload ~opts driver (report : R.t) =
   let target = R.fingerprint report in
   let runs = ref 0 in
-  let replay_hits = ref 0 in
   let vcache = Chipmunk.Vcache.create () in
   let matched : (string, R.t) Hashtbl.t = Hashtbl.create 16 in
-  let recordings = ref [] (* newest first, capped *) in
-  let record calls =
-    incr runs;
-    let r = Chipmunk.Harness.record ~opts driver calls in
-    recordings := r :: List.filteri (fun i _ -> i < max_memo_recordings - 1) !recordings;
-    r
-  in
-  ignore (record report.R.workload);
-  let recording_for calls =
-    match
-      List.find_opt
-        (fun (r : Chipmunk.Harness.recording) ->
-          is_prefix calls r.Chipmunk.Harness.rec_calls)
-        !recordings
-    with
-    | Some r ->
-      incr replay_hits;
-      if List.length calls = List.length r.Chipmunk.Harness.rec_calls then r
-      else
-        {
-          r with
-          Chipmunk.Harness.rec_calls = calls;
-          rec_trace =
-            truncate_trace r.Chipmunk.Harness.rec_trace ~calls_kept:(List.length calls);
-          rec_outcomes = [];
-        }
-    | None -> record calls
-  in
   let probe calls =
-    let r = Chipmunk.Harness.replay_recorded ~opts ~vcache driver (recording_for calls) in
+    incr runs;
+    let r = Chipmunk.Harness.test_workload ~opts ~vcache driver calls in
     match List.find_opt (fun r' -> R.fingerprint r' = target) r.Chipmunk.Harness.reports with
     | Some r' ->
       Hashtbl.replace matched (calls_key calls) r';
       true
     | None -> false
   in
-  let test candidate =
-    match repair_fds candidate with [] -> false | calls -> probe calls
-  in
-  let minimized, _ = Ddmin.run ~probe_cache_hits:replay_hits ~test report.R.workload in
-  let calls = repair_fds minimized in
+  let repair = repair_fds ~input:report.R.workload in
+  let test candidate = match repair candidate with [] -> false | calls -> probe calls in
+  let minimized, _ = Ddmin.run ~test report.R.workload in
+  let calls = repair minimized in
   let final =
     match Hashtbl.find_opt matched (calls_key calls) with
     | Some r' -> Some r'
@@ -149,7 +96,7 @@ let minimize_workload ~opts driver (report : R.t) =
          fall back to the input report rather than probing again. *)
       if calls = report.R.workload then Some report else None
   in
-  (final, !runs, !replay_hits)
+  (final, !runs)
 
 (* Phase 2: ddmin over the replayed in-flight subset, using the
    deterministic crash-state rebuild as the probe. A candidate passes when
@@ -216,8 +163,8 @@ let run ?(opts = Chipmunk.Harness.default_opts) driver (report : R.t) =
   let ops_before = List.length report.R.workload in
   let subset_before = List.length report.R.crash_point.R.subset in
   match minimize_workload ~opts driver report with
-  | None, _, _ -> Error "the report does not reproduce under this driver and these options"
-  | Some wl_min, harness_runs, replay_probe_hits ->
+  | None, _ -> Error "the report does not reproduce under this driver and these options"
+  | Some wl_min, harness_runs ->
     let final, check_runs = minimize_subset ~opts driver wl_min in
     if R.fingerprint final <> target then
       Error "minimization changed the fingerprint (ddmin accepted a bad candidate)"
@@ -233,7 +180,6 @@ let run ?(opts = Chipmunk.Harness.default_opts) driver (report : R.t) =
               subset_after = List.length final.R.crash_point.R.subset;
               harness_runs;
               check_runs;
-              replay_probe_hits;
             };
           culprits = culprits_of ~opts driver final;
         }

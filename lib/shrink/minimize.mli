@@ -10,16 +10,12 @@
     harness re-run still produces a report with the {e same fingerprint}:
 
     - {b workload minimization}: ddmin over the report's syscalls, each
-      probe a harness run of the candidate. Candidates are first closed
-      over fd-vars ({!repair_fds}) so dropping an [open] or [creat] does
-      not leave later calls referencing a descriptor that no longer
-      exists. Probes are served by a trace-replay cache when possible:
-      a candidate that is a syscall prefix of a memoized recording (the
-      full workload's recording seeds the memo) skips re-recording and
-      rebuilds crash states from the cached trace, truncated at the
-      candidate's last [Syscall_end]; a per-minimization
-      {!Chipmunk.Vcache} additionally memoizes checker verdicts across
-      probes.
+      probe a {!Chipmunk.Harness.test_workload} run of the candidate — the
+      same crash-state pipeline every campaign runs. Candidates are first
+      closed over fd-vars ({!repair_fds}) so dropping an [open] or [creat]
+      does not leave later calls referencing a descriptor that no longer
+      exists. A per-minimization {!Chipmunk.Vcache} memoizes checker
+      verdicts across probes.
     - {b crash-subset minimization}: ddmin over the crash point's replayed
       in-flight writes, each probe a {!Chipmunk.Reproduce.crash_state}
       rebuild + check under the same harness opts — yielding the smallest
@@ -42,17 +38,8 @@ type stats = {
   ops_after : int;
   subset_before : int;
   subset_after : int;
-  harness_runs : int;
-      (** Workload recordings performed during workload ddmin (including
-          the seed recording of the full workload); probes answered by the
-          trace-replay cache do not re-record and are counted in
-          [replay_probe_hits] instead. *)
+  harness_runs : int;  (** Workload-ddmin probes run through the harness. *)
   check_runs : int;  (** Crash-state rebuilds spent on subset ddmin. *)
-  replay_probe_hits : int;
-      (** Workload-ddmin probes whose crash states were rebuilt from a
-          memoized recording's truncated trace instead of a fresh
-          phase-1 run (also surfaced as
-          {!Ddmin.stats.probe_cache_hits}). *)
 }
 
 type outcome = {
@@ -64,10 +51,14 @@ type outcome = {
   culprits : culprit list;  (** One per write in the final subset. *)
 }
 
-val repair_fds : Vfs.Syscall.t list -> Vfs.Syscall.t list
-(** Drop every call that uses an fd-var no surviving earlier [creat]/[open]
-    binds. Calls that never bind or use descriptors pass through; a
-    workload that was fd-closed already comes back unchanged. *)
+val repair_fds : input:Vfs.Syscall.t list -> Vfs.Syscall.t list -> Vfs.Syscall.t list
+(** [repair_fds ~input candidate] drops every call of [candidate] that uses
+    an fd-var some [creat]/[open] of [input] binds but no surviving earlier
+    [creat]/[open] of [candidate] does. Uses of an fd-var [input] never
+    binds (the fuzzer's [-1] when no descriptor is open) were unbound in
+    [input] too, and stay. Calls that never bind or use descriptors pass
+    through; [repair_fds ~input input] is [input] for any workload whose
+    uses follow their binds. *)
 
 val run :
   ?opts:Chipmunk.Harness.opts ->

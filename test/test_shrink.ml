@@ -47,9 +47,18 @@ let test_ddmin_one_minimal () =
 
 (* --- fd-var repair --- *)
 
+(* The fuzzer's shape of finding: [Prog] writes to fd-var -1 when no
+   descriptor is open, and no call binds -1. *)
+let unbound_pwrite_workload =
+  [
+    S.Creat { path = "/dir"; fd_var = 0 };
+    S.Pwrite { fd_var = -1; off = 376; data = { seed = 50641; len = 14 } };
+  ]
+
 let test_repair_drops_orphans () =
-  let calls =
+  let input =
     [
+      S.Creat { path = "/f"; fd_var = 0 };
       S.Write { fd_var = 0; data = { seed = 1; len = 10 } };
       S.Mkdir { path = "/d" };
       S.Close { fd_var = 0 };
@@ -57,7 +66,17 @@ let test_repair_drops_orphans () =
   in
   Alcotest.(check (list string))
     "calls on an unbound fd-var dropped, path calls kept" [ "mkdir /d" ]
-    (List.map S.to_string (Shrink.Minimize.repair_fds calls))
+    (List.map S.to_string (Shrink.Minimize.repair_fds ~input (List.tl input)));
+  (* An fd-var the input never binds is not orphaned by dropping a call. *)
+  let input = unbound_pwrite_workload in
+  Alcotest.(check (list string))
+    "uses of an fd-var the input never binds kept"
+    (List.map S.to_string input)
+    (List.map S.to_string (Shrink.Minimize.repair_fds ~input input));
+  Alcotest.(check (list string))
+    "... also once the creat is dropped"
+    (List.map S.to_string (List.tl input))
+    (List.map S.to_string (Shrink.Minimize.repair_fds ~input (List.tl input)))
 
 let test_repair_keeps_closed_workloads () =
   let calls =
@@ -71,7 +90,7 @@ let test_repair_keeps_closed_workloads () =
     ]
   in
   Alcotest.(check int) "fd-closed workload unchanged" (List.length calls)
-    (List.length (Shrink.Minimize.repair_fds calls))
+    (List.length (Shrink.Minimize.repair_fds ~input:calls calls))
 
 (* --- End-to-end minimization over the catalog --- *)
 
@@ -104,6 +123,29 @@ let test_minimize_bug4 () =
     Alcotest.(check int) "one culprit annotation per surviving write"
       (List.length o.Shrink.Minimize.report.R.crash_point.R.subset)
       (List.length o.Shrink.Minimize.culprits)
+
+(* A finding whose crash point follows a call on an fd-var the workload
+   never binds: minimization must keep that call, not drop it as an orphan
+   and lose the crash point. *)
+let test_minimize_unbound_fd_var () =
+  let opts = { Chipmunk.Harness.default_opts with cap = Some 2 } in
+  let driver =
+    match Catalog.buggy_driver "nova" with
+    | Some mk -> mk ()
+    | None -> Alcotest.fail "no buggy nova driver"
+  in
+  let target = "nova/inaccessible/after:pwrite/stat: EIO" in
+  let r = Chipmunk.Harness.test_workload ~opts driver unbound_pwrite_workload in
+  match List.find_opt (fun rep -> R.fingerprint rep = target) r.Chipmunk.Harness.reports with
+  | None -> Alcotest.fail ("no " ^ target ^ " report")
+  | Some rep -> (
+    match Shrink.Minimize.run ~opts driver rep with
+    | Error e -> Alcotest.fail e
+    | Ok o ->
+      Alcotest.(check string) "fingerprint preserved" target
+        (R.fingerprint o.Shrink.Minimize.report);
+      Alcotest.(check bool) "minimized reproducer re-verifies" true
+        (Chipmunk.Reproduce.verify ~opts driver o.Shrink.Minimize.report))
 
 let test_minimize_rewrite_total () =
   (* rewrite on a report that cannot reproduce (clean driver) is identity. *)
@@ -326,6 +368,7 @@ let suite =
       test_repair_keeps_closed_workloads;
     Alcotest.test_case "minimize: bug 4 shrinks and re-verifies" `Quick test_minimize_bug4;
     Alcotest.test_case "minimize: rewrite is total" `Quick test_minimize_rewrite_total;
+    Alcotest.test_case "minimize: unbound fd-var use kept" `Quick test_minimize_unbound_fd_var;
     Alcotest.test_case "report json: catalog round trip" `Quick test_report_roundtrip_catalog;
     Alcotest.test_case "report json: malformed input is an error" `Quick
       test_report_of_json_errors;

@@ -1,8 +1,8 @@
 (* Tests for the cross-workload verdict cache and the incremental image
    digest underneath it: digest maintenance under every mutation path
    (including undo-log rollback), cache transparency (findings identical
-   with the cache on or off, at any job count), the record/replay split of
-   the harness, and the minimizer's trace-replay probe cache. *)
+   with the cache on or off, at any job count), and the record/replay
+   split of the harness. *)
 
 module Campaign = Chipmunk.Campaign
 module Harness = Chipmunk.Harness
@@ -220,32 +220,6 @@ let test_replay_recorded_equals_test_workload () =
         (List.map R.fingerprint again.Harness.reports))
     (List.filteri (fun i _ -> i < 6) Catalog.all)
 
-(* --- Minimizer trace-replay probe cache --- *)
-
-let test_minimize_replay_probe_hits () =
-  let b =
-    match List.find_opt (fun (b : Catalog.t) -> b.Catalog.bug_no = 4) Catalog.all with
-    | Some b -> b
-    | None -> Alcotest.fail "no catalogued bug 4"
-  in
-  let driver = b.Catalog.driver () in
-  let rep =
-    match (Harness.test_workload driver b.Catalog.trigger).Harness.reports with
-    | r :: _ -> r
-    | [] -> Alcotest.fail "bug 4 trigger found nothing"
-  in
-  match Shrink.Minimize.run driver rep with
-  | Error e -> Alcotest.fail e
-  | Ok o ->
-    let s = o.Shrink.Minimize.stats in
-    Alcotest.(check string) "fingerprint preserved" (R.fingerprint rep)
-      (R.fingerprint o.Shrink.Minimize.report);
-    Alcotest.(check bool)
-      (Printf.sprintf "some probes served by trace replay (%d hits, %d recordings)"
-         s.Shrink.Minimize.replay_probe_hits s.Shrink.Minimize.harness_runs)
-      true
-      (s.Shrink.Minimize.replay_probe_hits > 0)
-
 let suite =
   [
     Alcotest.test_case "digest: incremental == rehash under random writes" `Quick
@@ -265,6 +239,4 @@ let suite =
       test_harness_vcache_second_run_hits;
     Alcotest.test_case "harness: replay_recorded == test_workload" `Quick
       test_replay_recorded_equals_test_workload;
-    Alcotest.test_case "minimize: probes served by trace replay" `Quick
-      test_minimize_replay_probe_hits;
   ]
