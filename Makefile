@@ -16,6 +16,9 @@ test:
 # exits non-zero otherwise), then rebuild and re-verify the artifact.
 # Then the report-file flow: save a fuzz campaign's findings, minimize
 # every saved report under the fuzzer's cap, and reproduce each result.
+# Last, the two CLI paths that minimize a run's findings after it: an ACE
+# campaign with --minimize must print the same fingerprints as without,
+# and replay --minimize must succeed on a saved fuzz workload.
 CLI = _build/default/bin/chipmunk_cli.exe
 
 shrink-smoke: build
@@ -27,6 +30,13 @@ shrink-smoke: build
 	  $(CLI) minimize $$f --buggy --cap 2 && \
 	  $(CLI) reproduce --buggy $$f.min.json || exit 1; \
 	done
+	$(CLI) ace --fs nova --buggy --suite seq1 \
+	  | grep '^fingerprint' > _build/shrink-smoke-ace.txt
+	$(CLI) ace --fs nova --buggy --suite seq1 --minimize \
+	  | grep '^fingerprint' > _build/shrink-smoke-ace-min.txt
+	test -s _build/shrink-smoke-ace.txt
+	diff -u _build/shrink-smoke-ace.txt _build/shrink-smoke-ace-min.txt
+	$(CLI) replay --fs nova --buggy --minimize _build/fuzz-save/finding-00.workload
 
 # Fuzzer smoke test: two short campaigns on buggy NOVA with the same seed
 # must find something and report the identical finding and triage cluster

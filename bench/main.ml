@@ -91,7 +91,7 @@ let ace_suite () =
 
 let figure3 () =
   header "Figure 3: cumulative CPU time to find each bug, ACE vs fuzzer";
-  let opts = { Chipmunk.Harness.default_opts with cap = Some 2; stop_on_first = true } in
+  let opts = { Chipmunk.Harness.default_opts with cap = Some 2 } in
   let results =
     List.map
       (fun (b : Catalog.t) ->

@@ -9,10 +9,10 @@
      chipmunk-cli reproduce bug.repro.json    rebuild and re-verify a reproducer
 
    The campaign-style subcommands (ace, fuzz, replay) parse one shared
-   execution/budget flag table — --cap, --no-dedup, --no-vcache,
-   --max-seconds, --stop-after, --minimize — into the Chipmunk.Run records
-   instead of keeping per-subcommand copies. Only ace shards its work, so
-   --jobs is an ace flag. *)
+   flag table — --cap, --no-dedup, --no-vcache, --minimize — instead of
+   keeping per-subcommand copies. The budget flags --max-seconds and
+   --stop-after apply to the multi-workload runs, ace and fuzz. Only ace
+   shards its work, so --jobs is an ace flag. *)
 
 open Cmdliner
 
@@ -36,14 +36,12 @@ let buggy_arg =
   let doc = "Arm the catalogued bugs of the chosen file system." in
   Arg.(value & flag & info [ "buggy" ] ~doc)
 
-(* --- The shared execution/budget flag table --- *)
+(* --- The shared flag table --- *)
 
 type common = {
   cap : int;  (* 0 = subcommand default *)
   no_dedup : bool;
   no_vcache : bool;
-  max_seconds : float option;
-  stop_after : int option;
   minimize : bool;
 }
 
@@ -79,12 +77,8 @@ let minimize_flag =
   Arg.(value & flag & info [ "minimize" ] ~doc)
 
 let common_term =
-  let mk cap no_dedup no_vcache max_seconds stop_after minimize =
-    { cap; no_dedup; no_vcache; max_seconds; stop_after; minimize }
-  in
-  Term.(
-    const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ max_seconds_arg $ stop_after_arg
-    $ minimize_flag)
+  let mk cap no_dedup no_vcache minimize = { cap; no_dedup; no_vcache; minimize } in
+  Term.(const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ minimize_flag)
 
 (* The shared stats footer: the "cache:" line (hit counts and rates over
    the enumerated crash states), then a "truncated:" line when the subset
@@ -144,7 +138,7 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let ace_cmd =
-  let run fs buggy suite max_workloads jobs (c : common) =
+  let run fs buggy suite max_workloads jobs (c : common) max_seconds stop_after =
     match driver_of_name ~buggy fs with
     | Error e ->
       prerr_endline e;
@@ -167,15 +161,9 @@ let ace_cmd =
       | Ok workloads ->
         let max_execs = if max_workloads = 0 then None else Some max_workloads in
         let opts = harness_opts ~no_dedup:c.no_dedup c.cap in
-        let minimize =
-          if c.minimize then Some (Shrink.Minimize.rewrite ~opts driver) else None
-        in
-        let exec =
-          Chipmunk.Run.exec ~opts ?minimize ~jobs ~use_vcache:(not c.no_vcache) ()
-        in
+        let exec = Chipmunk.Run.exec ~opts ~jobs ~use_vcache:(not c.no_vcache) () in
         let budget =
-          Chipmunk.Run.budget ?max_execs ?max_seconds:c.max_seconds
-            ?stop_after_findings:c.stop_after ()
+          Chipmunk.Run.budget ?max_execs ?max_seconds ?stop_after_findings:stop_after ()
         in
         let r = Chipmunk.Campaign.run ~exec ~budget driver workloads in
         Printf.printf
@@ -187,22 +175,35 @@ let ace_cmd =
           ~dedup_hits:r.Chipmunk.Campaign.dedup_hits
           ~vcache_hits:r.Chipmunk.Campaign.vcache_hits
           ~truncated_points:r.Chipmunk.Campaign.truncated_points;
-        if r.Chipmunk.Campaign.events = [] then print_endline "no bugs found"
+        let events =
+          if not c.minimize then r.Chipmunk.Campaign.events
+          else
+            List.map
+              (fun (e : Chipmunk.Campaign.event) ->
+                {
+                  e with
+                  Chipmunk.Campaign.report =
+                    Shrink.Minimize.rewrite ~opts driver e.Chipmunk.Campaign.report;
+                })
+              r.Chipmunk.Campaign.events
+        in
+        if events = [] then print_endline "no bugs found"
         else begin
-          Printf.printf "%d unique finding(s):\n" (List.length r.Chipmunk.Campaign.events);
+          Printf.printf "%d unique finding(s):\n" (List.length events);
           List.iter
             (fun (e : Chipmunk.Campaign.event) ->
               Printf.printf "\n--- found in %s after %.2fs ---\n%s" e.Chipmunk.Campaign.workload_name
                 e.Chipmunk.Campaign.elapsed
                 (Format.asprintf "%a" Chipmunk.Report.pp e.Chipmunk.Campaign.report))
-            r.Chipmunk.Campaign.events
+            events
         end;
         0)
   in
   Cmd.v
     (Cmd.info "ace" ~doc:"Run an ACE workload suite under Chipmunk")
     Term.(
-      const run $ fs_arg $ buggy_arg $ suite_arg $ max_workloads_arg $ jobs_arg $ common_term)
+      const run $ fs_arg $ buggy_arg $ suite_arg $ max_workloads_arg $ jobs_arg $ common_term
+      $ max_seconds_arg $ stop_after_arg)
 
 let execs_arg =
   let doc = "Maximum fuzzer executions." in
@@ -219,7 +220,7 @@ let save_arg =
   Arg.(value & opt (some string) None & info [ "save" ] ~docv:"DIR" ~doc)
 
 let fuzz_cmd =
-  let run fs buggy execs seed save (c : common) =
+  let run fs buggy execs seed save (c : common) max_seconds stop_after =
     match driver_of_name ~buggy fs with
     | Error e ->
       prerr_endline e;
@@ -230,8 +231,8 @@ let fuzz_cmd =
       let exec = Chipmunk.Run.exec ~opts ~use_vcache:(not c.no_vcache) () in
       let budget =
         Chipmunk.Run.budget ~max_execs:execs
-          ~max_seconds:(Option.value c.max_seconds ~default:30.0)
-          ?stop_after_findings:c.stop_after ()
+          ~max_seconds:(Option.value max_seconds ~default:30.0)
+          ?stop_after_findings:stop_after ()
       in
       let config = Fuzz.Fuzzer.config ~rng_seed:seed ~budget ~exec () in
       let r = Fuzz.Fuzzer.run ~config driver in
@@ -291,7 +292,9 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a gray-box fuzzing campaign under Chipmunk")
-    Term.(const run $ fs_arg $ buggy_arg $ execs_arg $ seed_arg $ save_arg $ common_term)
+    Term.(
+      const run $ fs_arg $ buggy_arg $ execs_arg $ seed_arg $ save_arg $ common_term
+      $ max_seconds_arg $ stop_after_arg)
 
 let file_arg =
   let doc = "Workload file (one syscall per line; see Vfs.Workload_io)." in
@@ -310,8 +313,8 @@ let replay_cmd =
         1
       | Ok workload ->
         let opts = harness_opts ~no_dedup:c.no_dedup c.cap in
-        let exec = Chipmunk.Run.exec ~opts ~use_vcache:(not c.no_vcache) () in
-        let r = Chipmunk.Run.workload ~exec driver workload in
+        let vcache = if c.no_vcache then None else Some (Chipmunk.Vcache.create ()) in
+        let r = Chipmunk.Harness.test_workload ~opts ?vcache driver workload in
         let st = r.Chipmunk.Harness.stats in
         Printf.printf "%s: %d crash states checked\n" fs st.Chipmunk.Harness.crash_states;
         footer ~crash_states:st.Chipmunk.Harness.crash_states
@@ -323,6 +326,10 @@ let replay_cmd =
           print_endline "crash consistent";
           0
         | reports ->
+          let reports =
+            if c.minimize then List.map (Shrink.Minimize.rewrite ~opts driver) reports
+            else reports
+          in
           List.iter (fun rep -> Format.printf "%a" Chipmunk.Report.pp rep) reports;
           0))
   in
@@ -481,26 +488,18 @@ let reproduce_cmd =
           prerr_endline e;
           1
         | Ok driver -> (
-          match Chipmunk.Reproduce.crash_state driver report with
+          match Chipmunk.Reproduce.matching_kind driver report with
           | Error e ->
             Printf.eprintf "cannot rebuild the crash state: %s\n" e;
             1
-          | Ok cs ->
-            let target = Chipmunk.Report.fingerprint report in
-            let kinds = cs.Chipmunk.Reproduce.check () in
-            let hit =
-              List.exists
-                (fun k ->
-                  Chipmunk.Report.fingerprint { report with Chipmunk.Report.kind = k } = target)
-                kinds
-            in
+          | Ok found ->
             Format.printf "%a" Shrink.Artifact.pp a;
-            if hit then begin
+            if found <> None then begin
               print_endline "reproduced: crash state rebuilt and the finding re-verifies";
               0
             end
             else begin
-              print_endline "NOT reproduced: crash state rebuilt but the check passes";
+              print_endline "NOT reproduced: crash state rebuilt but no check shows this finding";
               1
             end)))
   in

@@ -48,10 +48,8 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   in
   (* Deterministic merge: completed workloads arrive sorted by workload
      index, so fingerprint dedup ties always resolve to the lowest index,
-     independent of domain scheduling. Minimization also happens here, on
-     the caller's domain, so it only runs on the deterministic set of first
-     occurrences within the findings cap. *)
-  let found = Run.findings ?minimize:exec.Run.minimize budget in
+     independent of domain scheduling. *)
+  let found = Run.findings budget in
   let states = ref 0 and points = ref 0 and dedups = ref 0 and vhits = ref 0 in
   let truncated = ref 0 and max_if = ref 0 in
   List.iter

@@ -46,7 +46,7 @@ val run :
   Vfs.Driver.t ->
   (string * Vfs.Syscall.t list) Seq.t ->
   result
-(** Run the suite under [exec] (how: harness opts, minimizer, worker
+(** Run the suite under [exec] (how: harness opts, verdict cache, worker
     domains) within [budget] (when to stop), deduplicating findings by
     fingerprint across the whole campaign. Defaults: {!Run.default_exec}
     and {!Run.unlimited}.
@@ -55,9 +55,9 @@ val run :
     images, so no harness state is shared. Findings, their fingerprints and
     their [workload_index] attributions are deterministic across job counts
     because results are merged in workload-index order with ties broken by
-    lowest index. [exec.minimize] is applied in that merge phase, after
-    campaign-wide dedup (see {!Run.findings}) — its cost is paid once per
-    unique bug, and never for findings past [stop_after_findings].
+    lowest index (see {!Run.findings}). Each event holds the report as
+    found; a caller that wants reproducers maps [Shrink.Minimize.rewrite]
+    over [events] afterwards, paying once per unique bug.
 
     Budget caps: [max_execs] truncates the suite up front (one workload is
     one execution); [max_seconds] and [stop_after_findings] stop the

@@ -5,7 +5,6 @@ module Image = Pmem.Image
 type opts = {
   cap : int option;
   coalesce : bool;
-  stop_on_first : bool;
   granularity : Pm.granularity;
   read_set_heuristic : bool;
   dedup_states : bool;
@@ -15,7 +14,6 @@ let default_opts =
   {
     cap = None;
     coalesce = true;
-    stop_on_first = false;
     granularity = Pm.Function_level;
     read_set_heuristic = false;
     dedup_states = true;
@@ -53,8 +51,6 @@ type crash_point = {
   at_fence : bool;
   in_flight : Coalesce.t list;
 }
-
-exception Stop
 
 let max_states_per_point = 512
 
@@ -278,26 +274,23 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
         let fp = Report.fingerprint r in
         if not (Hashtbl.mem seen fp) then begin
           Hashtbl.replace seen fp ();
-          reports := r :: !reports;
-          if opts.stop_on_first then raise Stop
+          reports := r :: !reports
         end)
       kinds
   in
   (* The verdict-cache key half that covers the oracle slice: digest of
      everything the checker consults at a phase besides the image itself,
-     pre-combined with the fs name into the key prefix so per-state key
-     building is a tuple allocation. One prefix per phase per workload,
-     each O(1) off the oracle's boundary digests. *)
+     so per-state key building is a tuple allocation. One digest per phase
+     per workload, each O(1) off the oracle's boundary digests. *)
   let call_texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
-  let phase_prefixes : (Checker.phase, string) Hashtbl.t = Hashtbl.create 8 in
-  let phase_prefix phase =
-    match Hashtbl.find_opt phase_prefixes phase with
-    | Some p -> p
+  let phase_digests : (Checker.phase, string) Hashtbl.t = Hashtbl.create 8 in
+  let phase_digest phase =
+    match Hashtbl.find_opt phase_digests phase with
+    | Some d -> d
     | None ->
       let d = Vcache.phase_digest oracle ~calls:(Lazy.force call_texts) phase in
-      let p = Vcache.prefix ~fs:driver.Vfs.Driver.name ~phase_digest:d in
-      Hashtbl.add phase_prefixes phase p;
-      p
+      Hashtbl.add phase_digests phase d;
+      d
   in
   let check_replay ~phase =
     mount_and_check ~stats driver ~workload:calls ~oracle ~phase replay
@@ -350,7 +343,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       match vcache with
       | None -> finish (check_replay ~phase:p.phase)
       | Some vc -> (
-        let key = Vcache.key_of ~prefix:(phase_prefix p.phase) ~image_digest:dg in
+        let key = Vcache.key ~phase_digest:(phase_digest p.phase) ~image_digest:dg in
         match Vcache.find vc key with
         | Some kinds ->
           stats.vcache_hits <- stats.vcache_hits + 1;
@@ -427,11 +420,9 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       if truncated then stats.truncated_points <- stats.truncated_points + 1
     end
   in
-  (try
-     walk ~opts ~replay trace (fun p ->
-         if p.at_fence then stats.fences <- stats.fences + 1;
-         check_point p)
-   with Stop -> ());
+  walk ~opts ~replay trace (fun p ->
+      if p.at_fence then stats.fences <- stats.fences + 1;
+      check_point p);
   { reports = List.rev !reports; stats; trace; outcomes }
 
 let replay_recorded ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) r =

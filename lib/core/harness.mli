@@ -14,7 +14,6 @@ type opts = {
           ([None] = exhaustive). The paper finds a cap of 2 exposes every
           bug in its corpus (Observation 7). *)
   coalesce : bool;  (** Fuse logically-related stores (section 3.2). *)
-  stop_on_first : bool;  (** Stop at the first unique report (campaigns). *)
   granularity : Persist.Pm.granularity;
       (** Function-level (Chipmunk, the default) or instruction-level
           (Yat/Vinter-style) write interception — the ablation behind the
@@ -113,7 +112,9 @@ val test_workload :
   Vfs.Syscall.t list ->
   result
 (** Run the full pipeline ({!record} then replay) for one workload on one
-    file system.
+    file system. Every crash point of the workload is checked; a run of
+    many workloads stops early only between workloads, through its
+    {!Run.budget}.
 
     Each domain keeps one (CPU view, replay) image pair of the device's
     size and reuses it across calls, so a call allocates no device image.

@@ -62,7 +62,14 @@ let crash_state ?(opts = Harness.default_opts) driver (report : Report.t) =
       { image; mount; check })
     (rebuild ~opts driver report)
 
+let matching_kind ?opts driver (report : Report.t) =
+  let target = Report.fingerprint report in
+  Result.map
+    (fun cs ->
+      List.find_opt
+        (fun k -> Report.fingerprint { report with Report.kind = k } = target)
+        (cs.check ()))
+    (crash_state ?opts driver report)
+
 let verify ?opts driver report =
-  match crash_state ?opts driver report with
-  | Error _ -> false
-  | Ok cs -> cs.check () <> []
+  match matching_kind ?opts driver report with Ok (Some _) -> true | Ok None | Error _ -> false

@@ -38,5 +38,14 @@ val in_flight_at :
     minimizer uses it to annotate each surviving write with its address
     span and originating persist operation. *)
 
+val matching_kind :
+  ?opts:Harness.opts -> Vfs.Driver.t -> Report.t -> (Report.kind option, string) result
+(** Rebuild the report's crash state and check it: [Ok (Some k)] for the
+    first checked kind [k] that carries the report's
+    {!Report.fingerprint}, [Ok None] when no checked kind does (the state
+    is consistent, or shows a different finding). [Error] as for
+    {!crash_state}. *)
+
 val verify : ?opts:Harness.opts -> Vfs.Driver.t -> Report.t -> bool
-(** [true] when re-deriving the crash state reproduces a finding. *)
+(** [true] when re-deriving the crash state reproduces {e this} finding:
+    {!matching_kind} returns [Ok (Some _)]. *)

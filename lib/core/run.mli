@@ -1,8 +1,8 @@
-(** The unified execution API: one pair of config records shared by every
-    entry point that drives the harness — {!workload} (one workload),
-    {!Campaign.run} (a workload suite) and [Fuzz.Fuzzer.run] (the gray-box
-    fuzzer) — plus the {!findings} accumulator the two multi-workload
-    runners merge their results through.
+(** The unified execution API: one pair of config records shared by the
+    multi-workload entry points that drive the harness — {!Campaign.run}
+    (a workload suite) and [Fuzz.Fuzzer.run] (the gray-box fuzzer) — plus
+    the {!findings} accumulator both merge their results through. A
+    single workload needs neither: call {!Harness.test_workload}.
 
     A {!budget} says {e when to stop}; an {!exec} says {e how to run}.
     Runners ignore the caps that do not apply to them and document which
@@ -29,11 +29,6 @@ val budget :
 
 type exec = {
   opts : Harness.opts;  (** Per-workload replay/check options. *)
-  minimize : (Report.t -> Report.t) option;
-      (** Applied to each unique finding {e after} fingerprint dedup (and,
-          in parallel campaigns, in the deterministic merge phase on the
-          caller's domain) — typically [Shrink.Minimize.rewrite]. Must
-          preserve the fingerprint. *)
   jobs : int;
       (** Worker domains for {!Campaign.run}, its only reader. [1] (the
           default) runs in the calling domain; [0] or negative means one
@@ -47,12 +42,10 @@ type exec = {
 }
 
 val default_exec : exec
-(** [{ opts = Harness.default_opts; minimize = None; jobs = 1;
-    use_vcache = true }] *)
+(** [{ opts = Harness.default_opts; jobs = 1; use_vcache = true }] *)
 
 val exec :
   ?opts:Harness.opts ->
-  ?minimize:(Report.t -> Report.t) ->
   ?jobs:int ->
   ?use_vcache:bool ->
   unit ->
@@ -76,24 +69,17 @@ type 'e findings
     deduplicated by {!Report.fingerprint}; the first occurrence wins, so
     feeding results in work-index order makes the lowest index win. *)
 
-val findings : ?minimize:(Report.t -> Report.t) -> budget -> 'e findings
+val findings : budget -> 'e findings
 (** An empty accumulator that holds at most [budget.stop_after_findings]
-    events and applies [minimize] to each first occurrence it records. *)
+    events. *)
 
 val add : 'e findings -> Report.t list -> (string -> Report.t -> 'e) -> unit
 (** [add f reports make] records, in order, each report whose fingerprint
-    is new, as [make fingerprint report] (with [report] minimized). Once
-    the cap is reached the rest are dropped unseen, and not minimized. *)
+    is new, as [make fingerprint report]. Once the cap is reached the rest
+    are dropped unseen. *)
 
 val count : 'e findings -> int
 (** Events recorded so far. *)
 
 val events : 'e findings -> 'e list
 (** Recorded events, oldest first. *)
-
-val workload : ?exec:exec -> Vfs.Driver.t -> Vfs.Syscall.t list -> Harness.result
-(** The single-workload entry point on the shared config record:
-    {!Harness.test_workload} with [exec.opts] and (when [exec.use_vcache])
-    a fresh per-call verdict cache, with [exec.minimize] applied to each of
-    the (already fingerprint-deduplicated) reports. [exec.jobs] is ignored
-    (one workload is one unit of work); budgets do not apply. *)

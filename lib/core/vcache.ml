@@ -3,10 +3,11 @@
    The checker's verdict for a crash state depends only on (a) the crash
    image bytes — which determine the mounted tree, (b) the crash phase's
    oracle slice (the rendered syscall plus the pre/post trees it is compared
-   against, or the fsync target for weak systems), and (c) the file system's
-   contract (atomic_data / consistency — fixed per driver). It does NOT
-   depend on which workload or crash point produced the state, so verdicts
-   memoized under the key (fs, oracle-slice digest, image digest) are shared
+   against, or the fsync target for weak systems), and (c) the driver that
+   mounts and judges it (its recovery code and its atomic_data / consistency
+   contract). A cache serves one driver instance, so (c) is fixed per cache
+   and the key is (oracle-slice digest, image digest). It does NOT depend on
+   which workload or crash point produced the state, so verdicts are shared
    across crash points and across workloads: ACE workload families share long
    syscall prefixes, so whole mount+check rounds repeat campaign-wide.
 
@@ -19,9 +20,9 @@
 type entry = Report.kind list
 
 type ckey = string * int
-(* (fs ^ "|" ^ phase-digest, image digest): structural key, so the hot path
-   never renders the image digest to hex or concatenates per state — the
-   string half is shared across every state of a phase via {!prefix}. *)
+(* (phase digest, image digest): structural key, so the hot path never
+   renders the image digest to hex or concatenates per state — the string
+   half is shared across every state of a phase. *)
 
 type t = { mutex : Mutex.t; table : (ckey, entry) Hashtbl.t }
 
@@ -67,8 +68,4 @@ let phase_digest oracle ~calls (phase : Checker.phase) =
     in
     Printf.sprintf "A\001%s\001%s\001%x" (call i) tgt (Oracle.post_digest oracle i)
 
-let prefix ~fs ~phase_digest = fs ^ "|" ^ phase_digest
-let key_of ~prefix ~image_digest : ckey = (prefix, image_digest)
-
-let key ~fs ~image_digest ~phase_digest =
-  key_of ~prefix:(prefix ~fs ~phase_digest) ~image_digest
+let key ~phase_digest ~image_digest : ckey = (phase_digest, image_digest)

@@ -1,10 +1,11 @@
 (** Campaign-wide verdict cache.
 
     Memoizes {!Checker.check} verdicts (the list of {!Report.kind}s, possibly
-    empty) under a key that captures everything the verdict can depend on:
-    the file system name, a digest of the crash phase's oracle slice (rendered
-    syscall + the pre/post trees it is judged against + the fsync target for
-    weak systems) and the crash image's content {!Pmem.Image.digest}. The
+    empty) for one driver instance, under a key that captures everything
+    else the verdict can depend on: a digest of the crash phase's oracle
+    slice (rendered syscall + the pre/post trees it is judged against + the
+    fsync target for weak systems) and the crash image's content
+    {!Pmem.Image.digest}. The
     syscall {e index} is deliberately absent, so equivalent crash states
     reached at different positions — or in different workloads sharing an ACE
     family prefix — hit the same cache line and skip the mount+check round
@@ -21,22 +22,18 @@ type t
 
 val create : unit -> t
 (** A fresh, empty cache. Create one per campaign/fuzz run: entries are only
-    valid for a single driver instance (e.g. buggy and clean NOVA share the
-    ["nova"] name but mount differently). *)
+    valid for a single driver instance, and keys do not name it (buggy and
+    clean NOVA share the ["nova"] name but mount differently, so a name
+    would not tell them apart). *)
 
 type ckey
-(** A cache key: structurally the phase prefix plus the raw image digest, so
+(** A cache key: structurally the phase digest plus the raw image digest, so
     building one per crash state allocates a tuple, not a rendered string. *)
 
-val prefix : fs:string -> phase_digest:string -> string
-(** The per-phase half of the key; memoize one per (workload, phase) and
-    feed it to {!key_of} for every crash state of that phase. *)
-
-val key_of : prefix:string -> image_digest:int -> ckey
-(** Cache key for one crash state, from a memoized {!prefix}. O(1). *)
-
-val key : fs:string -> image_digest:int -> phase_digest:string -> ckey
-(** [key_of ~prefix:(prefix ~fs ~phase_digest) ~image_digest]. *)
+val key : phase_digest:string -> image_digest:int -> ckey
+(** Cache key for one crash state. O(1): memoize the {!phase_digest} once
+    per (workload, phase) and reuse it for every crash state of that
+    phase. *)
 
 val phase_digest : Oracle.t -> calls:string array -> Checker.phase -> string
 (** The oracle slice for [phase]: the [During]/[After] syscall

@@ -4,7 +4,6 @@ let epoch_len = 32
 
 type config = {
   rng_seed : int;
-  max_len : int;
   budget : Run.budget;
   exec : Run.exec;
 }
@@ -12,14 +11,13 @@ type config = {
 let default_config =
   {
     rng_seed = 1;
-    max_len = 14;
     budget = Run.budget ~max_execs:2000 ~max_seconds:60.0 ();
     exec = Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } ();
   }
 
-let config ?(rng_seed = default_config.rng_seed) ?(max_len = default_config.max_len)
-    ?(budget = default_config.budget) ?(exec = default_config.exec) () =
-  { rng_seed; max_len; budget; exec }
+let config ?(rng_seed = default_config.rng_seed) ?(budget = default_config.budget)
+    ?(exec = default_config.exec) () =
+  { rng_seed; budget; exec }
 
 type event = {
   fingerprint : string;
@@ -56,7 +54,7 @@ let run ?(config = default_config) driver =
      it only ever grows, at epoch boundaries, in execution order. *)
   let corpus = ref [||] in
   let seen_cov : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let found = Run.findings ?minimize:config.exec.Run.minimize budget in
+  let found = Run.findings budget in
   let all_reports = ref [] in
   let execs = ref 0 in
   let states = ref 0 in
@@ -87,7 +85,7 @@ let run ?(config = default_config) driver =
       let workload =
         (* As in Syzkaller: usually mutate a seed, sometimes generate fresh. *)
         if Array.length snapshot = 0 || Random.State.int rng 4 = 0 then
-          Prog.generate rng ~max_len:config.max_len
+          Prog.generate rng ~max_len:14
         else Prog.mutate rng snapshot.(Random.State.int rng (Array.length snapshot))
       in
       let r, hits =

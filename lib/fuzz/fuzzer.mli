@@ -28,7 +28,6 @@ val epoch_len : int
 
 type config = {
   rng_seed : int;
-  max_len : int;  (** Maximum generated program length. *)
   budget : Chipmunk.Run.budget;
       (** [max_execs], [max_seconds] and [stop_after_findings] apply
           (checked at epoch granularity — a cap firing mid-epoch stops the
@@ -37,19 +36,17 @@ type config = {
   exec : Chipmunk.Run.exec;
       (** [opts] is applied to every execution (the default caps replayed
           writes at 2 per crash state, as the paper runs the fuzzer so
-          outlier tests cannot stall the campaign); [minimize] runs on each
-          unique finding after dedup, and never past
-          [stop_after_findings] (see {!Chipmunk.Run.findings}); [jobs] is
-          ignored (the fuzzer always runs in the calling domain). *)
+          outlier tests cannot stall the campaign); [use_vcache] gives the
+          run one verdict cache; [jobs] is ignored (the fuzzer always runs
+          in the calling domain). *)
 }
 
 val default_config : config
-(** Seed 1, programs up to 14 calls, budget of 2000 execs / 60 s, harness
-    cap 2. *)
+(** Seed 1, budget of 2000 execs / 60 s, harness cap 2. Freshly generated
+    programs are at most 14 calls long. *)
 
 val config :
   ?rng_seed:int ->
-  ?max_len:int ->
   ?budget:Chipmunk.Run.budget ->
   ?exec:Chipmunk.Run.exec ->
   unit ->

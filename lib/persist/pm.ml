@@ -152,16 +152,9 @@ let le_bytes n v =
   done;
   Bytes.unsafe_to_string b
 
-let store_u8 t ~off v = store t ~off (le_bytes 1 v)
-let store_u16 t ~off v = store t ~off (le_bytes 2 v)
-let store_u32 t ~off v = store t ~off (le_bytes 4 v)
 let store_u64 t ~off v = store t ~off (le_bytes 8 v)
 let nt_u32 t ~off v = memcpy_nt t ~off (le_bytes 4 v)
 let nt_u64 t ~off v = memcpy_nt t ~off (le_bytes 8 v)
-
-let store_flush t ~off data =
-  store t ~off data;
-  flush t ~off ~len:(String.length data)
 
 let persist_u64 t ~off v =
   nt_u64 t ~off v;

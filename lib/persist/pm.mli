@@ -70,9 +70,6 @@ val fence : t -> unit
 (** {1 Plain cached stores (volatile until flushed)} *)
 
 val store : t -> off:int -> string -> unit
-val store_u8 : t -> off:int -> int -> unit
-val store_u16 : t -> off:int -> int -> unit
-val store_u32 : t -> off:int -> int -> unit
 val store_u64 : t -> off:int -> int -> unit
 
 (** {1 Typed non-temporal stores} *)
@@ -81,9 +78,6 @@ val nt_u32 : t -> off:int -> int -> unit
 val nt_u64 : t -> off:int -> int -> unit
 
 (** {1 Composite helpers} *)
-
-val store_flush : t -> off:int -> string -> unit
-(** Cached store immediately followed by a flush of the same region. *)
 
 val persist_u64 : t -> off:int -> int -> unit
 (** 8-byte aligned atomic persist: non-temporal store + fence. The standard

@@ -51,16 +51,3 @@ let pp_op ppf = function
 
 let pp ppf t =
   iter t (fun op -> Format.fprintf ppf "%a@." pp_op op)
-
-let stores_between_fences t =
-  let sizes = ref [] in
-  let current = ref 0 in
-  iter t (fun op ->
-      match op with
-      | Store _ -> incr current
-      | Fence ->
-        sizes := !current :: !sizes;
-        current := 0
-      | Syscall_begin _ | Syscall_end _ -> ());
-  if !current > 0 then sizes := !current :: !sizes;
-  List.rev !sizes

@@ -42,8 +42,3 @@ val ops : t -> op array
 val iter : t -> (op -> unit) -> unit
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
-
-val stores_between_fences : t -> int list
-(** Size of each in-flight vector, i.e. the number of store records between
-    consecutive fences (and between the last fence and end of trace when
-    nonempty). Used to reproduce the paper's section 3.2 measurements. *)

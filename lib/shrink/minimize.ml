@@ -102,23 +102,15 @@ let minimize_workload ~opts driver (report : R.t) =
    deterministic crash-state rebuild as the probe. A candidate passes when
    the rebuilt state still checks to a kind with the target fingerprint. *)
 let minimize_subset ~opts driver (report : R.t) =
-  let target = R.fingerprint report in
   let runs = ref 0 in
   let matched : (string, R.kind) Hashtbl.t = Hashtbl.create 16 in
   let test subset =
     incr runs;
-    let candidate = with_subset report subset in
-    match Chipmunk.Reproduce.crash_state ~opts driver candidate with
-    | Error _ -> false
-    | Ok cs -> (
-      let kinds = cs.Chipmunk.Reproduce.check () in
-      match
-        List.find_opt (fun k -> R.fingerprint { candidate with R.kind = k } = target) kinds
-      with
-      | Some k ->
-        Hashtbl.replace matched (subset_key subset) k;
-        true
-      | None -> false)
+    match Chipmunk.Reproduce.matching_kind ~opts driver (with_subset report subset) with
+    | Ok (Some k) ->
+      Hashtbl.replace matched (subset_key subset) k;
+      true
+    | Ok None | Error _ -> false
   in
   let minimized, _ = Ddmin.run ~test report.R.crash_point.R.subset in
   let kind =

@@ -17,7 +17,7 @@
       exists. A per-minimization {!Chipmunk.Vcache} memoizes checker
       verdicts across probes.
     - {b crash-subset minimization}: ddmin over the crash point's replayed
-      in-flight writes, each probe a {!Chipmunk.Reproduce.crash_state}
+      in-flight writes, each probe a {!Chipmunk.Reproduce.matching_kind}
       rebuild + check under the same harness opts — yielding the smallest
       set of writes that still fails, with a per-write {!culprit}
       annotation naming the address span and the persist operation that
@@ -74,6 +74,6 @@ val run :
     outcome's fingerprint is guaranteed equal to the input's. *)
 
 val rewrite : ?opts:Chipmunk.Harness.opts -> Vfs.Driver.t -> Chipmunk.Report.t -> Chipmunk.Report.t
-(** Total version of {!run} for use as a [~minimize] callback
-    ({!Chipmunk.Harness.test_workload}, {!Chipmunk.Campaign.run}): the
+(** Total version of {!run}, for mapping over a run's findings (as
+    [chipmunk-cli ace --minimize] and [replay --minimize] do): the
     minimized report, or the input unchanged when minimization fails. *)

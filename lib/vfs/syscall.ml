@@ -79,12 +79,4 @@ let is_fsync_family = function
   | Removexattr _ ->
     false
 
-let mutates = function
-  | Read _ | Lseek _ | Close _ -> false
-  | Open { flags; _ } -> List.mem Types.O_CREAT flags || List.mem Types.O_TRUNC flags
-  | Creat _ | Mkdir _ | Write _ | Pwrite _ | Link _ | Unlink _ | Remove _ | Rename _
-  | Truncate _ | Fallocate _ | Rmdir _ | Fsync _ | Fdatasync _ | Sync | Setxattr _
-  | Removexattr _ ->
-    true
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -47,7 +47,5 @@ val is_data_op : t -> bool
     unless the file system promises atomic data writes. *)
 
 val is_fsync_family : t -> bool
-val mutates : t -> bool
-(** Whether the call can modify the file system at all. *)
 
 val pp : Format.formatter -> t -> unit

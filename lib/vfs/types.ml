@@ -13,10 +13,6 @@ type dirent = { d_ino : int; d_name : string }
 
 let kind_to_string = function Reg -> "reg" | Dir -> "dir"
 
-let pp_stat ppf s =
-  Format.fprintf ppf "{ino=%d kind=%s size=%d nlink=%d}" s.st_ino (kind_to_string s.st_kind)
-    s.st_size s.st_nlink
-
 let flag_to_string = function
   | O_RDONLY -> "O_RDONLY"
   | O_WRONLY -> "O_WRONLY"

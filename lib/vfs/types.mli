@@ -17,7 +17,6 @@ type whence = SEEK_SET | SEEK_CUR | SEEK_END
 type dirent = { d_ino : int; d_name : string }
 
 val kind_to_string : file_kind -> string
-val pp_stat : Format.formatter -> stat -> unit
 val flag_to_string : open_flag -> string
 val flags_to_string : open_flag list -> string
 val writable : open_flag list -> bool

@@ -60,7 +60,12 @@ let test_markers_and_epochs () =
   Pm.memcpy_nt pm ~off:16 "c";
   Pm.fence pm;
   Pm.mark_syscall_end pm ~idx:0 ~ret:0;
-  Alcotest.(check (list int)) "in-flight sizes" [ 2; 1 ] (Trace.stores_between_fences trace);
+  Alcotest.(check (list (pair (option int) int)))
+    "in-flight sizes per fence, inside the syscall" [ (Some 0, 2); (Some 0, 1) ]
+    (List.map
+       (fun (e : Persist.Analysis.epoch) ->
+         (e.Persist.Analysis.syscall_idx, e.Persist.Analysis.stores))
+       (Persist.Analysis.epochs trace));
   match Persist.Analysis.per_syscall_summary trace with
   | [ ("creat", s) ] ->
     Alcotest.(check int) "epochs" 2 s.Persist.Analysis.count;

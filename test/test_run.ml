@@ -1,7 +1,7 @@
 (* Tests for the unified Chipmunk.Run execution API: budget cap
-   interactions, the shared single-workload entry point, the campaign
-   budget synonyms, and the fuzzer's determinism contract (the same seed
-   twice reports identical findings and counts). *)
+   interactions, the campaign budget synonyms, the first-wins findings
+   cap, and the fuzzer's determinism contract (the same seed twice reports
+   identical findings and counts). *)
 
 module Run = Chipmunk.Run
 
@@ -41,28 +41,9 @@ let test_exec_effective_jobs () =
     (Run.effective_jobs (Run.exec ~jobs:0 ()) >= 1);
   Alcotest.(check int) "default is one worker" 1 (Run.effective_jobs Run.default_exec)
 
-(* --- Run.workload --- *)
-
 let bug4_driver () =
   let bugs = { Novafs.Bugs.none with bug4_inplace_dentry_invalidate = true } in
   Novafs.driver ~config:(Novafs.config ~bugs ()) ()
-
-let test_run_workload () =
-  (* The shared entry point is Harness.test_workload with the exec record's
-     opts/minimize applied. *)
-  let b = List.find (fun (b : Catalog.t) -> b.Catalog.bug_no = 4) Catalog.all in
-  let exec = Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } () in
-  let r = Run.workload ~exec (b.Catalog.driver ()) b.Catalog.trigger in
-  Alcotest.(check bool) "finds the catalogued bug" true (r.Chipmunk.Harness.reports <> []);
-  let direct =
-    Chipmunk.Harness.test_workload
-      ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 }
-      (b.Catalog.driver ()) b.Catalog.trigger
-  in
-  Alcotest.(check (list string))
-    "identical to calling the harness directly"
-    (List.map Chipmunk.Report.fingerprint direct.Chipmunk.Harness.reports)
-    (List.map Chipmunk.Report.fingerprint r.Chipmunk.Harness.reports)
 
 (* --- Campaign on the Run records --- *)
 
@@ -78,54 +59,36 @@ let test_campaign_max_execs_synonym () =
 
 (* --- The shared first-wins findings accumulator (Run.findings) --- *)
 
-(* A minimize hook that records every report it is handed, in call order.
-   It returns its argument, so fingerprints are trivially preserved and the
-   events must hold exactly the reports it returned. *)
-let recording_hook () =
-  let seen = ref [] in
-  (seen, fun r -> seen := r :: !seen; r)
-
-let check_hooked what seen reports =
-  Alcotest.(check int) (what ^ ": one minimize call per event") (List.length reports)
-    (List.length !seen);
-  Alcotest.(check bool) (what ^ ": events hold the minimized reports") true
-    (List.for_all2 ( == ) (List.rev !seen) reports)
-
 let nova_buggy () =
   match Catalog.buggy_driver "nova" with
   | Some mk -> mk ()
   | None -> Alcotest.fail "no buggy nova driver"
 
-let campaign_hooked ?stop_after_findings jobs =
-  let seen, minimize = recording_hook () in
+let campaign_keys ?stop_after_findings jobs =
   let r =
     Chipmunk.Campaign.run
-      ~exec:(Run.exec ~minimize ~jobs ())
+      ~exec:(Run.exec ~jobs ())
       ~budget:(Run.budget ?stop_after_findings ())
       (nova_buggy ()) (Ace.seq1 Ace.Strong)
   in
-  let events = r.Chipmunk.Campaign.events in
-  check_hooked (Printf.sprintf "campaign jobs=%d" jobs) seen
-    (List.map (fun (e : Chipmunk.Campaign.event) -> e.Chipmunk.Campaign.report) events);
   List.map
     (fun (e : Chipmunk.Campaign.event) ->
       (e.Chipmunk.Campaign.fingerprint, e.Chipmunk.Campaign.workload_index))
-    events
+    r.Chipmunk.Campaign.events
 
-let test_campaign_minimize_first_occurrences () =
-  let j1 = campaign_hooked 1 in
-  Alcotest.(check bool) "several findings" true (List.length j1 > 1);
-  Alcotest.(check (list (pair string int))) "jobs=1 and jobs=2 agree" j1 (campaign_hooked 2)
-
-let test_campaign_minimize_capped () =
+let test_campaign_findings_cap () =
   (* The workload that reaches the cap finds more than one new fingerprint;
-     only the first is kept, so only the first is minimized. *)
+     only the first occurrence is kept, at any job count, and it is the
+     first event of the uncapped run. *)
+  let j1 = campaign_keys 1 in
+  Alcotest.(check bool) "several findings" true (List.length j1 > 1);
+  Alcotest.(check (list (pair string int))) "jobs=1 and jobs=2 agree" j1 (campaign_keys 2);
   List.iter
     (fun jobs ->
-      Alcotest.(check int)
-        (Printf.sprintf "one event at jobs=%d" jobs)
-        1
-        (List.length (campaign_hooked ~stop_after_findings:1 jobs)))
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "capped at one event at jobs=%d" jobs)
+        [ List.hd j1 ]
+        (campaign_keys ~stop_after_findings:1 jobs))
     [ 1; 2 ]
 
 (* --- Fuzzer budget interactions --- *)
@@ -138,40 +101,28 @@ let test_fuzzer_exec_cap_exact () =
   let r = Fuzz.Fuzzer.run ~config (Novafs.driver ()) in
   Alcotest.(check int) "exactly max_execs executions" 48 r.Fuzz.Fuzzer.execs
 
-let fuzz_events (r : Fuzz.Fuzzer.result) seen =
-  check_hooked
-    (Printf.sprintf "fuzzer after %d execs" r.Fuzz.Fuzzer.execs)
-    seen
-    (List.map (fun (e : Fuzz.Fuzzer.event) -> e.Fuzz.Fuzzer.report) r.Fuzz.Fuzzer.events)
-
 let test_fuzzer_findings_cap () =
   (* With every NOVA bug armed, the epoch that reaches the cap finds
-     several new fingerprints; only the first is kept and minimized. *)
-  let seen, minimize = recording_hook () in
+     several new fingerprints; only the first is kept. *)
   let config =
     Fuzz.Fuzzer.config ~rng_seed:11
       ~budget:(Run.budget ~max_execs:2000 ~stop_after_findings:1 ())
-      ~exec:{ Fuzz.Fuzzer.default_config.Fuzz.Fuzzer.exec with Run.minimize = Some minimize }
       ()
   in
   let r = Fuzz.Fuzzer.run ~config (nova_buggy ()) in
   Alcotest.(check int) "stops at one finding" 1 (List.length r.Fuzz.Fuzzer.events);
-  fuzz_events r seen;
   Alcotest.(check bool) "did not use the whole exec budget" true (r.Fuzz.Fuzzer.execs < 2000)
 
 (* --- Same seed, same run --- *)
 
 let fuzz_once () =
-  let seen, minimize = recording_hook () in
   let config =
     Fuzz.Fuzzer.config ~rng_seed:11
       ~budget:(Run.budget ~max_execs:256 ())
-      ~exec:(Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } ~minimize ())
+      ~exec:(Run.exec ~opts:{ Chipmunk.Harness.default_opts with cap = Some 2 } ())
       ()
   in
-  let r = Fuzz.Fuzzer.run ~config (bug4_driver ()) in
-  fuzz_events r seen;
-  r
+  Fuzz.Fuzzer.run ~config (bug4_driver ())
 
 let event_key (e : Fuzz.Fuzzer.event) = (e.Fuzz.Fuzzer.fingerprint, e.Fuzz.Fuzzer.at_exec)
 
@@ -201,13 +152,10 @@ let suite =
     Alcotest.test_case "budget: seconds and workload caps" `Quick
       test_budget_seconds_and_workloads;
     Alcotest.test_case "exec: effective_jobs resolution" `Quick test_exec_effective_jobs;
-    Alcotest.test_case "workload: shared harness entry point" `Quick test_run_workload;
     Alcotest.test_case "campaign: max_execs is a workload synonym" `Quick
       test_campaign_max_execs_synonym;
-    Alcotest.test_case "findings: minimize once per first occurrence" `Quick
-      test_campaign_minimize_first_occurrences;
-    Alcotest.test_case "findings: no minimize past the cap" `Quick
-      test_campaign_minimize_capped;
+    Alcotest.test_case "findings: cap keeps the first occurrence" `Quick
+      test_campaign_findings_cap;
     Alcotest.test_case "fuzzer: exec cap exact mid-epoch" `Quick test_fuzzer_exec_cap_exact;
     Alcotest.test_case "fuzzer: findings cap stops the campaign" `Quick
       test_fuzzer_findings_cap;

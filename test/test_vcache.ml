@@ -97,7 +97,7 @@ let test_digest_undo_rollback () =
 
 let test_vcache_find_add_shared () =
   let c = Vcache.create () in
-  let k = Vcache.key ~fs:"nova" ~image_digest:42 ~phase_digest:"abc" in
+  let k = Vcache.key ~phase_digest:"abc" ~image_digest:42 in
   Alcotest.(check bool) "empty cache misses" true (Vcache.find c k = None);
   Alcotest.(check int) "empty cache has no entries" 0 (Vcache.entries c);
   Vcache.add c k [];
@@ -108,7 +108,7 @@ let test_vcache_find_add_shared () =
   Alcotest.(check bool) "first verdict wins" true (Vcache.find c k = Some []);
   (* Another domain sees the entry with no sync step, and its adds are
      visible back here. *)
-  let k' = Vcache.key ~fs:"nova" ~image_digest:43 ~phase_digest:"abc" in
+  let k' = Vcache.key ~phase_digest:"abc" ~image_digest:43 in
   let seen =
     Domain.join
       (Domain.spawn (fun () ->
@@ -121,14 +121,15 @@ let test_vcache_find_add_shared () =
   Alcotest.(check int) "two entries" 2 (Vcache.entries c)
 
 let test_vcache_key_separates () =
-  (* The key must separate file systems and phases even at equal digests. *)
-  let k1 = Vcache.key ~fs:"nova" ~image_digest:7 ~phase_digest:"p" in
-  let k2 = Vcache.key ~fs:"pmfs" ~image_digest:7 ~phase_digest:"p" in
-  let k3 = Vcache.key ~fs:"nova" ~image_digest:7 ~phase_digest:"q" in
-  let k4 = Vcache.key ~fs:"nova" ~image_digest:8 ~phase_digest:"p" in
-  let all = [ k1; k2; k3; k4 ] in
-  Alcotest.(check int) "four distinct keys" 4
-    (List.length (List.sort_uniq compare all))
+  (* The key must separate phases at equal image digests, and image
+     digests at equal phases. *)
+  let k1 = Vcache.key ~phase_digest:"p" ~image_digest:7 in
+  let k2 = Vcache.key ~phase_digest:"q" ~image_digest:7 in
+  let k3 = Vcache.key ~phase_digest:"p" ~image_digest:8 in
+  Alcotest.(check int) "three distinct keys" 3
+    (List.length (List.sort_uniq compare [ k1; k2; k3 ]));
+  Alcotest.(check bool) "equal parts, equal key" true
+    (Vcache.key ~phase_digest:"p" ~image_digest:7 = k1)
 
 (* --- Cache transparency: findings identical on/off, at any job count --- *)
 
@@ -230,7 +231,7 @@ let suite =
     Alcotest.test_case "digest: undo rollback restores it exactly" `Quick
       test_digest_undo_rollback;
     Alcotest.test_case "vcache: find/add shared across domains" `Quick test_vcache_find_add_shared;
-    Alcotest.test_case "vcache: key separates fs/phase/digest" `Quick test_vcache_key_separates;
+    Alcotest.test_case "vcache: key separates phase/digest" `Quick test_vcache_key_separates;
     Alcotest.test_case "campaign: findings identical with vcache on/off" `Quick
       test_campaign_vcache_transparent;
     Alcotest.test_case "campaign: vcache keeps jobs=1 == jobs=4" `Quick
