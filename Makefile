@@ -50,23 +50,20 @@ fuzz-smoke:
 	test -s _build/fuzz-smoke-1.txt
 	diff -u _build/fuzz-smoke-1.txt _build/fuzz-smoke-2.txt
 
-# Cache-transparency smoke test: the dedup cache and the verdict cache
-# must not change what a campaign finds, only how fast it finds it. Run
-# the buggy-NOVA ACE suite with caches at their defaults, with dedup off
-# and with the verdict cache off, then once more at --jobs 2 (one verdict
-# cache shared by both worker domains under its lock); the per-finding
-# fingerprint lines must match exactly (only the hit-rate footer may differ).
-# Buggy PMFS runs with caches at their defaults and with both off: its
-# journal replay and the usability probe write the most per crash state,
-# so a wrong checkpoint rollback shows there first. No run may print a
+# Cache-transparency smoke test: the verdict cache (which also skips
+# states repeating at one crash point) must not change what a campaign
+# finds, only how fast it finds it. Run the buggy-NOVA ACE suite with the
+# cache on and off, then once more at --jobs 2 (one verdict cache shared
+# by both worker domains under its lock); the per-finding fingerprint
+# lines must match exactly (only the hit-rate footer may differ).
+# Buggy PMFS runs with the cache on and off: its journal replay and the
+# usability probe write the most per crash state, so a wrong checkpoint
+# rollback shows there first. No run may print a
 # "truncated:" footer: under default opts every crash state is checked.
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
 	  | tee _build/cache-smoke-default.out \
 	  | grep '^fingerprint' > _build/cache-smoke-default.txt
-	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  --no-dedup | tee _build/cache-smoke-nodedup.out \
-	  | grep '^fingerprint' > _build/cache-smoke-nodedup.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
 	  --no-vcache | tee _build/cache-smoke-novcache.out \
 	  | grep '^fingerprint' > _build/cache-smoke-novcache.txt
@@ -74,14 +71,13 @@ cache-smoke:
 	  --jobs 2 | tee _build/cache-smoke-jobs2.out \
 	  | grep '^fingerprint' > _build/cache-smoke-jobs2.txt
 	test -s _build/cache-smoke-default.txt
-	diff -u _build/cache-smoke-nodedup.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-jobs2.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
 	  | tee _build/cache-smoke-pmfs-default.out \
 	  | grep '^fingerprint' > _build/cache-smoke-pmfs-default.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
-	  --no-dedup --no-vcache | tee _build/cache-smoke-pmfs-nocache.out \
+	  --no-vcache | tee _build/cache-smoke-pmfs-nocache.out \
 	  | grep '^fingerprint' > _build/cache-smoke-pmfs-nocache.txt
 	test -s _build/cache-smoke-pmfs-default.txt
 	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-default.txt

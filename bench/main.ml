@@ -451,8 +451,8 @@ let perf () =
 (* ------------------------------------------------------------------ *)
 (* Cache and job-count transparency                                    *)
 
-(* The same campaign with no caches, dedup only, both caches, and both
-   caches over [jobs] domains must report identical findings. Rewrites
+(* The same campaign with no cache, with the verdict cache, and with the
+   verdict cache over [jobs] domains must report identical findings. Rewrites
    BENCH_parallel.json with the jobs=1 counts, which are deterministic, and
    the findings; wall-clock measurement lives in perfbench/. *)
 let parallel_perf () =
@@ -464,36 +464,28 @@ let parallel_perf () =
   in
   let suite () = Seq.append (Ace.seq1 Ace.Strong) (Seq.take 600 (Ace.seq2 Ace.Strong)) in
   let campaign exec = Chipmunk.Campaign.run ~exec (mk_driver ()) (suite ()) in
-  let no_dedup = { Chipmunk.Harness.default_opts with dedup_states = false } in
-  let seq_nc = campaign (Chipmunk.Run.exec ~opts:no_dedup ~use_vcache:false ()) in
-  let seq_d = campaign (Chipmunk.Run.exec ~use_vcache:false ()) in
+  let seq_nc = campaign (Chipmunk.Run.exec ~use_vcache:false ()) in
   let seq = campaign Chipmunk.Run.default_exec in
   let par = campaign (Chipmunk.Run.exec ~jobs ()) in
   let fps (r : Chipmunk.Campaign.result) =
     List.map (fun e -> e.Chipmunk.Campaign.fingerprint) r.Chipmunk.Campaign.events
   in
-  let findings_equal = List.for_all (fun r -> fps r = fps seq) [ par; seq_nc; seq_d ] in
+  let findings_equal = List.for_all (fun r -> fps r = fps seq) [ par; seq_nc ] in
   (* States that were actually mounted and checked (neither cache hit). *)
   let mounts (r : Chipmunk.Campaign.result) =
     r.Chipmunk.Campaign.crash_states - r.Chipmunk.Campaign.dedup_hits
     - r.Chipmunk.Campaign.vcache_hits
   in
-  let hit_rate =
-    float_of_int seq_d.Chipmunk.Campaign.dedup_hits
-    /. float_of_int (max 1 seq_d.Chipmunk.Campaign.crash_states)
-  in
-  let vcache_hit_rate =
-    float_of_int seq.Chipmunk.Campaign.vcache_hits
-    /. float_of_int (max 1 seq.Chipmunk.Campaign.crash_states)
-  in
+  let rate n = float_of_int n /. float_of_int (max 1 seq.Chipmunk.Campaign.crash_states) in
+  let hit_rate = rate seq.Chipmunk.Campaign.dedup_hits in
+  let vcache_hit_rate = rate seq.Chipmunk.Campaign.vcache_hits in
   let row label (r : Chipmunk.Campaign.result) =
     Printf.printf "%-24s %10d states %8d dedup %8d vcache %8d mounts %4d findings\n" label
       r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
       r.Chipmunk.Campaign.vcache_hits (mounts r)
       (List.length r.Chipmunk.Campaign.events)
   in
-  row "sequential, no caches" seq_nc;
-  row "sequential, dedup only" seq_d;
+  row "sequential, no cache" seq_nc;
   row "sequential (full)" seq;
   Printf.printf "dedup hit-rate %.1f%%, vcache hit-rate %.1f%%, findings at jobs=%d %s\n"
     (100.0 *. hit_rate) (100.0 *. vcache_hit_rate) jobs
@@ -514,11 +506,10 @@ let parallel_perf () =
   let json =
     J.obj
       [
-        ("schema", J.str "chipmunk-bench-parallel/5");
+        ("schema", J.str "chipmunk-bench-parallel/6");
         ("suite", J.str "nova-buggy seq1 + seq2[:600]");
         ("jobs", string_of_int jobs);
-        ("sequential_no_dedup", run_obj seq_nc);
-        ("sequential_dedup_only", run_obj seq_d);
+        ("sequential_no_cache", run_obj seq_nc);
         ("sequential", run_obj seq);
         ("dedup_hit_rate", Printf.sprintf "%.4f" hit_rate);
         ("vcache_hit_rate", Printf.sprintf "%.4f" vcache_hit_rate);

@@ -9,7 +9,7 @@
      chipmunk-cli reproduce bug.repro.json    rebuild and re-verify a reproducer
 
    The campaign-style subcommands (ace, fuzz, replay) parse one shared
-   flag table — --cap, --no-dedup, --no-vcache, --minimize — instead of
+   flag table — --cap, --no-vcache, --minimize — instead of
    keeping per-subcommand copies. The budget flags --max-seconds and
    --stop-after apply to the multi-workload runs, ace and fuzz. Only ace
    shards its work, so --jobs is an ace flag. *)
@@ -40,7 +40,6 @@ let buggy_arg =
 
 type common = {
   cap : int;  (* 0 = subcommand default *)
-  no_dedup : bool;
   no_vcache : bool;
   minimize : bool;
 }
@@ -52,15 +51,11 @@ let cap_arg =
   in
   Arg.(value & opt int 0 & info [ "cap" ] ~docv:"N" ~doc)
 
-let no_dedup_arg =
-  let doc = "Disable the crash-state dedup cache (mount and check every enumerated state)." in
-  Arg.(value & flag & info [ "no-dedup" ] ~doc)
-
 let no_vcache_arg =
   let doc =
-    "Disable the campaign-wide verdict cache (re-run mount+check even for crash states \
-     equivalent to ones already checked in other workloads). Findings are identical either \
-     way."
+    "Disable the campaign-wide verdict cache, the one crash-state cache: mount and check \
+     every enumerated crash state, even one that repeats a state already checked at the same \
+     crash point or in another workload. Findings are identical either way."
   in
   Arg.(value & flag & info [ "no-vcache" ] ~doc)
 
@@ -77,8 +72,8 @@ let minimize_flag =
   Arg.(value & flag & info [ "minimize" ] ~doc)
 
 let common_term =
-  let mk cap no_dedup no_vcache minimize = { cap; no_dedup; no_vcache; minimize } in
-  Term.(const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ minimize_flag)
+  let mk cap no_vcache minimize = { cap; no_vcache; minimize } in
+  Term.(const mk $ cap_arg $ no_vcache_arg $ minimize_flag)
 
 (* The shared stats footer: the "cache:" line (hit counts and rates over
    the enumerated crash states), then a "truncated:" line when the subset
@@ -92,11 +87,11 @@ let footer ~crash_states ~dedup_hits ~vcache_hits ~truncated_points =
       "truncated: %d crash point(s) hit max_states_per_point; some crash states were not checked\n"
       truncated_points
 
-(* Harness opts from the --cap and --no-dedup flags; [default_cap] is the
-   subcommand's cap when --cap is 0 (None = exhaustive). *)
-let harness_opts ?default_cap ?(no_dedup = false) cap =
+(* Harness opts from the --cap flag; [default_cap] is the subcommand's cap
+   when --cap is 0 (None = exhaustive). *)
+let harness_opts ?default_cap cap =
   let cap = if cap <= 0 then default_cap else Some cap in
-  { Chipmunk.Harness.default_opts with cap; dedup_states = not no_dedup }
+  { Chipmunk.Harness.default_opts with cap }
 
 let list_cmd =
   let run () =
@@ -160,7 +155,7 @@ let ace_cmd =
         1
       | Ok workloads ->
         let max_execs = if max_workloads = 0 then None else Some max_workloads in
-        let opts = harness_opts ~no_dedup:c.no_dedup c.cap in
+        let opts = harness_opts c.cap in
         let exec = Chipmunk.Run.exec ~opts ~jobs ~use_vcache:(not c.no_vcache) () in
         let budget =
           Chipmunk.Run.budget ?max_execs ?max_seconds ?stop_after_findings:stop_after ()
@@ -227,7 +222,7 @@ let fuzz_cmd =
       1
     | Ok driver ->
       (* The paper runs the fuzzer with a replayed-writes cap of 2. *)
-      let opts = harness_opts ~default_cap:2 ~no_dedup:c.no_dedup c.cap in
+      let opts = harness_opts ~default_cap:2 c.cap in
       let exec = Chipmunk.Run.exec ~opts ~use_vcache:(not c.no_vcache) () in
       let budget =
         Chipmunk.Run.budget ~max_execs:execs
@@ -312,7 +307,7 @@ let replay_cmd =
         Printf.eprintf "cannot load %s: %s\n" file e;
         1
       | Ok workload ->
-        let opts = harness_opts ~no_dedup:c.no_dedup c.cap in
+        let opts = harness_opts c.cap in
         let vcache = if c.no_vcache then None else Some (Chipmunk.Vcache.create ()) in
         let r = Chipmunk.Harness.test_workload ~opts ?vcache driver workload in
         let st = r.Chipmunk.Harness.stats in

@@ -26,8 +26,8 @@ type result = {
   crash_states : int;
   crash_points : int;
   dedup_hits : int;
-      (** Crash states skipped by the harness dedup cache (see
-          {!Harness.stats.dedup_hits}), summed over the campaign. *)
+      (** Summed {!Harness.stats.dedup_hits}; [0] with [exec.use_vcache =
+          false]. Like [vcache_hits], it varies with scheduling at [jobs > 1]. *)
   vcache_hits : int;
       (** Crash states whose verdict came from the campaign-wide {!Vcache}
           (summed {!Harness.stats.vcache_hits}); [0] when the campaign ran

@@ -7,7 +7,6 @@ type opts = {
   coalesce : bool;
   granularity : Pm.granularity;
   read_set_heuristic : bool;
-  dedup_states : bool;
 }
 
 let default_opts =
@@ -16,7 +15,6 @@ let default_opts =
     coalesce = true;
     granularity = Pm.Function_level;
     read_set_heuristic = false;
-    dedup_states = true;
   }
 
 type stats = {
@@ -53,6 +51,10 @@ type crash_point = {
 }
 
 let max_states_per_point = 512
+
+(* Ids for checked crash points, unique across every run and domain of the
+   process, so a verdict-cache entry can tell which point last touched it. *)
+let next_point = Atomic.make 0
 
 (* Enumerate index subsets of {0..n-1} in increasing size order, invoking
    [yield] on each; sizes above [cap] are skipped, and enumeration stops
@@ -299,18 +301,17 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
      under a checkpoint (rolled back once the state is done, undoing the
      writes and whatever recovery and the probe wrote), digest the result
      (O(dirty lines) thanks to the image's incremental digest), then
-     consult the two caches before paying for a mount+check:
-     - per-point dedup ([opts.dedup_states]): subsets producing
-       byte-identical images at this crash point are checked once; keyed by
-       the post-apply digest.
-     - campaign-wide verdict cache ([vcache]): equivalent states reached at
-       other crash points or in other workloads replay the memoized kinds
-       without mounting. Reports still go through [emit] with this
-       occurrence's crash point, so finding sets are unchanged.
+     look it up in the campaign-wide verdict cache ([vcache]) before paying
+     for a mount+check. A hit on an entry this crash point touched last is
+     a dedup hit: an earlier subset here built the same image and already
+     reported, so emit nothing. A hit from another point or workload
+     replays the memoized kinds through [emit] with this occurrence's crash
+     point, so finding sets are unchanged. With no [vcache], every state is
+     mounted and checked.
      The state's writes are [base_units] and the chosen subset merged back
      into in-flight (= sequence-number) order; the report's subset names
      all of them, so {!Reproduce} rebuilds the same image. *)
-  let check_state (p : crash_point) ~point_seen ~base_units units_arr subset_idxs =
+  let check_state (p : crash_point) ~point ~base_units units_arr subset_idxs =
     stats.crash_states <- stats.crash_states + 1;
     let replay_units =
       List.merge
@@ -320,39 +321,28 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     in
     Image.checkpoint replay;
     List.iter (Coalesce.apply (Image.write_string replay)) replay_units;
-    let dg = Image.digest replay in
-    let skip =
-      opts.dedup_states
-      &&
-      if Hashtbl.mem point_seen dg then begin
-        stats.dedup_hits <- stats.dedup_hits + 1;
-        true
-      end
-      else begin
-        Hashtbl.replace point_seen dg ();
-        false
-      end
+    let finish kinds =
+      Image.rollback replay;
+      if kinds <> [] then
+        emit p ~subset_seqs:(List.map (fun (u : Coalesce.t) -> u.seq) replay_units) kinds
     in
-    if skip then Image.rollback replay
-    else begin
-      let finish kinds =
-        Image.rollback replay;
-        if kinds <> [] then
-          emit p ~subset_seqs:(List.map (fun (u : Coalesce.t) -> u.seq) replay_units) kinds
+    match vcache with
+    | None -> finish (check_replay ~phase:p.phase)
+    | Some vc -> (
+      let key =
+        Vcache.key ~phase_digest:(phase_digest p.phase) ~image_digest:(Image.digest replay)
       in
-      match vcache with
-      | None -> finish (check_replay ~phase:p.phase)
-      | Some vc -> (
-        let key = Vcache.key ~phase_digest:(phase_digest p.phase) ~image_digest:dg in
-        match Vcache.find vc key with
-        | Some kinds ->
-          stats.vcache_hits <- stats.vcache_hits + 1;
-          finish kinds
-        | None ->
-          let kinds = check_replay ~phase:p.phase in
-          Vcache.add vc key kinds;
-          finish kinds)
-    end
+      match Vcache.find vc key ~point with
+      | Some (_, true) ->
+        stats.dedup_hits <- stats.dedup_hits + 1;
+        Image.rollback replay
+      | Some (kinds, false) ->
+        stats.vcache_hits <- stats.vcache_hits + 1;
+        finish kinds
+      | None ->
+        let kinds = check_replay ~phase:p.phase in
+        Vcache.add vc key ~point kinds;
+        finish kinds)
   in
   (* The Vinter-style read-set heuristic (paper section 6.2): probe-mount
      the fully-fenced prefix state with a read recorder armed, then keep
@@ -410,11 +400,11 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let bases = if cold_units = [] then [ [] ] else [ []; cold_units ] in
       let n = Array.length units_arr in
       stats.max_in_flight <- max stats.max_in_flight n;
-      let point_seen : (int, unit) Hashtbl.t = Hashtbl.create 32 in
+      let point = Atomic.fetch_and_add next_point 1 in
       let truncated =
         enumerate_subsets ~n ~cap:opts.cap ~limit:max_states_per_point (fun idxs ->
             List.iter
-              (fun base_units -> check_state p ~point_seen ~base_units units_arr idxs)
+              (fun base_units -> check_state p ~point ~base_units units_arr idxs)
               bases)
       in
       if truncated then stats.truncated_points <- stats.truncated_points + 1

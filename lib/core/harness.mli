@@ -28,14 +28,6 @@ type opts = {
           applied — cold writes are invisible to recovery but not to the
           checker, so hot-subset states must also be constructed on the
           base the next crash point builds on. Off by default. *)
-  dedup_states : bool;
-      (** Crash-state dedup cache (Vinter deduplicates crash images by
-          content before tracing them): per crash point, key each enumerated
-          state by its post-apply {!Pmem.Image.digest} — O(dirty lines) via
-          the image's incremental digest — and mount/walk/check only the
-          first state with a given key. Byte-identical images must check
-          identically, so detected reports are unchanged; skips are counted
-          in [stats.dedup_hits]. On by default. *)
 }
 
 val default_opts : opts
@@ -54,17 +46,18 @@ type stats = {
   mutable max_in_flight : int;  (** Largest coalesced in-flight vector seen. *)
   mutable fences : int;
   mutable dedup_hits : int;
-      (** Crash states skipped by the dedup cache: enumerated subsets whose
-          post-apply image digest matched an already-checked state at the
-          same crash point. [crash_states] still counts every enumerated
-          state, so the mount+check work actually done is
+      (** Crash states the {!Vcache} found repeating at the same crash
+          point (Vinter likewise deduplicates crash images by content): an
+          earlier subset there built the same image, so this state emits
+          nothing. [0] without a verdict cache. [crash_states] still counts
+          every enumerated state, so the mount+check work actually done is
           [crash_states - dedup_hits - vcache_hits]. *)
   mutable vcache_hits : int;
-      (** Crash states whose verdict was served by the campaign-wide
-          {!Vcache} instead of a mount+check. Unlike [dedup_hits] (per
-          crash point, deterministic per workload), vcache hit counts
-          depend on what other workloads — possibly on other domains —
-          populated the cache first; findings are unaffected either way. *)
+      (** Crash states whose verdict the campaign-wide {!Vcache} served
+          from another crash point or workload instead of a mount+check.
+          It depends on what other workloads populated the cache first; at
+          [jobs > 1] so does the split between it and [dedup_hits].
+          Findings are unaffected either way. *)
   mutable truncated_points : int;
       (** Crash points whose subset enumeration was cut short by
           {!max_states_per_point}: some crash states there were never
@@ -123,8 +116,10 @@ val test_workload :
     pair, and a call that raises drops its pair. Results are the same as
     on fresh images.
 
-    [vcache], when given, memoizes checker verdicts campaign-wide (see
-    {!Vcache}). Findings are identical with or without it. *)
+    [vcache], when given, memoizes checker verdicts campaign-wide and
+    skips states that repeat at their own crash point (see {!Vcache}).
+    Without it every enumerated state is mounted and checked. Findings
+    are identical with or without it. *)
 
 (** {1 Crash states}
 

@@ -36,8 +36,9 @@ type exec = {
   use_vcache : bool;
       (** Campaign-wide verdict cache (see {!Vcache}): runners create one
           fresh cache per run and thread it through every harness call, so
-          equivalent crash states across workloads skip their mount+check.
-          Findings are identical on or off; only [vcache_hits] counters
+          equivalent crash states skip their mount+check. It is the only
+          crash-state cache: [false] mounts and checks every enumerated
+          state. Findings are identical on or off; only the hit counters
           (and wall-clock) change. On by default. *)
 }
 

@@ -11,13 +11,11 @@
    across crash points and across workloads: ACE workload families share long
    syscall prefixes, so whole mount+check rounds repeat campaign-wide.
 
-   One table, guarded by a mutex, serves every domain of a run, so a
-   verdict added on one domain is visible to all the others at once. Caches
-   are transparent for findings — a hit replays the exact kinds the checker
-   would compute — so jobs=1 vs jobs=N stay finding-for-finding identical
-   even though hit *counts* at jobs=N depend on scheduling. *)
+   Each entry also remembers the crash point that last touched it: a repeat
+   at one crash point repeats the whole key (one point has one phase), so
+   the cache doubles as the per-point dedup table. *)
 
-type entry = Report.kind list
+type entry = { kinds : Report.kind list; mutable last_point : int }
 
 type ckey = string * int
 (* (phase digest, image digest): structural key, so the hot path never
@@ -28,13 +26,21 @@ type t = { mutex : Mutex.t; table : (ckey, entry) Hashtbl.t }
 
 let create () = { mutex = Mutex.create (); table = Hashtbl.create 1024 }
 
-let find t key = Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.table key)
+let find t key ~point =
+  Mutex.protect t.mutex (fun () ->
+      Hashtbl.find_opt t.table key
+      |> Option.map (fun e ->
+             let same = e.last_point = point in
+             e.last_point <- point;
+             (e.kinds, same)))
 
 (* First verdict wins: a racing domain that computed the same key keeps
    the entry already there (both verdicts are equal anyway). *)
-let add t key kinds =
+let add t key ~point kinds =
   Mutex.protect t.mutex (fun () ->
-      if not (Hashtbl.mem t.table key) then Hashtbl.replace t.table key kinds)
+      match Hashtbl.find_opt t.table key with
+      | Some e -> e.last_point <- point
+      | None -> Hashtbl.replace t.table key { kinds; last_point = point })
 
 let entries t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 

@@ -41,11 +41,14 @@ val phase_digest : Oracle.t -> calls:string array -> Checker.phase -> string
     walked or serialized. [calls] is the pre-rendered workload
     ([Vfs.Syscall.to_string] per call). *)
 
-val find : t -> ckey -> Report.kind list option
-(** [Some []] means "cached as consistent"; [None] means not cached yet. *)
+val find : t -> ckey -> point:int -> (Report.kind list * bool) option
+(** [None] if [key] is not cached yet, else the cached kinds ([[]] means
+    "consistent") and whether the entry's last {!find} or {!add} came from
+    [point] (an id unique to one crash point), which then replaces it. *)
 
-val add : t -> ckey -> Report.kind list -> unit
-(** Record a verdict; an entry already present under [key] is kept. *)
+val add : t -> ckey -> point:int -> Report.kind list -> unit
+(** Record a verdict found at [point]; an entry already present under
+    [key] keeps its verdict and takes [point]. *)
 
 val entries : t -> int
 (** Number of entries added so far. *)

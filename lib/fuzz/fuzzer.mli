@@ -74,9 +74,8 @@ type result = {
           union of per-execution hit sets). *)
   corpus_size : int;
   dedup_hits : int;
-      (** Summed per-execution {!Chipmunk.Harness.stats.dedup_hits}
-          (deterministic — the dedup cache is per crash point, inside one
-          execution). *)
+      (** Summed {!Chipmunk.Harness.stats.dedup_hits}; [0] with
+          [exec.use_vcache = false]. Deterministic per seed. *)
   vcache_hits : int;
       (** Crash states answered from the run-wide verdict cache (summed
           {!Chipmunk.Harness.stats.vcache_hits}); [0] with

@@ -63,6 +63,9 @@ let raw_write t ~off data =
    defaults to the paper's function-level interception. *)
 let log_nt t ~off data ~func =
   match t.granularity with
+  (* With no logger (mkfs, mounts, probes), build no record but take its
+     seq, which reports and reproducers name stores by. *)
+  | Function_level when Option.is_none t.logger -> ignore (next_seq t)
   | Function_level ->
     log t (Store { seq = next_seq t; addr = off; data; kind = Trace.Nt; func })
   | Instruction_level ->
@@ -110,6 +113,8 @@ let flush t ~off ~len =
     let base = max 0 base and stop = min stop (Pmem.Image.size t.image) in
     t.stats.flush_calls <- t.stats.flush_calls + 1;
     match t.granularity with
+    (* As in [log_nt]; an out-of-range flush still faults in [Image.read]. *)
+    | Function_level when Option.is_none t.logger && base <= stop -> ignore (next_seq t)
     | Function_level ->
       let data = Pmem.Image.read t.image ~off:base ~len:(stop - base) in
       log t

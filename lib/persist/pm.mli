@@ -36,7 +36,8 @@ val stats : t -> stats
 val set_logger : t -> (Trace.op -> unit) option -> unit
 (** Arm or disarm the gray-box logger. When armed, every persistence-function
     invocation is reported; cached [store]s are not (they only reach media
-    via a later [flush], which is). *)
+    via a later [flush], which is). Disarmed, nothing is built or copied
+    for the log, but store sequence numbers advance as if it were armed. *)
 
 val trace_to : t -> Trace.t -> unit
 (** [set_logger] with a logger that appends to the given trace. *)

@@ -52,14 +52,20 @@ let to_string calls =
 
 let ( let* ) = Result.bind
 
-let int_field ~key s =
+(* The largest offset, size or length a workload may name (the oracle
+   allocates it): above every device and every driver's maximum file size.
+   Only seeds pass a larger [max]. *)
+let max_size = 1 lsl 20
+
+let int_field ?(max = max_size) ~key s =
   let prefix = key ^ "=" in
   if String.length s > String.length prefix
      && String.sub s 0 (String.length prefix) = prefix
   then
     match int_of_string_opt (String.sub s (String.length prefix)
                                (String.length s - String.length prefix)) with
-    | Some v -> Ok v
+    | Some v when v <= max -> Ok v
+    | Some v -> Error (Printf.sprintf "%s must be at most %d, got %d" key max v)
     | None -> Error (Printf.sprintf "bad integer in %S" s)
   else Error (Printf.sprintf "expected %s=<int>, got %S" key s)
 
@@ -109,13 +115,13 @@ let parse_line line =
     Ok (S.Close { fd_var })
   | [ "write"; fd; seed; len ] ->
     let* fd_var = int fd in
-    let* seed = int_field ~key:"seed" seed in
+    let* seed = int_field ~max:max_int ~key:"seed" seed in
     let* len = len_field len in
     Ok (S.Write { fd_var; data = { seed; len } })
   | [ "pwrite"; fd; off; seed; len ] ->
     let* fd_var = int fd in
     let* off = int_field ~key:"off" off in
-    let* seed = int_field ~key:"seed" seed in
+    let* seed = int_field ~max:max_int ~key:"seed" seed in
     let* len = len_field len in
     Ok (S.Pwrite { fd_var; off; data = { seed; len } })
   | [ "read"; fd; len ] ->

@@ -29,7 +29,9 @@ val line_of_call : Syscall.t -> string
 
 val parse_line : string -> (Syscall.t, string) result
 (** Inverse of {!line_of_call}; the input must be a single non-comment,
-    non-blank line. A negative [len] on [write]/[pwrite] is an error. *)
+    non-blank line. A negative [len] on [write]/[pwrite] is an error, and
+    so is any [off], [size] or [len] above 1 MiB (more than any device or
+    driver file-size limit; the oracle would try to allocate it). *)
 
 val save : path:string -> Syscall.t list -> unit
 val load : path:string -> (Syscall.t list, string) result

@@ -1,7 +1,8 @@
 (* Tests for the performance layer: the domain pool, parallel campaigns
-   being bit-identical to sequential ones, the crash-state dedup cache
-   changing no detected report, and the read-set heuristic's cold-unit base
-   (the fix for hot subsets being constructed on the wrong image). *)
+   being bit-identical to sequential ones, per-point dedup through the
+   verdict cache changing no detected report, and the read-set heuristic's
+   cold-unit base (the fix for hot subsets being constructed on the wrong
+   image). *)
 
 module Campaign = Chipmunk.Campaign
 module Harness = Chipmunk.Harness
@@ -92,8 +93,7 @@ let test_parallel_matches_sequential () =
   Alcotest.(check int) "same crash states" seq_r.Campaign.crash_states
     par_r.Campaign.crash_states;
   Alcotest.(check int) "same crash points" seq_r.Campaign.crash_points
-    par_r.Campaign.crash_points;
-  Alcotest.(check int) "same dedup hits" seq_r.Campaign.dedup_hits par_r.Campaign.dedup_hits
+    par_r.Campaign.crash_points
 
 let test_parallel_repeatable () =
   (* Two parallel runs with different job counts agree with each other. *)
@@ -105,17 +105,14 @@ let test_parallel_repeatable () =
     (List.map event_key r2.Campaign.events)
     (List.map event_key r4.Campaign.events)
 
-(* --- Crash-state dedup cache --- *)
+(* --- Per-point dedup through the verdict cache --- *)
 
 let test_dedup_equivalent_reports () =
   let total_hits = ref 0 in
   List.iter
     (fun (b : Catalog.t) ->
-      let run dedup =
-        let opts = { Harness.default_opts with dedup_states = dedup } in
-        Harness.test_workload ~opts (b.Catalog.driver ()) b.Catalog.trigger
-      in
-      let on = run true and off = run false in
+      let run vcache = Harness.test_workload ?vcache (b.Catalog.driver ()) b.Catalog.trigger in
+      let on = run (Some (Chipmunk.Vcache.create ())) and off = run None in
       Alcotest.(check (list string))
         (Printf.sprintf "bug %d (%s): same reports with cache on and off" b.Catalog.bug_no
            b.Catalog.fs)
@@ -125,6 +122,7 @@ let test_dedup_equivalent_reports () =
         "cache does not change the enumerated state count" off.Harness.stats.Harness.crash_states
         on.Harness.stats.Harness.crash_states;
       Alcotest.(check int) "cache off never skips" 0 off.Harness.stats.Harness.dedup_hits;
+      Alcotest.(check int) "cache off never hits" 0 off.Harness.stats.Harness.vcache_hits;
       total_hits := !total_hits + on.Harness.stats.Harness.dedup_hits)
     Catalog.all;
   Alcotest.(check bool)
@@ -141,7 +139,7 @@ let test_dedup_skips_equal_states () =
       Vfs.Syscall.Close { fd_var = 0 };
     ]
   in
-  let r = Harness.test_workload (Novafs.driver ()) w in
+  let r = Harness.test_workload ~vcache:(Chipmunk.Vcache.create ()) (Novafs.driver ()) w in
   Alcotest.(check bool) "clean workload" true (r.Harness.reports = []);
   Alcotest.(check bool)
     (Printf.sprintf "some duplicate crash states skipped (%d of %d)"

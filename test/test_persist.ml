@@ -51,6 +51,32 @@ let test_flush_clamped_at_device_end () =
   | [ s ] -> Alcotest.(check int) "clamped" 1024 (s.Trace.addr + String.length s.Trace.data)
   | l -> Alcotest.failf "expected 1 store, got %d" (List.length l)
 
+let test_unlogged_writes_keep_seq () =
+  (* Writes made before a logger is armed (mkfs, say) must leave the
+     sequence numbers where a logger armed throughout would. *)
+  List.iter
+    (fun g ->
+      let run ~armed_first =
+        let pm = Pm.create (Pmem.Image.create ~size:1000) in
+        Pm.set_granularity pm g;
+        let trace = Trace.create () in
+        if armed_first then Pm.trace_to pm trace;
+        Pm.memcpy_nt pm ~off:3 (String.make 21 'a');
+        Pm.memset_nt pm ~off:100 ~len:0 'b';
+        Pm.store pm ~off:130 "c";
+        Pm.flush pm ~off:60 ~len:200;
+        Pm.flush pm ~off:990 ~len:40;
+        Pm.fence pm;
+        Pm.trace_to pm trace;
+        Pm.nt_u64 pm ~off:512 7;
+        List.map (fun s -> s.Trace.seq) (stores trace)
+      in
+      let always = run ~armed_first:true and late = run ~armed_first:false in
+      Alcotest.(check int) "the late-armed trace has the last store only" 1 (List.length late);
+      Alcotest.(check (list int)) "same seq for it" [ List.nth always (List.length always - 1) ]
+        late)
+    [ Pm.Function_level; Pm.Instruction_level ]
+
 let test_markers_and_epochs () =
   let _, pm, trace = setup () in
   Pm.mark_syscall_begin pm ~idx:0 ~descr:"creat /foo";
@@ -142,6 +168,7 @@ let suite =
     Alcotest.test_case "cached store not logged until flushed" `Quick test_cached_store_not_logged;
     Alcotest.test_case "flush widens to cache lines" `Quick test_flush_widens_to_lines;
     Alcotest.test_case "flush clamped at device end" `Quick test_flush_clamped_at_device_end;
+    Alcotest.test_case "unlogged writes advance seq" `Quick test_unlogged_writes_keep_seq;
     Alcotest.test_case "syscall markers and epochs" `Quick test_markers_and_epochs;
     Alcotest.test_case "undo rollback" `Quick test_undo_rollback;
     Alcotest.test_case "undo hooks into Pm writes" `Quick test_undo_via_pm;

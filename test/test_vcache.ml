@@ -69,7 +69,7 @@ let test_digest_snapshot_restore () =
   Alcotest.(check int) "and it matches a rehash" (Image.rehash img) (Image.digest img)
 
 let test_digest_undo_rollback () =
-  (* The harness relies on rollback restoring the digest exactly: the dedup
+  (* The harness relies on rollback restoring the digest exactly: the cache
      key of state N must not be perturbed by the check of state N-1. *)
   let size = 2048 + 5 in
   let img = Image.create ~size in
@@ -98,27 +98,47 @@ let test_digest_undo_rollback () =
 let test_vcache_find_add_shared () =
   let c = Vcache.create () in
   let k = Vcache.key ~phase_digest:"abc" ~image_digest:42 in
-  Alcotest.(check bool) "empty cache misses" true (Vcache.find c k = None);
+  Alcotest.(check bool) "empty cache misses" true (Vcache.find c k ~point:0 = None);
   Alcotest.(check int) "empty cache has no entries" 0 (Vcache.entries c);
-  Vcache.add c k [];
+  Vcache.add c k ~point:0 [];
   Alcotest.(check bool) "consistent verdict cached as Some []" true
-    (Vcache.find c k = Some []);
+    (Vcache.find c k ~point:1 = Some ([], false));
   Alcotest.(check int) "entries counts the add at once" 1 (Vcache.entries c);
-  Vcache.add c k [ R.Unusable "later" ];
-  Alcotest.(check bool) "first verdict wins" true (Vcache.find c k = Some []);
+  Vcache.add c k ~point:2 [ R.Unusable "later" ];
+  Alcotest.(check bool) "first verdict wins" true (Vcache.find c k ~point:3 = Some ([], false));
   (* Another domain sees the entry with no sync step, and its adds are
      visible back here. *)
   let k' = Vcache.key ~phase_digest:"abc" ~image_digest:43 in
   let seen =
     Domain.join
       (Domain.spawn (fun () ->
-           let v = Vcache.find c k in
-           Vcache.add c k' [];
+           let v = Vcache.find c k ~point:4 in
+           Vcache.add c k' ~point:4 [];
            v))
   in
-  Alcotest.(check bool) "fresh domain hits" true (seen = Some []);
-  Alcotest.(check bool) "its add is visible here" true (Vcache.find c k' = Some []);
+  Alcotest.(check bool) "fresh domain hits" true (seen = Some ([], false));
+  Alcotest.(check bool) "its add is visible here" true
+    (Vcache.find c k' ~point:5 = Some ([], false));
   Alcotest.(check int) "two entries" 2 (Vcache.entries c)
+
+let test_vcache_find_same_point () =
+  (* The entry's last point tells a dedup hit (a repeat at the crash point
+     that last touched the key) from a verdict-cache hit. *)
+  let c = Vcache.create () in
+  let k = Vcache.key ~phase_digest:"p" ~image_digest:1 in
+  let kinds = [ R.Unusable "x" ] in
+  Vcache.add c k ~point:10 kinds;
+  Alcotest.(check bool) "repeat at the adding point: same point" true
+    (Vcache.find c k ~point:10 = Some (kinds, true));
+  Alcotest.(check bool) "repeat at another point: vcache hit" true
+    (Vcache.find c k ~point:11 = Some (kinds, false));
+  Alcotest.(check bool) "that point now owns the entry" true
+    (Vcache.find c k ~point:11 = Some (kinds, true));
+  Alcotest.(check bool) "the first point, after another touched the key, is a vcache hit" true
+    (Vcache.find c k ~point:10 = Some (kinds, false));
+  Vcache.add c k ~point:12 [];
+  Alcotest.(check bool) "a duplicate add moves the point, keeps the verdict" true
+    (Vcache.find c k ~point:12 = Some (kinds, true))
 
 let test_vcache_key_separates () =
   (* The key must separate phases at equal image digests, and image
@@ -176,7 +196,27 @@ let test_campaign_vcache_parallel_deterministic () =
   Alcotest.(check int) "same workload count" j1.Campaign.workloads_run
     j4.Campaign.workloads_run;
   Alcotest.(check int) "same crash states" j1.Campaign.crash_states j4.Campaign.crash_states;
-  Alcotest.(check int) "same dedup hits" j1.Campaign.dedup_hits j4.Campaign.dedup_hits
+  Alcotest.(check int) "same crash points" j1.Campaign.crash_points j4.Campaign.crash_points
+
+let test_campaign_seq1_cache_counts () =
+  (* At jobs=1 the hit counters are deterministic. The verdict cache is the
+     only crash-state cache, so without it nothing is deduplicated either. *)
+  List.iter
+    (fun (fs, states, dedup, vhits) ->
+      let driver () = Option.get (Catalog.buggy_driver fs) () in
+      let run use_vcache =
+        Campaign.run ~exec:(Chipmunk.Run.exec ~use_vcache ()) (driver ()) (Ace.seq1 Ace.Strong)
+      in
+      let on = run true and off = run false in
+      let counts (r : Campaign.result) =
+        (r.Campaign.crash_states, r.Campaign.dedup_hits, r.Campaign.vcache_hits)
+      in
+      Alcotest.(check (triple int int int))
+        (fs ^ ": states, dedup hits, vcache hits")
+        (states, dedup, vhits) (counts on);
+      Alcotest.(check (triple int int int)) (fs ^ ": no vcache, no hits") (states, 0, 0)
+        (counts off))
+    [ ("nova", 2960, 308, 2082); ("pmfs", 5160, 298, 3680) ]
 
 let test_harness_vcache_second_run_hits () =
   (* Two identical workloads through one cache: the second is answered
@@ -232,10 +272,14 @@ let suite =
       test_digest_undo_rollback;
     Alcotest.test_case "vcache: find/add shared across domains" `Quick test_vcache_find_add_shared;
     Alcotest.test_case "vcache: key separates phase/digest" `Quick test_vcache_key_separates;
+    Alcotest.test_case "vcache: find tells a same-point repeat" `Quick
+      test_vcache_find_same_point;
     Alcotest.test_case "campaign: findings identical with vcache on/off" `Quick
       test_campaign_vcache_transparent;
     Alcotest.test_case "campaign: vcache keeps jobs=1 == jobs=4" `Quick
       test_campaign_vcache_parallel_deterministic;
+    Alcotest.test_case "campaign: seq1 cache counters at jobs=1" `Quick
+      test_campaign_seq1_cache_counts;
     Alcotest.test_case "harness: repeated workload served from cache" `Quick
       test_harness_vcache_second_run_hits;
     Alcotest.test_case "harness: replay_recorded == test_workload" `Quick

@@ -294,6 +294,8 @@ let test_workload_io_errors () =
   bad "open /f O_BOGUS 0";
   bad "write 0 seed=1 len=-5";
   bad "pwrite 0 off=0 seed=1 len=-1";
+  bad "creat /foo 0\npwrite 0 off=4611686018427387000 seed=1 len=10\nclose 0";
+  bad "creat /foo 0\ntruncate /foo size=4611686018427387000\nclose 0";
   (match Vfs.Workload_io.of_string "# only comments\n\n" with
   | Ok [] -> ()
   | _ -> Alcotest.fail "comments/blank lines should parse to empty")
