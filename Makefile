@@ -58,7 +58,10 @@ fuzz-smoke:
 # lines must match exactly (only the hit-rate footer may differ).
 # Buggy PMFS runs with the cache on and off: its journal replay and the
 # usability probe write the most per crash state, so a wrong checkpoint
-# rollback shows there first. No run may print a
+# rollback shows there first. A short buggy-NOVA fuzz run with the cache
+# on and off must print the same finding and triage cluster lines: the
+# cache also serves the fuzzer's oracle boundaries from its call-prefix
+# trie and each finding's fingerprint parts. No run may print a
 # "truncated:" footer: under default opts every crash state is checked.
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
@@ -81,6 +84,14 @@ cache-smoke:
 	  | grep '^fingerprint' > _build/cache-smoke-pmfs-nocache.txt
 	test -s _build/cache-smoke-pmfs-default.txt
 	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-default.txt
+	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 256 --seed 1 \
+	  | tee _build/cache-smoke-fuzz-default.out \
+	  | grep -E '^(finding|  cluster)' > _build/cache-smoke-fuzz-default.txt
+	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 256 --seed 1 \
+	  --no-vcache | tee _build/cache-smoke-fuzz-novcache.out \
+	  | grep -E '^(finding|  cluster)' > _build/cache-smoke-fuzz-novcache.txt
+	test -s _build/cache-smoke-fuzz-default.txt
+	diff -u _build/cache-smoke-fuzz-novcache.txt _build/cache-smoke-fuzz-default.txt
 	! grep -H '^truncated:' _build/cache-smoke-*.out
 
 # Rewrite BENCH_parallel.json (findings and deterministic cache counts of

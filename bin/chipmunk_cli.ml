@@ -76,12 +76,13 @@ let common_term =
   Term.(const mk $ cap_arg $ no_vcache_arg $ minimize_flag)
 
 (* The shared stats footer: the "cache:" line (hit counts and rates over
-   the enumerated crash states), then a "truncated:" line when the subset
+   the enumerated crash states, and the oracle boundaries the cache's
+   call-prefix trie served), then a "truncated:" line when the subset
    enumeration's safety valve skipped crash states anywhere. *)
-let footer ~crash_states ~dedup_hits ~vcache_hits ~truncated_points =
+let footer ~crash_states ~dedup_hits ~vcache_hits ~oracle_reused ~truncated_points =
   let rate n = if crash_states = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int crash_states in
-  Printf.printf "cache: dedup %d hits (%.1f%%), vcache %d hits (%.1f%%)\n" dedup_hits
-    (rate dedup_hits) vcache_hits (rate vcache_hits);
+  Printf.printf "cache: dedup %d hits (%.1f%%), vcache %d hits (%.1f%%), oracle %d boundaries reused\n"
+    dedup_hits (rate dedup_hits) vcache_hits (rate vcache_hits) oracle_reused;
   if truncated_points > 0 then
     Printf.printf
       "truncated: %d crash point(s) hit max_states_per_point; some crash states were not checked\n"
@@ -169,6 +170,7 @@ let ace_cmd =
         footer ~crash_states:r.Chipmunk.Campaign.crash_states
           ~dedup_hits:r.Chipmunk.Campaign.dedup_hits
           ~vcache_hits:r.Chipmunk.Campaign.vcache_hits
+          ~oracle_reused:r.Chipmunk.Campaign.oracle_reused
           ~truncated_points:r.Chipmunk.Campaign.truncated_points;
         let events =
           if not c.minimize then r.Chipmunk.Campaign.events
@@ -236,6 +238,7 @@ let fuzz_cmd =
         r.Fuzz.Fuzzer.corpus_size r.Fuzz.Fuzzer.elapsed;
       footer ~crash_states:r.Fuzz.Fuzzer.crash_states
         ~dedup_hits:r.Fuzz.Fuzzer.dedup_hits ~vcache_hits:r.Fuzz.Fuzzer.vcache_hits
+        ~oracle_reused:r.Fuzz.Fuzzer.oracle_reused
         ~truncated_points:r.Fuzz.Fuzzer.truncated_points;
       Printf.printf "%d unique finding(s) in %d cluster(s)\n"
         (List.length r.Fuzz.Fuzzer.events)
@@ -315,6 +318,7 @@ let replay_cmd =
         footer ~crash_states:st.Chipmunk.Harness.crash_states
           ~dedup_hits:st.Chipmunk.Harness.dedup_hits
           ~vcache_hits:st.Chipmunk.Harness.vcache_hits
+          ~oracle_reused:st.Chipmunk.Harness.oracle_reused
           ~truncated_points:st.Chipmunk.Harness.truncated_points;
         (match r.Chipmunk.Harness.reports with
         | [] ->

@@ -14,6 +14,7 @@ type result = {
   dedup_hits : int;
   vcache_hits : int;
   truncated_points : int;
+  oracle_reused : int;
   elapsed : float;
   max_in_flight : int;
 }
@@ -51,7 +52,7 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
      independent of domain scheduling. *)
   let found = Run.findings budget in
   let states = ref 0 and points = ref 0 and dedups = ref 0 and vhits = ref 0 in
-  let truncated = ref 0 and max_if = ref 0 in
+  let truncated = ref 0 and max_if = ref 0 and reused = ref 0 in
   List.iter
     (fun (index, (workload_name, _), (reports, (s : Harness.stats), elapsed)) ->
       states := !states + s.Harness.crash_states;
@@ -59,6 +60,7 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
       dedups := !dedups + s.Harness.dedup_hits;
       vhits := !vhits + s.Harness.vcache_hits;
       truncated := !truncated + s.Harness.truncated_points;
+      reused := !reused + s.Harness.oracle_reused;
       max_if := max !max_if s.Harness.max_in_flight;
       Run.add found reports (fun fingerprint report ->
           {
@@ -77,6 +79,7 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
     dedup_hits = !dedups;
     vcache_hits = !vhits;
     truncated_points = !truncated;
+    oracle_reused = !reused;
     elapsed = Unix.gettimeofday () -. t0;
     max_in_flight = !max_if;
   }

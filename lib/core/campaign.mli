@@ -36,6 +36,10 @@ type result = {
   truncated_points : int;
       (** Summed {!Harness.stats.truncated_points}: crash points where
           {!Harness.max_states_per_point} skipped crash states. *)
+  oracle_reused : int;
+      (** Summed {!Harness.stats.oracle_reused}: oracle boundaries served
+          by the verdict cache's call-prefix trie. Like the hit counts it
+          varies with scheduling at [jobs > 1]. *)
   elapsed : float;
   max_in_flight : int;
 }

@@ -26,6 +26,7 @@ type stats = {
   mutable dedup_hits : int;
   mutable vcache_hits : int;
   mutable truncated_points : int;
+  oracle_reused : int;
 }
 
 type result = {
@@ -239,8 +240,11 @@ let mount_and_check ?stats (driver : Vfs.Driver.t) ~workload ~oracle ~phase imag
    consumed (mutated throughout); pass a snapshot to keep the base image. *)
 let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     ~replay =
-  (* Phase 2: the oracle. *)
-  let oracle = Oracle.run calls in
+  (* Phase 2: the oracle. With a verdict cache it comes from the cache's
+     call-prefix trie, which captures only the boundaries no earlier
+     program of the campaign had. *)
+  let program = Option.map (fun vc -> Vcache.program vc calls) vcache in
+  let oracle = match program with Some p -> Vcache.oracle p | None -> Oracle.run calls in
   (* Phase 3: replay. *)
   let stats =
     {
@@ -252,6 +256,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       dedup_hits = 0;
       vcache_hits = 0;
       truncated_points = 0;
+      oracle_reused = (match program with Some p -> Vcache.reused p | None -> 0);
     }
   in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -260,39 +265,57 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
   let fsync_boundary idx =
     idx < Array.length workload_arr && Vfs.Syscall.is_fsync_family workload_arr.(idx)
   in
-  let emit (p : crash_point) ~subset_seqs kinds =
+  let text =
+    match program with
+    | Some p -> Vcache.text p
+    | None ->
+      let texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
+      fun i -> (Lazy.force texts).(i)
+  in
+  (* Per phase, rendered once per workload: the verdict-cache key half that
+     covers the oracle slice (everything the checker consults besides the
+     image, O(1) off the trie), and the crash context of the fingerprints
+     found there. Per-state key building is then a tuple allocation, and a
+     finding's fingerprint a string join. *)
+  let phases : (Checker.phase, string * string) Hashtbl.t = Hashtbl.create 8 in
+  let phase_info phase =
+    match Hashtbl.find_opt phases phase with
+    | Some x -> x
+    | None ->
+      let key = match program with Some p -> Vcache.phase_key p phase | None -> "" in
+      let during_syscall, after_syscall =
+        match phase with
+        | Checker.During i -> (Some i, None)
+        | Checker.After i -> (None, Some i)
+        | Checker.Initial -> (None, None)
+      in
+      let context =
+        Report.context ~during_syscall ~after_syscall (fun i -> Report.first_word (text i))
+      in
+      Hashtbl.add phases phase (key, context);
+      (key, context)
+  in
+  let emit (p : crash_point) ~replay_units verdicts =
+    let _, context = phase_info p.phase in
     List.iter
-      (fun kind ->
-        let crash_point =
-          {
-            Report.fence_no = p.fence_no;
-            during_syscall = (match p.phase with Checker.During i -> Some i | _ -> None);
-            after_syscall = p.after_syscall;
-            subset = subset_seqs;
-            in_flight = List.length p.in_flight;
-          }
-        in
-        let r = { Report.fs = driver.Vfs.Driver.name; workload = calls; crash_point; kind } in
-        let fp = Report.fingerprint r in
+      (fun (v : Report.verdict) ->
+        let fp = Report.fingerprint_of ~fs:driver.Vfs.Driver.name ~context v in
         if not (Hashtbl.mem seen fp) then begin
           Hashtbl.replace seen fp ();
-          reports := r :: !reports
+          let crash_point =
+            {
+              Report.fence_no = p.fence_no;
+              during_syscall = (match p.phase with Checker.During i -> Some i | _ -> None);
+              after_syscall = p.after_syscall;
+              subset = List.map (fun (u : Coalesce.t) -> u.seq) replay_units;
+              in_flight = List.length p.in_flight;
+            }
+          in
+          reports :=
+            { Report.fs = driver.Vfs.Driver.name; workload = calls; crash_point; kind = v.verdict_kind }
+            :: !reports
         end)
-      kinds
-  in
-  (* The verdict-cache key half that covers the oracle slice: digest of
-     everything the checker consults at a phase besides the image itself,
-     so per-state key building is a tuple allocation. One digest per phase
-     per workload, each O(1) off the oracle's boundary digests. *)
-  let call_texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
-  let phase_digests : (Checker.phase, string) Hashtbl.t = Hashtbl.create 8 in
-  let phase_digest phase =
-    match Hashtbl.find_opt phase_digests phase with
-    | Some d -> d
-    | None ->
-      let d = Vcache.phase_digest oracle ~calls:(Lazy.force call_texts) phase in
-      Hashtbl.add phase_digests phase d;
-      d
+      verdicts
   in
   let check_replay ~phase =
     mount_and_check ~stats driver ~workload:calls ~oracle ~phase replay
@@ -321,28 +344,27 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     in
     Image.checkpoint replay;
     List.iter (Coalesce.apply (Image.write_string replay)) replay_units;
-    let finish kinds =
+    let finish verdicts =
       Image.rollback replay;
-      if kinds <> [] then
-        emit p ~subset_seqs:(List.map (fun (u : Coalesce.t) -> u.seq) replay_units) kinds
+      if verdicts <> [] then emit p ~replay_units verdicts
     in
     match vcache with
-    | None -> finish (check_replay ~phase:p.phase)
+    | None -> finish (List.map Report.verdict (check_replay ~phase:p.phase))
     | Some vc -> (
       let key =
-        Vcache.key ~phase_digest:(phase_digest p.phase) ~image_digest:(Image.digest replay)
+        Vcache.key ~phase_digest:(fst (phase_info p.phase)) ~image_digest:(Image.digest replay)
       in
       match Vcache.find vc key ~point with
       | Some (_, true) ->
         stats.dedup_hits <- stats.dedup_hits + 1;
         Image.rollback replay
-      | Some (kinds, false) ->
+      | Some (verdicts, false) ->
         stats.vcache_hits <- stats.vcache_hits + 1;
-        finish kinds
+        finish verdicts
       | None ->
-        let kinds = check_replay ~phase:p.phase in
-        Vcache.add vc key ~point kinds;
-        finish kinds)
+        let verdicts = List.map Report.verdict (check_replay ~phase:p.phase) in
+        Vcache.add vc key ~point verdicts;
+        finish verdicts)
   in
   (* The Vinter-style read-set heuristic (paper section 6.2): probe-mount
      the fully-fenced prefix state with a read recorder armed, then keep

@@ -62,6 +62,11 @@ type stats = {
       (** Crash points whose subset enumeration was cut short by
           {!max_states_per_point}: some crash states there were never
           built or checked. *)
+  oracle_reused : int;
+      (** Oracle boundaries the {!Vcache}'s call-prefix trie served instead
+          of capturing them on Memfs: one more than the number of leading
+          calls an earlier program of the campaign already ran. [0]
+          without a verdict cache. *)
 }
 
 type result = {
@@ -117,9 +122,11 @@ val test_workload :
     on fresh images.
 
     [vcache], when given, memoizes checker verdicts campaign-wide and
-    skips states that repeat at their own crash point (see {!Vcache}).
-    Without it every enumerated state is mounted and checked. Findings
-    are identical with or without it. *)
+    skips states that repeat at their own crash point, and serves the
+    oracle boundaries of call prefixes earlier programs ran (see
+    {!Vcache}). Without it every enumerated state is mounted and checked
+    and the oracle is {!Oracle.run}. Findings are identical with or
+    without it. *)
 
 (** {1 Crash states}
 

@@ -14,14 +14,36 @@ let ret t i = t.rets.(i)
 let pre_digest t i = t.digests.(i)
 let post_digest t i = t.digests.(i + 1)
 
-let run calls =
+let make ~trees ~digests ~targets ~rets = { trees; digests; targets; rets }
+
+(* Run [calls] on Memfs. Boundaries [0 .. n_calls known] come from [known];
+   only later ones are captured and digested. Memfs still runs every call,
+   since it holds the state the later boundaries are captured from. *)
+let run_memfs ?known calls =
   let h = Memfs.handle () in
   let n = List.length calls in
   let trees = Array.make (n + 1) [] in
+  let digests = Array.make (n + 1) 0 in
   let targets = Array.make n None in
   let rets = Array.make n 0 in
+  let have =
+    match known with
+    | None -> -1
+    | Some o ->
+      let k = n_calls o in
+      Array.blit o.trees 0 trees 0 (k + 1);
+      Array.blit o.digests 0 digests 0 (k + 1);
+      k
+  in
+  let capture b =
+    if b > have then begin
+      let tree = Vfs.Walker.capture h in
+      trees.(b) <- tree;
+      digests.(b) <- Vfs.Walker.digest tree
+    end
+  in
   let var_paths : (int, string) Hashtbl.t = Hashtbl.create 8 in
-  trees.(0) <- Vfs.Walker.capture h;
+  capture 0;
   let before idx call =
     let target_of var = Hashtbl.find_opt var_paths var in
     targets.(idx) <-
@@ -56,7 +78,12 @@ let run calls =
            (fun var p -> if p = path then Hashtbl.remove var_paths var)
            (Hashtbl.copy var_paths)
        | _ -> ());
-    trees.(idx + 1) <- Vfs.Walker.capture h
+    capture (idx + 1)
   in
   let _ = Vfs.Workload.run ~before ~after h calls in
-  { trees; digests = Array.map Vfs.Walker.digest trees; targets; rets }
+  { trees; digests; targets; rets }
+
+let run ?known calls =
+  match known with
+  | Some o when n_calls o = List.length calls -> o
+  | _ -> run_memfs ?known calls

@@ -9,7 +9,25 @@
 
 type t
 
-val run : Vfs.Syscall.t list -> t
+val run : ?known:t -> Vfs.Syscall.t list -> t
+(** The oracle of [calls]. Without [known] this is the reference: every
+    boundary is captured and digested.
+
+    [known], the oracle of a prefix of [calls] (the caller vouches for
+    that), supplies the boundaries of that prefix: they are not captured
+    or digested again. Memfs still runs every call unless [known] covers
+    all of [calls], in which case it is returned as is. The result equals
+    the reference either way. *)
+
+val make :
+  trees:Vfs.Walker.tree array ->
+  digests:int array ->
+  targets:string option array ->
+  rets:int array ->
+  t
+(** An oracle from its parts: [n + 1] boundary trees and their digests,
+    and [n] call targets and returns. The parts are not checked against
+    each other. *)
 
 val n_calls : t -> int
 

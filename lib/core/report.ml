@@ -41,27 +41,38 @@ let syscall_name = function
   | Some s -> (
     match String.index_opt s ' ' with None -> s | Some i -> String.sub s 0 i)
 
+let first_word s = syscall_name (Some s)
+
 let first_word_of_call workload idx =
   match List.nth_opt workload idx with
   | None -> "-"
   | Some c -> syscall_name (Some (Vfs.Syscall.to_string c))
 
+let context ~during_syscall ~after_syscall word =
+  match (during_syscall, after_syscall) with
+  | Some i, _ -> "during:" ^ word i
+  | None, Some i -> "after:" ^ word i
+  | None, None -> "init"
+
+let evidence = function
+  | Unmountable m | Recovery_fault m | Unusable m -> normalize m
+  | Atomicity { diffs; _ } | Synchrony { diffs; _ } ->
+    normalize (String.concat "|" (List.filteri (fun i _ -> i < 2) diffs))
+  | Torn_data { detail; _ } -> normalize detail
+  | Inaccessible { error; _ } -> normalize error
+
+type verdict = { verdict_kind : kind; label : string; evidence : string }
+
+let verdict kind = { verdict_kind = kind; label = kind_label kind; evidence = evidence kind }
+
+let fingerprint_of ~fs ~context v = String.concat "/" [ fs; v.label; context; v.evidence ]
+
 let fingerprint t =
-  let ctx =
-    match (t.crash_point.during_syscall, t.crash_point.after_syscall) with
-    | Some i, _ -> "during:" ^ first_word_of_call t.workload i
-    | None, Some i -> "after:" ^ first_word_of_call t.workload i
-    | None, None -> "init"
+  let context =
+    context ~during_syscall:t.crash_point.during_syscall
+      ~after_syscall:t.crash_point.after_syscall (first_word_of_call t.workload)
   in
-  let evidence =
-    match t.kind with
-    | Unmountable m | Recovery_fault m | Unusable m -> normalize m
-    | Atomicity { diffs; _ } | Synchrony { diffs; _ } ->
-      normalize (String.concat "|" (List.filteri (fun i _ -> i < 2) diffs))
-    | Torn_data { detail; _ } -> normalize detail
-    | Inaccessible { error; _ } -> normalize error
-  in
-  Printf.sprintf "%s/%s/%s/%s" t.fs (kind_label t.kind) ctx evidence
+  fingerprint_of ~fs:t.fs ~context (verdict t.kind)
 
 let summary t =
   let where =

@@ -37,7 +37,31 @@ type t = {
 val fingerprint : t -> string
 (** Stable identity for deduplication: the kind of failure, the syscall
     involved, and a normalized digest of the evidence — not the specific
-    crash state. *)
+    crash state. It is [fingerprint_of] over the parts below. *)
+
+(** {2 Fingerprint parts}
+
+    A fingerprint joins four parts: the file system, the kind's label, the
+    crash context and the normalized evidence. The replay loop renders the
+    context once per crash phase and a kind's label and evidence once per
+    verdict-cache entry, so a repeated finding costs a string join. *)
+
+type verdict = { verdict_kind : kind; label : string; evidence : string }
+(** A kind with its fingerprint label ({!kind_label}) and normalized
+    evidence, computed once by {!verdict}. *)
+
+val verdict : kind -> verdict
+
+val context : during_syscall:int option -> after_syscall:int option -> (int -> string) -> string
+(** ["during:W"], ["after:W"] or ["init"], where [W] is the given function
+    of the syscall index: the first word of that call's rendering. *)
+
+val first_word : string -> string
+(** The first word of a rendered syscall: its name. *)
+
+val fingerprint_of : fs:string -> context:string -> verdict -> string
+(** ["fs/label/context/evidence"]: {!fingerprint} of a report with these
+    parts. *)
 
 val kind_label : kind -> string
 val summary : t -> string

@@ -35,10 +35,17 @@ type result = {
   dedup_hits : int;
   vcache_hits : int;
   truncated_points : int;
+  oracle_reused : int;
   events : event list;
   clusters : Triage.cluster list;
   elapsed : float;
 }
+
+let program ~rng_seed ~epoch ~slot corpus =
+  let rng = Random.State.make [| rng_seed; epoch; slot |] in
+  (* As in Syzkaller: usually mutate a seed, sometimes generate fresh. *)
+  if Array.length corpus = 0 || Random.State.int rng 4 = 0 then Prog.generate rng ~max_len:14
+  else Prog.mutate rng corpus.(Random.State.int rng (Array.length corpus))
 
 let run ?(config = default_config) driver =
   let budget = config.budget in
@@ -50,6 +57,7 @@ let run ?(config = default_config) driver =
   let vhits = ref 0 in
   let dhits = ref 0 in
   let truncated = ref 0 in
+  let reused = ref 0 in
   (* Corpus as an array so epoch snapshots are O(1) to capture and index;
      it only ever grows, at epoch boundaries, in execution order. *)
   let corpus = ref [||] in
@@ -81,13 +89,7 @@ let run ?(config = default_config) driver =
        taken at the epoch boundary, so the run is a pure function of the
        seed (and of [max_seconds], the one wall-clock stop). *)
     let slot s =
-      let rng = Random.State.make [| config.rng_seed; !epoch; s |] in
-      let workload =
-        (* As in Syzkaller: usually mutate a seed, sometimes generate fresh. *)
-        if Array.length snapshot = 0 || Random.State.int rng 4 = 0 then
-          Prog.generate rng ~max_len:14
-        else Prog.mutate rng snapshot.(Random.State.int rng (Array.length snapshot))
-      in
+      let workload = program ~rng_seed:config.rng_seed ~epoch:!epoch ~slot:s snapshot in
       let r, hits =
         Cov.collect (fun () ->
             Chipmunk.Harness.test_workload ~opts:config.exec.Run.opts ?vcache driver workload)
@@ -99,6 +101,7 @@ let run ?(config = default_config) driver =
       dhits := !dhits + st.Chipmunk.Harness.dedup_hits;
       vhits := !vhits + st.Chipmunk.Harness.vcache_hits;
       truncated := !truncated + st.Chipmunk.Harness.truncated_points;
+      reused := !reused + st.Chipmunk.Harness.oracle_reused;
       if List.exists (fun p -> not (Hashtbl.mem seen_cov p)) hits then
         fresh_seeds := workload :: !fresh_seeds;
       List.iter (fun p -> Hashtbl.replace seen_cov p ()) hits;
@@ -121,6 +124,7 @@ let run ?(config = default_config) driver =
     dedup_hits = !dhits;
     vcache_hits = !vhits;
     truncated_points = !truncated;
+    oracle_reused = !reused;
     events = Run.events found;
     clusters = Triage.cluster (List.rev !all_reports);
     elapsed = elapsed ();

@@ -84,6 +84,9 @@ type result = {
   truncated_points : int;
       (** Summed {!Chipmunk.Harness.stats.truncated_points}: crash points
           where {!Chipmunk.Harness.max_states_per_point} skipped crash states. *)
+  oracle_reused : int;
+      (** Summed {!Chipmunk.Harness.stats.oracle_reused}: oracle boundaries
+          served by the verdict cache's call-prefix trie. *)
   events : event list;  (** Unique findings in discovery order. *)
   clusters : Triage.cluster list;
   elapsed : float;
@@ -91,3 +94,9 @@ type result = {
 
 val run : ?config:config -> Vfs.Driver.t -> result
 (** Run the campaign in the calling domain. *)
+
+val program :
+  rng_seed:int -> epoch:int -> slot:int -> Vfs.Syscall.t list array -> Vfs.Syscall.t list
+(** The program {!run} executes in [slot] of [epoch], given the corpus
+    snapshot taken at that epoch's boundary: a fresh one, or a mutation of
+    a corpus seed. *)

@@ -33,22 +33,51 @@ let jaccard ta tb =
 
 let similarity a b = jaccard (tokens a) (tokens b)
 
-(* Each report is tokenized once; a cluster keeps its representative's
-   tokens, so placing a report costs one merge per cluster tried. *)
+(* A cluster keeps its representative's tokens, so placing a report costs
+   one merge per cluster tried. *)
 type open_cluster = {
   rep : Chipmunk.Report.t;
   rep_tokens : string list;
   mutable rev_members : Chipmunk.Report.t list;
 }
 
+(* What a report's tokens are a function of: its summary and fingerprint
+   read only the fs, the kind, and the call at the crash point's
+   during/after index. *)
+let token_key (r : Chipmunk.Report.t) =
+  let cp = r.Chipmunk.Report.crash_point in
+  let call i = List.nth_opt r.Chipmunk.Report.workload i in
+  ( r.Chipmunk.Report.fs,
+    r.Chipmunk.Report.kind,
+    cp.Chipmunk.Report.during_syscall,
+    cp.Chipmunk.Report.after_syscall,
+    Option.bind cp.Chipmunk.Report.during_syscall call,
+    Option.bind cp.Chipmunk.Report.after_syscall call )
+
+(* Each distinct key is tokenized and placed once. Later reports with that
+   key have the same tokens, and clusters are only appended and keep their
+   representative's tokens, so greedy first-match would place them in the
+   same cluster again: every cluster before it still fails, and it still
+   matches (it did, or its representative has these very tokens, which a
+   threshold of at most 1 accepts). *)
 let cluster ?(threshold = 0.6) reports =
   let clusters = ref [] in
+  let placed = Hashtbl.create 64 in
   List.iter
     (fun r ->
-      let tr = tokens r in
-      match List.find_opt (fun c -> jaccard c.rep_tokens tr >= threshold) !clusters with
+      let key = token_key r in
+      match Hashtbl.find_opt placed key with
       | Some c -> c.rev_members <- r :: c.rev_members
-      | None -> clusters := !clusters @ [ { rep = r; rep_tokens = tr; rev_members = [ r ] } ])
+      | None -> (
+        let tr = tokens r in
+        match List.find_opt (fun c -> jaccard c.rep_tokens tr >= threshold) !clusters with
+        | Some c ->
+          c.rev_members <- r :: c.rev_members;
+          Hashtbl.add placed key c
+        | None ->
+          let c = { rep = r; rep_tokens = tr; rev_members = [ r ] } in
+          clusters := !clusters @ [ c ];
+          if threshold <= 1.0 then Hashtbl.add placed key c))
     reports;
   List.map (fun c -> { representative = c.rep; members = List.rev c.rev_members }) !clusters
   |> List.sort (fun a b -> compare (List.length b.members) (List.length a.members))

@@ -13,11 +13,16 @@
    hashes and the root, so the checker's own writes to a crash state are
    undone without hashing anything.
 
+   Every line written since the image was zero is on [written], so [clear]
+   and [restore] reset only those lines instead of the whole device.
+
    Invariants: [root] is the sum of [line_hash]; a line's [line_hash] is
    its [hash_line] unless its stale flag is set; each stale line is on
-   [stale] once. While a checkpoint is open, every line written since has
-   its saved flag set and is on [saved] once, and every stale line is
-   saved (the checkpoint started with no stale lines). *)
+   [stale] once. A line off [written] holds zero bytes and the zero
+   state's hash; each line on it has its written flag set and is on it
+   once. While a checkpoint is open, every line written since has its
+   saved flag set and is on [saved] once, and every stale line is saved
+   (the checkpoint started with no stale lines). *)
 
 type t = {
   data : Bytes.t;
@@ -25,9 +30,11 @@ type t = {
   line_hash : int array;
   mutable root : int;
   zero : int array * int;  (** The zero state's line hashes and root, shared. *)
-  flags : Bytes.t;  (** Per line: [stale_flag] lor [saved_flag]. *)
+  flags : Bytes.t;  (** Per line: [stale_flag] lor [saved_flag] lor [written_flag]. *)
   mutable stale : int array;  (** Stale line indices, [n_stale] of them. *)
   mutable n_stale : int;
+  mutable written : int array;  (** Lines that may be non-zero, [n_written] of them. *)
+  mutable n_written : int;
   mutable ckpt_open : bool;
   mutable ckpt_root : int;
   mutable saved : int array;  (** Saved line indices, [n_saved] of them. *)
@@ -38,6 +45,7 @@ type t = {
 
 let stale_flag = 1
 let saved_flag = 2
+let written_flag = 4
 
 (* FNV-1a offset basis / prime, basis truncated to fit OCaml's 63-bit int;
    the per-line seed mixes the line index in so identical lines at different
@@ -78,16 +86,18 @@ let zero_state size =
 
 let line = Const.cache_line
 
-let of_parts ~data ~size ~line_hash ~root ~zero =
+let of_parts ~data ~size ~line_hash ~root ~zero ~flags ~written =
   {
     data;
     size;
     line_hash;
     root;
     zero;
-    flags = Bytes.make (n_lines size) '\000';
+    flags;
     stale = [||];
     n_stale = 0;
+    written;
+    n_written = Array.length written;
     ckpt_open = false;
     ckpt_root = 0;
     saved = [||];
@@ -99,11 +109,14 @@ let of_parts ~data ~size ~line_hash ~root ~zero =
 let create ~size =
   let ((line_hash, root) as zero) = zero_state size in
   of_parts ~data:(Bytes.make size '\000') ~size ~line_hash:(Array.copy line_hash) ~root ~zero
+    ~flags:(Bytes.make (n_lines size) '\000') ~written:[||]
 
 let size t = t.size
 
+(* [off > size - len], not [off + len > size]: the sum overflows for an
+   offset near [max_int], such as one read from a corrupt pointer. *)
 let check t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.size then
+  if off < 0 || len < 0 || off > t.size - len then
     Fault.out_of_bounds ~off ~len ~size:t.size
 
 let grow a n = if n < Array.length a then a else Array.append a (Array.make (max 16 n) 0)
@@ -147,8 +160,14 @@ let save t l =
   Bytes.blit t.data off t.saved_data (n * line) (min line (t.size - off));
   t.n_saved <- n + 1
 
+let note_written t l =
+  if t.n_written = Array.length t.written then t.written <- grow t.written t.n_written;
+  Array.unsafe_set t.written t.n_written l;
+  t.n_written <- t.n_written + 1
+
 (* Call before mutating [off, off+len) (bounds already checked): save the
-   lines a checkpoint has not saved yet, and mark the lines stale. *)
+   lines a checkpoint has not saved yet, and mark the lines stale and
+   written. *)
 let touch t ~off ~len =
   if len > 0 then
     for l = off / line to (off + len - 1) / line do
@@ -169,27 +188,32 @@ let touch t ~off ~len =
         end
         else f
       in
+      let f =
+        if f land written_flag = 0 then begin
+          note_written t l;
+          f lor written_flag
+        end
+        else f
+      in
       Bytes.unsafe_set t.flags l (Char.unsafe_chr f)
     done
 
-(* Forget stale lines and any open checkpoint; the caller resets the line
-   hashes and root. *)
-let drop_tracking t =
-  for i = 0 to t.n_stale - 1 do
-    Bytes.unsafe_set t.flags (Array.unsafe_get t.stale i) '\000'
+(* Reset every written line to zero bytes, the zero state's hash and no
+   flags, and forget any open checkpoint: stale and saved lines are all
+   written lines. O(lines written since the image was zero). *)
+let clear t =
+  let zero_hash, root = t.zero in
+  for i = 0 to t.n_written - 1 do
+    let l = Array.unsafe_get t.written i in
+    let off = l * line in
+    Bytes.unsafe_fill t.data off (min line (t.size - off)) '\000';
+    Array.unsafe_set t.line_hash l (Array.unsafe_get zero_hash l);
+    Bytes.unsafe_set t.flags l '\000'
   done;
-  for i = 0 to t.n_saved - 1 do
-    Bytes.unsafe_set t.flags (Array.unsafe_get t.saved i) '\000'
-  done;
+  t.n_written <- 0;
   t.n_stale <- 0;
   t.n_saved <- 0;
-  t.ckpt_open <- false
-
-let clear t =
-  let line_hash, root = t.zero in
-  drop_tracking t;
-  Bytes.fill t.data 0 t.size '\000';
-  Array.blit line_hash 0 t.line_hash 0 (Array.length line_hash);
+  t.ckpt_open <- false;
   t.root <- root
 
 let checkpoint t =
@@ -205,7 +229,7 @@ let rollback t =
     let off = l * line in
     Bytes.blit t.saved_data (i * line) t.data off (min line (t.size - off));
     Array.unsafe_set t.line_hash l (Array.unsafe_get t.saved_hash i);
-    Bytes.unsafe_set t.flags l '\000'
+    Bytes.unsafe_set t.flags l (Char.unsafe_chr written_flag)
   done;
   (* Every stale line was saved, so none is stale now. *)
   t.n_stale <- 0;
@@ -274,17 +298,32 @@ let write_u64 t ~off v =
   touch t ~off ~len:8;
   Bytes.set_int64_le t.data off (Int64.of_int v)
 
+(* A snapshot's flags are its written lines: [sync] left none stale, and
+   it has no checkpoint. *)
 let snapshot t =
   sync t;
+  let written = Array.sub t.written 0 t.n_written in
+  let flags = Bytes.make (n_lines t.size) '\000' in
+  Array.iter (fun l -> Bytes.unsafe_set flags l (Char.unsafe_chr written_flag)) written;
   of_parts ~data:(Bytes.copy t.data) ~size:t.size ~line_hash:(Array.copy t.line_hash)
-    ~root:t.root ~zero:t.zero
+    ~root:t.root ~zero:t.zero ~flags ~written
 
+(* Zero [t]'s written lines, then copy [from]'s: O(lines written in
+   either), not O(size). Restoring an image from itself still closes its
+   checkpoint, as restoring from an equal copy would. *)
 let restore t ~from =
   if t.size <> from.size then Fault.fail "restore: size mismatch (%d vs %d)" t.size from.size;
+  let from = if t == from then snapshot from else from in
   sync from;
-  drop_tracking t;
-  Bytes.blit from.data 0 t.data 0 t.size;
-  Array.blit from.line_hash 0 t.line_hash 0 (Array.length t.line_hash);
+  clear t;
+  for i = 0 to from.n_written - 1 do
+    let l = Array.unsafe_get from.written i in
+    let off = l * line in
+    Bytes.blit from.data off t.data off (min line (t.size - off));
+    Array.unsafe_set t.line_hash l (Array.unsafe_get from.line_hash l);
+    Bytes.unsafe_set t.flags l (Char.unsafe_chr written_flag);
+    note_written t l
+  done;
   t.root <- from.root
 
 let equal a b =

@@ -34,7 +34,9 @@ val create : size:int -> t
 
 val clear : t -> unit
 (** Reset [t] in place to the zero-filled state {!create} returns: bytes,
-    line hashes and digest. Discards an open checkpoint. *)
+    line hashes and digest. Discards an open checkpoint. Costs O(cache
+    lines written since [t] was last zero): the image keeps a list of the
+    lines that may be non-zero. *)
 
 val size : t -> int
 
@@ -74,7 +76,8 @@ val snapshot : t -> t
 
 val restore : t -> from:t -> unit
 (** Overwrite [t]'s contents with those of [from]. Sizes must match.
-    Discards [t]'s open checkpoint. *)
+    Discards [t]'s open checkpoint. Costs O(lines that may be non-zero in
+    [t] or [from]), like {!clear}. *)
 
 val checkpoint : t -> unit
 (** Open a checkpoint: from now on the first write to each cache line saves

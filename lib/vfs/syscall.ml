@@ -1,16 +1,20 @@
 type data = { seed : int; len : int }
 
 (* xorshift-based deterministic payload; printable so hexdumps and diffs in
-   bug reports stay readable. *)
+   bug reports stay readable. A plain loop: campaigns expand megabytes of
+   payload, and [String.init] would call a closure per byte. *)
 let bytes { seed; len } =
-  let state = ref (if seed = 0 then 0x9E3779B9 else seed) in
-  String.init len (fun _ ->
-      let x = !state in
-      let x = x lxor (x lsl 13) in
-      let x = x lxor (x lsr 7) in
-      let x = x lxor (x lsl 17) in
-      state := x land max_int;
-      Char.chr (Char.code 'a' + abs x mod 26))
+  let b = Bytes.create len in
+  let x = ref (if seed = 0 then 0x9E3779B9 else seed) in
+  for i = 0 to len - 1 do
+    let v = !x in
+    let v = v lxor (v lsl 13) in
+    let v = v lxor (v lsr 7) in
+    let v = v lxor (v lsl 17) in
+    x := v land max_int;
+    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code 'a' + (abs v mod 26)))
+  done;
+  Bytes.unsafe_to_string b
 
 type t =
   | Creat of { path : string; fd_var : int }

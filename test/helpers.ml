@@ -103,3 +103,40 @@ let random_workload ~rng ~len =
     calls := c :: !calls
   done;
   List.rev !calls
+
+(* The first [execs] executions of [Fuzz.Fuzzer.run] at [seed] on buggy
+   NOVA under the default fuzz config, replayed step by step: the programs
+   in execution order, every report in the order the run collects them,
+   and the summed crash states. The same corpus rule as the fuzzer (a
+   program reaching new coverage joins at the next epoch boundary), so
+   tests can check it against the run itself. *)
+let fuzz_replica ~seed ~execs =
+  let driver = Option.get (Catalog.buggy_driver "nova") () in
+  let opts = Fuzz.Fuzzer.default_config.Fuzz.Fuzzer.exec.Chipmunk.Run.opts in
+  let vcache = Chipmunk.Vcache.create () in
+  let seen = Hashtbl.create 64 in
+  let corpus = ref [||] and programs = ref [] and reports = ref [] and states = ref 0 in
+  for epoch = 0 to (execs / Fuzz.Fuzzer.epoch_len) - 1 do
+    let fresh = ref [] in
+    for slot = 0 to Fuzz.Fuzzer.epoch_len - 1 do
+      let w = Fuzz.Fuzzer.program ~rng_seed:seed ~epoch ~slot !corpus in
+      let r, hits =
+        Cov.collect (fun () -> Chipmunk.Harness.test_workload ~opts ~vcache driver w)
+      in
+      if List.exists (fun p -> not (Hashtbl.mem seen p)) hits then fresh := w :: !fresh;
+      List.iter (fun p -> Hashtbl.replace seen p ()) hits;
+      programs := w :: !programs;
+      reports := List.rev_append r.Chipmunk.Harness.reports !reports;
+      states := !states + r.Chipmunk.Harness.stats.Chipmunk.Harness.crash_states
+    done;
+    corpus := Array.append !corpus (Array.of_list (List.rev !fresh))
+  done;
+  (List.rev !programs, List.rev !reports, !states)
+
+let fuzz_run ~seed ~execs =
+  Fuzz.Fuzzer.run
+    ~config:
+      (Fuzz.Fuzzer.config ~rng_seed:seed
+         ~budget:(Chipmunk.Run.budget ~max_execs:execs ~max_seconds:600.0 ())
+         ())
+    (Option.get (Catalog.buggy_driver "nova") ())

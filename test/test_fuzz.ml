@@ -143,6 +143,42 @@ let test_triage_matches_reference () =
         sample)
     sample
 
+(* On the report streams of real fuzz runs (seeds 1 and 2), in run order:
+   placing each distinct token key once must give exactly the clusters of
+   the memo-free reference, at the default threshold and at the edges
+   (1.0, where only identical token sets join, and above 1, where nothing
+   does). The replica of the run is checked against the run itself. *)
+let test_triage_memo_matches_reference () =
+  List.iter
+    (fun seed ->
+      let _, reports, states = Helpers.fuzz_replica ~seed ~execs:512 in
+      let run = Helpers.fuzz_run ~seed ~execs:512 in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: replica has the run's crash states" seed)
+        run.Fuzz.Fuzzer.crash_states states;
+      let shape = List.map (fun c -> (c.Fuzz.Triage.representative, c.Fuzz.Triage.members)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: replica reports cluster as the run's" seed)
+        true
+        (shape (Fuzz.Triage.cluster reports) = shape run.Fuzz.Fuzzer.clusters);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %d reports in several clusters" seed (List.length reports))
+        true
+        (List.length run.Fuzz.Fuzzer.clusters > 1);
+      List.iter
+        (fun (threshold, reports) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d, threshold %.1f: memoized == reference" seed threshold)
+            true
+            (shape (Fuzz.Triage.cluster ~threshold reports)
+            = reference_cluster ~threshold reports))
+        [
+          (0.6, reports);
+          (1.0, List.filteri (fun i _ -> i < 400) reports);
+          (1.5, List.filteri (fun i _ -> i < 100) reports);
+        ])
+    [ 1; 2 ]
+
 let test_fuzzer_finds_injected_bug () =
   let bugs = { Novafs.Bugs.none with bug4_inplace_dentry_invalidate = true } in
   let driver = Novafs.driver ~config:(Novafs.config ~bugs ()) () in
@@ -193,6 +229,8 @@ let suite =
     Alcotest.test_case "triage similarity bounds" `Quick test_triage_similarity_bounds;
     Alcotest.test_case "triage matches the quadratic reference" `Quick
       test_triage_matches_reference;
+    Alcotest.test_case "triage: memoized placement == reference on fuzz runs" `Quick
+      test_triage_memo_matches_reference;
     Alcotest.test_case "fuzzer finds injected bug" `Quick test_fuzzer_finds_injected_bug;
     Alcotest.test_case "fuzzer silent on clean FS" `Quick test_fuzzer_clean_is_silent;
     Alcotest.test_case "fuzzer deterministic per seed" `Quick test_fuzzer_deterministic_given_seed;

@@ -29,6 +29,27 @@ let test_bounds () =
   Alcotest.(check bool) "write past end" true (oob (fun () -> Image.write_string img ~off:63 "xy"));
   Alcotest.(check bool) "u64 at end" true (oob (fun () -> ignore (Image.read_u64 img ~off:57)))
 
+(* An offset near [max_int] (a corrupt on-media pointer) must fault as out
+   of bounds, not overflow [off + len] into an in-range check and fail in
+   the stdlib instead. *)
+let test_bounds_overflow () =
+  let img = Image.create ~size:4096 in
+  let pm = Persist.Pm.create img in
+  let off = max_int - 3 in
+  let oob name f =
+    match f () with
+    | () -> Alcotest.failf "%s: no fault" name
+    | exception Pmem.Fault.Out_of_bounds _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  oob "read" (fun () -> ignore (Image.read img ~off ~len:8));
+  oob "read_u64" (fun () -> ignore (Image.read_u64 img ~off));
+  oob "write_string" (fun () -> Image.write_string img ~off "12345678");
+  oob "fill" (fun () -> Image.fill img ~off ~len:8 'x');
+  oob "Pm.flush" (fun () -> Persist.Pm.flush pm ~off ~len:8);
+  oob "Pm.memcpy_nt" (fun () -> Persist.Pm.memcpy_nt pm ~off "12345678");
+  Alcotest.(check bool) "image untouched" true (Image.equal img (Image.create ~size:4096))
+
 let test_snapshot_restore () =
   let img = Image.create ~size:128 in
   Image.write_string img ~off:0 "abc";
@@ -248,11 +269,126 @@ let prop_checkpoint_model =
         ops;
       Image.digest img = Image.rehash img)
 
+(* Two images against two bytes models, with [restore], [snapshot] and
+   [clear] between them. Each image writes its own region (image 0 the
+   first lines, image 1 later ones), so their written-line sets differ and
+   a reset that missed a line of either shows as wrong bytes. After every
+   step both images must match their models and their digests a
+   rehash. *)
+type op2 =
+  | On of int * op  (** a write, checkpoint, rollback, digest or clear on one image *)
+  | Snapshot_of of int * int  (** image [i] becomes a snapshot of image [j] *)
+  | Restore_from of int * int  (** restore image [i] from image [j] *)
+
+let show_op2 = function
+  | On (i, op) -> Printf.sprintf "%d: %s" i (show_op op)
+  | Snapshot_of (i, j) -> Printf.sprintf "%d := snapshot %d" i j
+  | Restore_from (i, j) -> Printf.sprintf "restore %d from %d" i j
+
+let gen_op2 =
+  let open QCheck.Gen in
+  let off i = map2 (fun l o -> ((l + (4 * i)) * Const.cache_line) + o) (int_bound 3) (int_bound 63) in
+  let local i =
+    frequency
+      [
+        (4, map2 (fun o s -> W_string (o, s)) (off i) (string_size ~gen:char (1 -- 100)));
+        (2, map3 (fun o n c -> W_fill (o, n, c)) (off i) (1 -- 100) char);
+        (3, map3 (fun w o v -> W_int (w, o, v)) (oneofl [ 1; 2; 4; 8 ]) (off i) int);
+        (2, return Checkpoint);
+        (2, return Rollback);
+        (1, return Digest);
+        (1, return Clear);
+      ]
+  in
+  let img = int_bound 1 in
+  frequency
+    [
+      (8, img >>= fun i -> map (fun op -> On (i, op)) (local i));
+      (1, map2 (fun i j -> Snapshot_of (i, j)) img img);
+      (2, map2 (fun i j -> Restore_from (i, j)) img img);
+    ]
+
+let prop_two_image_model =
+  QCheck.Test.make ~name:"restore/snapshot/clear between two images agree with bytes models"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "size %d: %s" size (String.concat "; " (List.map show_op2 ops)))
+       QCheck.Gen.(
+         pair
+           (map2 (fun k r -> (k * Const.cache_line) + r) (8 -- 12) (1 -- (Const.cache_line - 1)))
+           (list_size (1 -- 60) gen_op2)))
+    (fun (size, ops) ->
+      let imgs = [| Image.create ~size; Image.create ~size |] in
+      let models = [| Bytes.make size '\000'; Bytes.make size '\000' |] in
+      let ckpts = [| None; None |] (* model bytes at checkpoint *) in
+      let place off len =
+        let len = min len size in
+        (off mod (size - len + 1), len)
+      in
+      List.iteri
+        (fun step op ->
+          let fail what = QCheck.Test.fail_reportf "step %d (%s): %s" step (show_op2 op) what in
+          (match op with
+          | On (i, W_string (off, s)) ->
+            let off, len = place off (String.length s) in
+            Image.write_string imgs.(i) ~off (String.sub s 0 len);
+            Bytes.blit_string s 0 models.(i) off len
+          | On (i, W_fill (off, len, c)) ->
+            let off, len = place off len in
+            Image.fill imgs.(i) ~off ~len c;
+            Bytes.fill models.(i) off len c
+          | On (i, W_int (w, off, v)) ->
+            let off, _ = place off w in
+            (match w with
+            | 1 -> Image.write_u8 imgs.(i) ~off v
+            | 2 -> Image.write_u16 imgs.(i) ~off v
+            | 4 -> Image.write_u32 imgs.(i) ~off v
+            | _ -> Image.write_u64 imgs.(i) ~off v);
+            for k = 0 to w - 1 do
+              Bytes.set models.(i) (off + k) (Char.chr ((v asr (8 * k)) land 0xFF))
+            done
+          | On (i, Checkpoint) ->
+            if ckpts.(i) = None then begin
+              Image.checkpoint imgs.(i);
+              ckpts.(i) <- Some (Bytes.copy models.(i))
+            end
+          | On (i, Rollback) -> (
+            match ckpts.(i) with
+            | None -> ()
+            | Some bytes ->
+              Image.rollback imgs.(i);
+              models.(i) <- bytes;
+              ckpts.(i) <- None)
+          | On (i, Clear) ->
+            Image.clear imgs.(i);
+            models.(i) <- Bytes.make size '\000';
+            ckpts.(i) <- None
+          | On (_, (Digest | Snapshot | Restore)) -> ()
+          | Snapshot_of (i, j) ->
+            imgs.(i) <- Image.snapshot imgs.(j);
+            models.(i) <- Bytes.copy models.(j);
+            ckpts.(i) <- None
+          | Restore_from (i, j) ->
+            Image.restore imgs.(i) ~from:imgs.(j);
+            models.(i) <- Bytes.copy models.(j);
+            ckpts.(i) <- None);
+          Array.iteri
+            (fun i img ->
+              if Image.read img ~off:0 ~len:size <> Bytes.to_string models.(i) then
+                fail (Printf.sprintf "image %d bytes differ from its model" i);
+              if Image.digest img <> Image.rehash img then
+                fail (Printf.sprintf "image %d: digest <> rehash" i))
+            imgs)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "create zeroed" `Quick test_create_zeroed;
     Alcotest.test_case "read/write roundtrip" `Quick test_rw_roundtrip;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
+    Alcotest.test_case "bounds checking near max_int" `Quick test_bounds_overflow;
     Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
     Alcotest.test_case "constants" `Quick test_const;
     Alcotest.test_case "crc32" `Quick test_checksum;
@@ -261,4 +397,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_zero_memo;
     QCheck_alcotest.to_alcotest prop_zero_memo_domains;
     QCheck_alcotest.to_alcotest prop_checkpoint_model;
+    QCheck_alcotest.to_alcotest prop_two_image_model;
   ]

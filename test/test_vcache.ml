@@ -9,6 +9,8 @@ module Harness = Chipmunk.Harness
 module Vcache = Chipmunk.Vcache
 module Image = Pmem.Image
 module R = Chipmunk.Report
+module Oracle = Chipmunk.Oracle
+module Checker = Chipmunk.Checker
 
 (* --- Incremental image digest --- *)
 
@@ -104,7 +106,7 @@ let test_vcache_find_add_shared () =
   Alcotest.(check bool) "consistent verdict cached as Some []" true
     (Vcache.find c k ~point:1 = Some ([], false));
   Alcotest.(check int) "entries counts the add at once" 1 (Vcache.entries c);
-  Vcache.add c k ~point:2 [ R.Unusable "later" ];
+  Vcache.add c k ~point:2 [ R.verdict (R.Unusable "later") ];
   Alcotest.(check bool) "first verdict wins" true (Vcache.find c k ~point:3 = Some ([], false));
   (* Another domain sees the entry with no sync step, and its adds are
      visible back here. *)
@@ -126,7 +128,7 @@ let test_vcache_find_same_point () =
      that last touched the key) from a verdict-cache hit. *)
   let c = Vcache.create () in
   let k = Vcache.key ~phase_digest:"p" ~image_digest:1 in
-  let kinds = [ R.Unusable "x" ] in
+  let kinds = [ R.verdict (R.Unusable "x") ] in
   Vcache.add c k ~point:10 kinds;
   Alcotest.(check bool) "repeat at the adding point: same point" true
     (Vcache.find c k ~point:10 = Some (kinds, true));
@@ -150,6 +152,57 @@ let test_vcache_key_separates () =
     (List.length (List.sort_uniq compare [ k1; k2; k3 ]));
   Alcotest.(check bool) "equal parts, equal key" true
     (Vcache.key ~phase_digest:"p" ~image_digest:7 = k1)
+
+(* --- Call-prefix trie: the same oracle as Oracle.run --- *)
+
+(* One trie fed every ACE seq-1 and seq-2 workload in a shuffled order,
+   then the first 512 programs of a seed-1 fuzz run: for each program it
+   must return exactly the boundary trees, digests, call targets and
+   returns [Oracle.run] computes, the phase keys [Vcache.phase_digest]
+   renders from them, and the calls' texts. *)
+let test_trie_matches_oracle_run () =
+  let ace = Array.of_seq (Seq.map snd (Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong))) in
+  let rng = Random.State.make [| 18 |] in
+  for i = Array.length ace - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = ace.(i) in
+    ace.(i) <- ace.(j);
+    ace.(j) <- t
+  done;
+  let fuzz, _, _ = Helpers.fuzz_replica ~seed:1 ~execs:512 in
+  let vc = Vcache.create () in
+  let reused = ref 0 and boundaries = ref 0 in
+  List.iteri
+    (fun k calls ->
+      let p = Vcache.program vc calls and o = Oracle.run calls in
+      let q = Vcache.oracle p in
+      let n = List.length calls in
+      let fail what = Alcotest.failf "program %d (%s): %s differ" k (Fuzz.Prog.to_string calls) what in
+      if Oracle.n_calls q <> n then fail "call counts";
+      for b = 0 to n do
+        if Oracle.pre q b <> Oracle.pre o b then fail (Printf.sprintf "boundary %d trees" b);
+        if Oracle.pre_digest q b <> Oracle.pre_digest o b then
+          fail (Printf.sprintf "boundary %d digests" b)
+      done;
+      let texts = Array.of_list (List.map Vfs.Syscall.to_string calls) in
+      let same_key phase =
+        Vcache.phase_key p phase = Vcache.phase_digest o ~calls:texts phase
+      in
+      if not (same_key Checker.Initial) then fail "initial keys";
+      for i = 0 to n - 1 do
+        if Oracle.target q i <> Oracle.target o i then fail (Printf.sprintf "call %d targets" i);
+        if Oracle.ret q i <> Oracle.ret o i then fail (Printf.sprintf "call %d returns" i);
+        if Vcache.text p i <> texts.(i) then fail (Printf.sprintf "call %d texts" i);
+        if not (same_key (Checker.During i) && same_key (Checker.After i)) then
+          fail (Printf.sprintf "call %d phase keys" i)
+      done;
+      reused := !reused + Vcache.reused p;
+      boundaries := !boundaries + n + 1)
+    (Array.to_list ace @ fuzz);
+  Alcotest.(check bool)
+    (Printf.sprintf "most boundaries served by the trie (%d of %d)" !reused !boundaries)
+    true
+    (2 * !reused > !boundaries)
 
 (* --- Cache transparency: findings identical on/off, at any job count --- *)
 
@@ -274,6 +327,8 @@ let suite =
     Alcotest.test_case "vcache: key separates phase/digest" `Quick test_vcache_key_separates;
     Alcotest.test_case "vcache: find tells a same-point repeat" `Quick
       test_vcache_find_same_point;
+    Alcotest.test_case "trie: oracle and phase keys equal Oracle.run" `Quick
+      test_trie_matches_oracle_run;
     Alcotest.test_case "campaign: findings identical with vcache on/off" `Quick
       test_campaign_vcache_transparent;
     Alcotest.test_case "campaign: vcache keeps jobs=1 == jobs=4" `Quick

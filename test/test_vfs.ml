@@ -229,6 +229,20 @@ let test_deterministic_payload () =
   Alcotest.(check string) "same seed same bytes" a b;
   Alcotest.(check bool) "different seed differs" false (a = c)
 
+(* Payloads are part of every recorded trace and reproducer: pin them. The
+   4096-byte one is pinned by its first bytes, last bytes and MD5. *)
+let test_golden_payload () =
+  let b seed len = Vfs.Syscall.bytes { seed; len } in
+  Alcotest.(check string) "seed 0, len 0" "" (b 0 0);
+  Alcotest.(check string) "seed 1, len 7" "bdlbzpn" (b 1 7);
+  let big = b 42 4096 in
+  Alcotest.(check int) "seed 42 length" 4096 (String.length big);
+  Alcotest.(check string) "seed 42 head"
+    "szkwutbyotomlnlkiobqteqclnhtpwjkvmtzayquvlgrjdmybzznqrzdmoibfgcz" (String.sub big 0 64);
+  Alcotest.(check string) "seed 42 tail" "poktwxhqablnxzki" (String.sub big 4080 16);
+  Alcotest.(check string) "seed 42 md5" "3b9f6888ad6281a4fa5e90a6adad0da4"
+    (Digest.to_hex (Digest.string big))
+
 let suite =
   [
     Alcotest.test_case "path split" `Quick test_path_split;
@@ -247,6 +261,7 @@ let suite =
     Alcotest.test_case "walker capture and diff" `Quick test_walker_capture_diff;
     Alcotest.test_case "workload executor" `Quick test_workload_executor;
     Alcotest.test_case "deterministic payloads" `Quick test_deterministic_payload;
+    Alcotest.test_case "golden payloads" `Quick test_golden_payload;
   ]
 
 (* --- workload serialization --- *)
