@@ -1,9 +1,9 @@
 # Convenience targets; the source of truth is dune.
 
 .PHONY: ci build test bench-perf bench-shrink shrink-smoke fuzz-smoke \
-  cache-smoke clean
+  cache-smoke counters-smoke clean
 
-ci: build test shrink-smoke fuzz-smoke cache-smoke
+ci: build test shrink-smoke fuzz-smoke cache-smoke counters-smoke
 
 build:
 	dune build @all
@@ -93,6 +93,19 @@ cache-smoke:
 	test -s _build/cache-smoke-fuzz-default.txt
 	diff -u _build/cache-smoke-fuzz-novcache.txt _build/cache-smoke-fuzz-default.txt
 	! grep -H '^truncated:' _build/cache-smoke-*.out
+
+# Reference-counter smoke test: one traced perfbench run per declared
+# workload must reproduce its reference ledger (crash states, dedup and
+# verdict-cache hits, mounts, trace stores and fences; crash points on
+# ace-pmfs only, since the fuzzer reports none). The last line a run
+# prints must say "correct":true and "failed":0.
+counters-smoke: build
+	for w in fuzz-nova-j1 ace-pmfs; do \
+	  sh perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 \
+	    | tail -n 1 > _build/counters-smoke-$$w.json; \
+	  grep -q '"correct":true,' _build/counters-smoke-$$w.json && \
+	  grep -q '"failed":0,' _build/counters-smoke-$$w.json || exit 1; \
+	done
 
 # Rewrite BENCH_parallel.json (findings and deterministic cache counts of
 # one campaign under each cache config, and whether a run over one worker

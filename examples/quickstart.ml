@@ -27,7 +27,11 @@ let () =
 
   let stats = result.Chipmunk.Harness.stats in
   Printf.printf "file system:        %s\n" driver.Vfs.Driver.name;
-  Printf.printf "store fences:       %d\n" stats.Chipmunk.Harness.fences;
+  let fences = ref 0 in
+  Persist.Trace.iter result.Chipmunk.Harness.trace (function
+    | Persist.Trace.Fence -> incr fences
+    | _ -> ());
+  Printf.printf "store fences:       %d\n" !fences;
   Printf.printf "crash points:       %d\n" stats.Chipmunk.Harness.crash_points;
   Printf.printf "crash states:       %d\n" stats.Chipmunk.Harness.crash_states;
   Printf.printf "max in-flight:      %d coalesced writes\n" stats.Chipmunk.Harness.max_in_flight;

@@ -24,16 +24,16 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   (* A campaign's unit of execution is one workload, so [max_execs] is
      enforced up front by truncating the suite. *)
   let suite = match budget.Run.max_execs with None -> suite | Some m -> Seq.take m suite in
-  (* Live early-stop state, updated under the pool lock as workloads finish
+  (* Live early-stop state, updated under its own lock as workloads finish
      (in completion order). It only decides when to stop dispatching; the
      returned result is merged deterministically below. *)
   let live : unit Run.findings = Run.findings budget in
+  let live_lock = Mutex.create () in
   let stop () =
     Run.out_of_budget budget ~execs:0
       ~seconds:(Unix.gettimeofday () -. t0)
-      ~findings:(Run.count live)
+      ~findings:(Mutex.protect live_lock (fun () -> Run.count live))
   in
-  let on_result _index (reports, _stats, _done_at) = Run.add live reports (fun _ _ -> ()) in
   (* One verdict cache for the whole campaign (when enabled), shared by
      every worker domain. Never reused across campaigns — the entries are
      only valid for this [driver] instance. *)
@@ -42,11 +42,11 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
      would otherwise stay alive until every workload has finished. *)
   let work (_name, workload) =
     let r = Harness.test_workload ~opts:exec.Run.opts ?vcache driver workload in
-    (r.Harness.reports, r.Harness.stats, Unix.gettimeofday () -. t0)
+    let done_at = Unix.gettimeofday () -. t0 in
+    Mutex.protect live_lock (fun () -> Run.add live r.Harness.reports (fun _ _ -> ()));
+    (r.Harness.reports, r.Harness.stats, done_at)
   in
-  let completed =
-    Pool.map ~jobs:(Run.effective_jobs exec) ~stop ~on_result work suite
-  in
+  let completed = Pool.map ~jobs:(Run.effective_jobs exec) ~stop work suite in
   (* Deterministic merge: completed workloads arrive sorted by workload
      index, so fingerprint dedup ties always resolve to the lowest index,
      independent of domain scheduling. *)

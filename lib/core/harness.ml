@@ -20,9 +20,7 @@ let default_opts =
 type stats = {
   mutable crash_points : int;
   mutable crash_states : int;
-  mutable failed_mounts : int;
   mutable max_in_flight : int;
-  mutable fences : int;
   mutable dedup_hits : int;
   mutable vcache_hits : int;
   mutable truncated_points : int;
@@ -212,16 +210,11 @@ let walk ?(opts = default_opts) ~replay trace f =
       ignore (point ~at_fence:false (Checker.After idx));
       last_done := Some idx)
 
-let mount_and_check ?stats (driver : Vfs.Driver.t) ~workload ~oracle ~phase image =
+let mount_and_check (driver : Vfs.Driver.t) ~workload ~oracle ~phase image =
   let pm = Pm.create image in
-  let failed () = Option.iter (fun s -> s.failed_mounts <- s.failed_mounts + 1) stats in
   match driver.Vfs.Driver.mount pm with
-  | exception e ->
-    failed ();
-    [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
-  | Error m ->
-    failed ();
-    [ Report.Unmountable m ]
+  | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
+  | Error m -> [ Report.Unmountable m ]
   | Ok h -> (
     match
       let tree = Vfs.Walker.capture h in
@@ -250,9 +243,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     {
       crash_points = 0;
       crash_states = 0;
-      failed_mounts = 0;
       max_in_flight = 0;
-      fences = 0;
       dedup_hits = 0;
       vcache_hits = 0;
       truncated_points = 0;
@@ -272,17 +263,17 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
       fun i -> (Lazy.force texts).(i)
   in
-  (* Per phase, rendered once per workload: the verdict-cache key half that
+  (* Per phase, built once per workload: the verdict-cache key half that
      covers the oracle slice (everything the checker consults besides the
-     image, O(1) off the trie), and the crash context of the fingerprints
-     found there. Per-state key building is then a tuple allocation, and a
-     finding's fingerprint a string join. *)
-  let phases : (Checker.phase, string * string) Hashtbl.t = Hashtbl.create 8 in
+     image), and the crash context of the fingerprints found there.
+     Per-state key building is then a tuple allocation, and a finding's
+     fingerprint a string join. *)
+  let phases : (Checker.phase, Vcache.phase_key * string) Hashtbl.t = Hashtbl.create 8 in
   let phase_info phase =
     match Hashtbl.find_opt phases phase with
     | Some x -> x
     | None ->
-      let key = match program with Some p -> Vcache.phase_key p phase | None -> "" in
+      let key = Vcache.phase_key oracle ~text phase in
       let during_syscall, after_syscall =
         match phase with
         | Checker.During i -> (Some i, None)
@@ -317,9 +308,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
         end)
       verdicts
   in
-  let check_replay ~phase =
-    mount_and_check ~stats driver ~workload:calls ~oracle ~phase replay
-  in
+  let check_replay ~phase = mount_and_check driver ~workload:calls ~oracle ~phase replay in
   (* One enumerated crash state: apply its writes onto the replay image
      under a checkpoint (rolled back once the state is done, undoing the
      writes and whatever recovery and the probe wrote), digest the result
@@ -351,9 +340,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
     match vcache with
     | None -> finish (List.map Report.verdict (check_replay ~phase:p.phase))
     | Some vc -> (
-      let key =
-        Vcache.key ~phase_digest:(fst (phase_info p.phase)) ~image_digest:(Image.digest replay)
-      in
+      let key = (fst (phase_info p.phase), Image.digest replay) in
       match Vcache.find vc key ~point with
       | Some (_, true) ->
         stats.dedup_hits <- stats.dedup_hits + 1;
@@ -432,9 +419,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       if truncated then stats.truncated_points <- stats.truncated_points + 1
     end
   in
-  walk ~opts ~replay trace (fun p ->
-      if p.at_fence then stats.fences <- stats.fences + 1;
-      check_point p);
+  walk ~opts ~replay trace check_point;
   { reports = List.rev !reports; stats; trace; outcomes }
 
 let replay_recorded ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) r =

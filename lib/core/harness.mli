@@ -39,12 +39,7 @@ val max_states_per_point : int
 type stats = {
   mutable crash_points : int;
   mutable crash_states : int;
-  mutable failed_mounts : int;
-      (** Failed {e actual} mount attempts: states served from a cache do
-          not re-mount, so a cached [Unmountable] verdict is not re-counted
-          here. *)
   mutable max_in_flight : int;  (** Largest coalesced in-flight vector seen. *)
-  mutable fences : int;
   mutable dedup_hits : int;
       (** Crash states the {!Vcache} found repeating at the same crash
           point (Vinter likewise deduplicates crash images by content): an
@@ -151,7 +146,6 @@ val walk :
     matters. An exception from [f] stops the walk at that point. *)
 
 val mount_and_check :
-  ?stats:stats ->
   Vfs.Driver.t ->
   workload:Vfs.Syscall.t list ->
   oracle:Oracle.t ->
@@ -161,7 +155,7 @@ val mount_and_check :
 (** Mount the crash image, walk the recovered tree and check it against
     the oracle at [phase]; when that passes, run the usability probe
     (create a file in every directory, then delete everything). Never
-    raises: failures become report kinds, and a failed mount is counted in
-    [stats]. Recovery and the probe write the image; to keep it, open an
-    {!Pmem.Image.checkpoint} before and {!Pmem.Image.rollback} after.
+    raises: failures become report kinds. Recovery and the probe write the
+    image; to keep it, open an {!Pmem.Image.checkpoint} before and
+    {!Pmem.Image.rollback} after.
     [] means the state is consistent. *)

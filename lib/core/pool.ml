@@ -4,24 +4,18 @@ let default_jobs () =
 
 type ('a, 'b) state = {
   mutex : Mutex.t;
-  finished : Condition.t;
   mutable remaining : 'a Seq.t;
   mutable next_index : int;
   mutable results : (int * 'a * 'b) list;  (* completion order *)
   mutable stopped : bool;
   mutable failure : exn option;
-  mutable live : int;  (* worker domains still running *)
 }
-
-let locked st f =
-  Mutex.lock st.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock st.mutex) f
 
 (* Pull the next task, or [None] to drain. Forcing the sequence happens
    here, under the lock: task generation (e.g. ACE workload expansion) is
    cheap relative to the work itself. *)
 let next_task st ~stop =
-  locked st (fun () ->
+  Mutex.protect st.mutex (fun () ->
       if st.stopped || st.failure <> None then None
       else if stop () then begin
         st.stopped <- true;
@@ -36,61 +30,30 @@ let next_task st ~stop =
           st.next_index <- i + 1;
           Some (i, x))
 
-let record st ~on_result i x y =
-  locked st (fun () ->
-      st.results <- (i, x, y) :: st.results;
-      match on_result with
-      | None -> ()
-      | Some g -> (
-        try g i y with e -> if st.failure = None then st.failure <- Some e))
-
-let fail st e = locked st (fun () -> if st.failure = None then st.failure <- Some e)
-
-let rec worker_loop st ~stop ~on_result f =
-  match next_task st ~stop with
+(* Run tasks until the queue drains. The first exception, from [f], [stop]
+   or the sequence, is kept and stops every worker's dispatch. *)
+let rec worker st ~stop f () =
+  match Option.map (fun (i, x) -> (i, x, f x)) (next_task st ~stop) with
   | None -> ()
-  | Some (i, x) ->
-    (match f x with
-    | y ->
-      record st ~on_result i x y;
-      worker_loop st ~stop ~on_result f
-    | exception e -> fail st e)
+  | Some r ->
+    Mutex.protect st.mutex (fun () -> st.results <- r :: st.results);
+    worker st ~stop f ()
+  | exception e ->
+    Mutex.protect st.mutex (fun () -> if st.failure = None then st.failure <- Some e)
 
-let worker st ~stop ~on_result f () =
-  Fun.protect
-    ~finally:(fun () ->
-      locked st (fun () ->
-          st.live <- st.live - 1;
-          Condition.broadcast st.finished))
-    (fun () -> worker_loop st ~stop ~on_result f)
-
-let map ?jobs ?(stop = fun () -> false) ?on_result f seq =
+let map ?jobs ?(stop = fun () -> false) f seq =
   let jobs = match jobs with None -> default_jobs () | Some j -> max 1 (min j 64) in
   let st =
     {
       mutex = Mutex.create ();
-      finished = Condition.create ();
       remaining = seq;
       next_index = 0;
       results = [];
       stopped = false;
       failure = None;
-      live = jobs;
     }
   in
-  if jobs <= 1 then begin
-    st.live <- 0;
-    worker_loop st ~stop ~on_result f
-  end
-  else begin
-    let domains = List.init jobs (fun _ -> Domain.spawn (worker st ~stop ~on_result f)) in
-    (* Wait on the condition until every worker has signed off, then join
-       to reclaim the domains (join also surfaces any escaped exception). *)
-    locked st (fun () ->
-        while st.live > 0 do
-          Condition.wait st.finished st.mutex
-        done);
-    List.iter Domain.join domains
-  end;
+  if jobs <= 1 then worker st ~stop f ()
+  else List.iter Domain.join (List.init jobs (fun _ -> Domain.spawn (worker st ~stop f)));
   (match st.failure with Some e -> raise e | None -> ());
   List.sort (fun (i, _, _) (j, _, _) -> compare (i : int) j) st.results

@@ -7,8 +7,7 @@
     ({!Vcache}). That makes
     workload-level parallelism safe — this module shards a lazy
     sequence of tasks across [jobs] worker domains pulling from a common
-    cursor (stdlib [Domain]/[Mutex]/[Condition] only; no external
-    dependency).
+    cursor (stdlib [Domain]/[Mutex] only; no external dependency).
 
     Results carry the index of the task that produced them, so callers can
     merge deterministically regardless of scheduling order. *)
@@ -19,7 +18,6 @@ val default_jobs : unit -> int
 val map :
   ?jobs:int ->
   ?stop:(unit -> bool) ->
-  ?on_result:(int -> 'b -> unit) ->
   ('a -> 'b) ->
   'a Seq.t ->
   (int * 'a * 'b) list
@@ -32,11 +30,10 @@ val map :
     - [stop] is polled before each task is dispatched; once it returns
       [true] no further tasks start, but tasks already running complete,
       so the returned indices always form a contiguous prefix [0..k].
-    - [on_result] is invoked under the pool lock as each task completes
-      (in completion order, not index order) — campaigns use it to update
-      shared early-stop state such as a finding counter.
+      It runs under the pool lock; state it reads that [f] updates (a
+      campaign's finding counter) needs a lock of its own.
     - The sequence is forced lazily, one element per dispatch, under the
       pool lock: it is never evaluated concurrently and never materialized.
 
-    If [f] or [on_result] raises, the pool drains (no new tasks start) and
-    the first exception observed is re-raised in the caller. *)
+    If [f], [stop] or the sequence raises, the pool drains (no new tasks
+    start) and the first exception observed is re-raised in the caller. *)

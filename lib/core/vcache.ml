@@ -6,7 +6,7 @@
    against, or the fsync target for weak systems), and (c) the driver that
    mounts and judges it (its recovery code and its atomic_data / consistency
    contract). A cache serves one driver instance, so (c) is fixed per cache
-   and the key is (oracle-slice digest, image digest). It does NOT depend on
+   and the key is (phase key, image digest). It does NOT depend on
    which workload or crash point produced the state, so verdicts are shared
    across crash points and across workloads: ACE workload families share long
    syscall prefixes, so whole mount+check rounds repeat campaign-wide.
@@ -16,76 +16,57 @@
    the cache doubles as the per-point dedup table.
 
    The cache also holds a trie of the call prefixes the campaign has run.
-   A prefix determines its oracle boundaries and the phase keys of its
-   calls, so a program re-derives only what its new suffix adds. The trie
-   memoizes how a phase key is rendered; the key is still its content. *)
+   A prefix determines its oracle boundaries and the texts of its calls,
+   the parts a phase key is built from, so a program re-derives only what
+   its new suffix adds. *)
 
 type entry = { verdicts : Report.verdict list; mutable last_point : int }
 
-type ckey = string * int
-(* (phase digest, image digest): structural key, so the hot path never
-   renders the image digest to hex or concatenates per state — the string
-   half is shared across every state of a phase. *)
+(* --- keys --- *)
+
+(* Everything the checker reads from the oracle and the workload at one
+   phase, and nothing more: notably NOT the syscall index itself, so
+   equivalent phases of different workloads (shared ACE-family prefixes)
+   share cache lines. Trees enter as the oracle's boundary digests, so a
+   key is O(1) to build. *)
+type phase_key =
+  | Initial of int
+  | During of string * int * int  (* call text, pre digest, post digest *)
+  | After of string * string option * int  (* call text, fsync target, post digest *)
+
+type key = phase_key * int
+(* (phase key, image digest): the phase half is built once per phase and
+   shared by every state of it, so a per-state key is one tuple. *)
+
+let phase_key oracle ~text (phase : Checker.phase) =
+  match phase with
+  | Checker.Initial -> Initial (Oracle.pre_digest oracle 0)
+  | Checker.During i -> During (text i, Oracle.pre_digest oracle i, Oracle.post_digest oracle i)
+  | Checker.After i -> After (text i, Oracle.target oracle i, Oracle.post_digest oracle i)
 
 (* One node per distinct call prefix the campaign has run: everything the
-   oracle and the phase keys derive from that prefix. The root stands for
-   the empty prefix; its call fields are unused. *)
+   oracle derives from that prefix, and the text of its last call. The
+   root stands for the empty prefix; its call fields are unused. *)
 type node = {
   text : string;  (* [Vfs.Syscall.to_string] of the prefix's last call *)
   tree : Vfs.Walker.tree;  (* the oracle boundary after that call *)
   digest : int;
   target : string option;
   ret : int;
-  during_key : string;  (* [phase_digest] of [During] and [After] that call *)
-  after_key : string;
   children : (Vfs.Syscall.t, node) Hashtbl.t;
 }
 
 type t = {
   mutex : Mutex.t;
-  table : (ckey, entry) Hashtbl.t;
+  table : (key, entry) Hashtbl.t;
   trie_lock : Mutex.t;
   root : node;
-  initial_key : string;
 }
-
-(* --- keys --- *)
-
-let call_text calls i = if i < Array.length calls then calls.(i) else "?"
-
-(* Everything the checker reads from the oracle/workload at this phase, and
-   nothing more: notably NOT the syscall index itself, so equivalent phases
-   of different workloads (shared ACE-family prefixes) share cache lines.
-   The tree component is the oracle's boundary digest, so it is O(1) here.
-   Call texts are length-prefixed so a pathological syscall rendering
-   cannot straddle a separator. *)
-let len_prefixed s = Printf.sprintf "%d\002%s" (String.length s) s
-let initial_key d = Printf.sprintf "I\001%x" d
-
-let during_key ~text ~pre ~post =
-  Printf.sprintf "D\001%s\001%x\001%x" (len_prefixed text) pre post
-
-let after_key ~text ~target ~post =
-  let tgt = match target with None -> "-" | Some p -> len_prefixed p in
-  Printf.sprintf "A\001%s\001%s\001%x" (len_prefixed text) tgt post
-
-let phase_digest oracle ~calls (phase : Checker.phase) =
-  match phase with
-  | Checker.Initial -> initial_key (Oracle.pre_digest oracle 0)
-  | Checker.During i ->
-    during_key ~text:(call_text calls i) ~pre:(Oracle.pre_digest oracle i)
-      ~post:(Oracle.post_digest oracle i)
-  | Checker.After i ->
-    after_key ~text:(call_text calls i) ~target:(Oracle.target oracle i)
-      ~post:(Oracle.post_digest oracle i)
-
-let key ~phase_digest ~image_digest : ckey = (phase_digest, image_digest)
 
 (* --- the cache --- *)
 
 let create () =
   let empty = Oracle.run [] in
-  let digest = Oracle.pre_digest empty 0 in
   {
     mutex = Mutex.create ();
     table = Hashtbl.create 1024;
@@ -94,14 +75,11 @@ let create () =
       {
         text = "";
         tree = Oracle.pre empty 0;
-        digest;
+        digest = Oracle.pre_digest empty 0;
         target = None;
         ret = 0;
-        during_key = "";
-        after_key = "";
         children = Hashtbl.create 64;
       };
-    initial_key = initial_key digest;
   }
 
 let find t key ~point =
@@ -124,17 +102,11 @@ let entries t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 
 (* --- the call-prefix trie --- *)
 
-type program = { oracle : Oracle.t; nodes : node array; initial : string; reused : int }
+type program = { oracle : Oracle.t; nodes : node array; reused : int }
 
 let oracle p = p.oracle
 let reused p = p.reused
 let text p i = p.nodes.(i).text
-
-let phase_key p (phase : Checker.phase) =
-  match phase with
-  | Checker.Initial -> p.initial
-  | Checker.During i -> p.nodes.(i).during_key
-  | Checker.After i -> p.nodes.(i).after_key
 
 (* The nodes of the longest prefix of [calls] already in the trie. *)
 let known_prefix t calls =
@@ -171,16 +143,12 @@ let program t calls =
       let fresh =
         Array.init (n - k) (fun j ->
             let i = k + j in
-            let text = Vfs.Syscall.to_string calls.(i) in
-            let post = Oracle.post_digest oracle i in
             {
-              text;
+              text = Vfs.Syscall.to_string calls.(i);
               tree = Oracle.post oracle i;
-              digest = post;
+              digest = Oracle.post_digest oracle i;
               target = Oracle.target oracle i;
               ret = Oracle.ret oracle i;
-              during_key = during_key ~text ~pre:(Oracle.pre_digest oracle i) ~post;
-              after_key = after_key ~text ~target:(Oracle.target oracle i) ~post;
               children = Hashtbl.create 2;
             })
       in
@@ -195,4 +163,4 @@ let program t calls =
           nodes)
     end
   in
-  { oracle; nodes; initial = t.initial_key; reused = k + 1 }
+  { oracle; nodes; reused = k + 1 }

@@ -2,10 +2,10 @@
 
     Memoizes {!Checker.check} verdicts (the list of {!Report.kind}s, possibly
     empty, each with its fingerprint parts) for one driver instance, under a key that captures everything
-    else the verdict can depend on: a digest of the crash phase's oracle
-    slice (rendered syscall + the pre/post trees it is judged against + the
-    fsync target for weak systems) and the crash image's content
-    {!Pmem.Image.digest}. The
+    else the verdict can depend on: the crash phase's oracle slice
+    ({!phase_key}: rendered syscall + digests of the pre/post trees it is
+    judged against + the fsync target for weak systems) and the crash
+    image's content {!Pmem.Image.digest}. The
     syscall {e index} is deliberately absent, so equivalent crash states
     reached at different positions — or in different workloads sharing an ACE
     family prefix — hit the same cache line and skip the mount+check round
@@ -27,23 +27,29 @@ val create : unit -> t
     clean NOVA share the ["nova"] name but mount differently, so a name
     would not tell them apart). *)
 
-type ckey
-(** A cache key: structurally the phase digest plus the raw image digest, so
-    building one per crash state allocates a tuple, not a rendered string. *)
+type phase_key =
+  | Initial of int  (** The empty prefix's boundary digest. *)
+  | During of string * int * int
+      (** The call's text and the digests of the boundaries before and
+          after it. *)
+  | After of string * string option * int
+      (** The call's text, its fsync target ({!Oracle.target}) and the
+          digest of the boundary after it. *)
+(** The oracle slice a verdict depends on at one crash phase, as a plain
+    value: the checker reads nothing else from the oracle or the
+    workload. Trees enter as their boundary digests, so no tree is walked
+    or serialized. *)
 
-val key : phase_digest:string -> image_digest:int -> ckey
-(** Cache key for one crash state. O(1): memoize the {!phase_digest} once
-    per (workload, phase) and reuse it for every crash state of that
-    phase. *)
+val phase_key : Oracle.t -> text:(int -> string) -> Checker.phase -> phase_key
+(** The key of [phase] in a program with oracle [oracle], where [text i]
+    is [Vfs.Syscall.to_string] of call [i]. O(1) beyond [text]: build it
+    once per (program, phase) and share it across every crash state of
+    that phase. *)
 
-val phase_digest : Oracle.t -> calls:string array -> Checker.phase -> string
-(** The oracle slice for [phase]: the [During]/[After] syscall
-    text and fsync target plus the pre/post boundary digests — no tree is
-    walked or serialized. [calls] is the pre-rendered workload
-    ([Vfs.Syscall.to_string] per call). This is the reference rendering;
-    {!phase_key} returns the same strings from the trie. *)
+type key = phase_key * int
+(** A cache key: a phase key and a crash image's {!Pmem.Image.digest}. *)
 
-val find : t -> ckey -> point:int -> (Report.verdict list * bool) option
+val find : t -> key -> point:int -> (Report.verdict list * bool) option
 (** [None] if [key] is not cached yet, else the cached verdicts ([[]]
     means "consistent") and whether the entry's last {!find} or {!add}
     came from [point] (an id unique to one crash point), which then
@@ -51,7 +57,7 @@ val find : t -> ckey -> point:int -> (Report.verdict list * bool) option
     normalized evidence, so a hit renders a fingerprint by joining
     strings. *)
 
-val add : t -> ckey -> point:int -> Report.verdict list -> unit
+val add : t -> key -> point:int -> Report.verdict list -> unit
 (** Record a verdict found at [point]; an entry already present under
     [key] keeps its verdict and takes [point]. *)
 
@@ -63,7 +69,7 @@ val entries : t -> int
     Programs in a campaign share long call prefixes (ACE builds its
     suites that way, and the fuzzer mutates corpus programs). A prefix
     determines its oracle boundaries, call targets and returns, and the
-    phase keys of its calls, so the cache keeps them in a trie keyed by
+    texts of its calls, so the cache keeps them in a trie keyed by
     {!Vfs.Syscall.t}, one node per distinct prefix, shared by every
     domain under its own lock. *)
 
@@ -77,10 +83,6 @@ val program : t -> Vfs.Syscall.t list -> program
 
 val oracle : program -> Oracle.t
 (** Equal to [Oracle.run calls]. *)
-
-val phase_key : program -> Checker.phase -> string
-(** Equal to [phase_digest (oracle p) ~calls phase], where [calls] renders
-    each call; O(1). *)
 
 val text : program -> int -> string
 (** [Vfs.Syscall.to_string] of call [i]. *)

@@ -54,13 +54,16 @@ let token_key (r : Chipmunk.Report.t) =
     Option.bind cp.Chipmunk.Report.during_syscall call,
     Option.bind cp.Chipmunk.Report.after_syscall call )
 
+(* The similarity at which a report joins a cluster. *)
+let threshold = 0.6
+
 (* Each distinct key is tokenized and placed once. Later reports with that
    key have the same tokens, and clusters are only appended and keep their
    representative's tokens, so greedy first-match would place them in the
    same cluster again: every cluster before it still fails, and it still
-   matches (it did, or its representative has these very tokens, which a
-   threshold of at most 1 accepts). *)
-let cluster ?(threshold = 0.6) reports =
+   matches (it did, or its representative has these very tokens, which
+   [threshold] accepts). *)
+let cluster reports =
   let clusters = ref [] in
   let placed = Hashtbl.create 64 in
   List.iter
@@ -77,7 +80,7 @@ let cluster ?(threshold = 0.6) reports =
         | None ->
           let c = { rep = r; rep_tokens = tr; rev_members = [ r ] } in
           clusters := !clusters @ [ c ];
-          if threshold <= 1.0 then Hashtbl.add placed key c))
+          Hashtbl.add placed key c))
     reports;
   List.map (fun c -> { representative = c.rep; members = List.rev c.rev_members }) !clusters
   |> List.sort (fun a b -> compare (List.length b.members) (List.length a.members))

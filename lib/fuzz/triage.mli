@@ -13,9 +13,9 @@ val tokens : Chipmunk.Report.t -> string list
 val similarity : Chipmunk.Report.t -> Chipmunk.Report.t -> float
 (** Jaccard similarity of token sets, in [0, 1]. *)
 
-val cluster : ?threshold:float -> Chipmunk.Report.t list -> cluster list
+val cluster : Chipmunk.Report.t list -> cluster list
 (** Greedy clustering: each report joins the first cluster whose
-    representative is at least [threshold] (default 0.6) similar, else
+    representative is at least 0.6 similar, else
     starts a new one. Clusters are returned largest first. *)
 
 val minimize :

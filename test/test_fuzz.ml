@@ -90,7 +90,7 @@ let reference_similarity a b =
   let union = List.length (List.sort_uniq String.compare (ta @ tb)) in
   if union = 0 then 1.0 else float_of_int inter /. float_of_int union
 
-let reference_cluster ?(threshold = 0.6) reports =
+let reference_cluster reports =
   let clusters = ref [] in
   List.iter
     (fun r ->
@@ -98,7 +98,7 @@ let reference_cluster ?(threshold = 0.6) reports =
         | [] -> clusters := !clusters @ [ ref (r, [ r ]) ]
         | c :: rest ->
           let rep, members = !c in
-          if reference_similarity rep r >= threshold then c := (rep, r :: members)
+          if reference_similarity rep r >= 0.6 then c := (rep, r :: members)
           else place rest
       in
       place !clusters)
@@ -145,9 +145,8 @@ let test_triage_matches_reference () =
 
 (* On the report streams of real fuzz runs (seeds 1 and 2), in run order:
    placing each distinct token key once must give exactly the clusters of
-   the memo-free reference, at the default threshold and at the edges
-   (1.0, where only identical token sets join, and above 1, where nothing
-   does). The replica of the run is checked against the run itself. *)
+   the memo-free reference. The replica of the run is checked against the
+   run itself. *)
 let test_triage_memo_matches_reference () =
   List.iter
     (fun seed ->
@@ -165,18 +164,10 @@ let test_triage_memo_matches_reference () =
         (Printf.sprintf "seed %d: %d reports in several clusters" seed (List.length reports))
         true
         (List.length run.Fuzz.Fuzzer.clusters > 1);
-      List.iter
-        (fun (threshold, reports) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d, threshold %.1f: memoized == reference" seed threshold)
-            true
-            (shape (Fuzz.Triage.cluster ~threshold reports)
-            = reference_cluster ~threshold reports))
-        [
-          (0.6, reports);
-          (1.0, List.filteri (fun i _ -> i < 400) reports);
-          (1.5, List.filteri (fun i _ -> i < 100) reports);
-        ])
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: memoized == reference" seed)
+        true
+        (shape (Fuzz.Triage.cluster reports) = reference_cluster reports))
     [ 1; 2 ]
 
 let test_fuzzer_finds_injected_bug () =

@@ -54,12 +54,13 @@ let test_collision_xattr_phase () =
   Alcotest.(check string)
     "compared call text identical" (texts wa).(3) (texts wb).(3);
   if
-    Vcache.phase_digest oa ~calls:(texts wa) (Checker.After 3)
-    = Vcache.phase_digest ob ~calls:(texts wb) (Checker.After 3)
-  then Alcotest.fail "phase digest ignores xattr-only tree difference"
+    Vcache.phase_key oa ~text:(Array.get (texts wa)) (Checker.After 3)
+    = Vcache.phase_key ob ~text:(Array.get (texts wb)) (Checker.After 3)
+  then Alcotest.fail "phase key ignores xattr-only tree difference"
 
 (* Two workloads converging on trees identical except for nlink: one file
-   hard-linked twice vs two files with the same content. *)
+   hard-linked twice vs two files with the same content, then the same
+   last call. *)
 let test_collision_nlink_phase () =
   let wa =
     [
@@ -67,6 +68,7 @@ let test_collision_nlink_phase () =
       Syscall.Write { fd_var = 0; data = d 20 };
       Syscall.Close { fd_var = 0 };
       Syscall.Link { src = "/f"; dst = "/g" };
+      Syscall.Mkdir { path = "/d" };
     ]
   and wb =
     [
@@ -76,6 +78,7 @@ let test_collision_nlink_phase () =
       Syscall.Creat { path = "/g"; fd_var = 1 };
       Syscall.Write { fd_var = 1; data = d 20 };
       Syscall.Close { fd_var = 1 };
+      Syscall.Mkdir { path = "/d" };
     ]
   in
   let oa = Oracle.run wa and ob = Oracle.run wb in
@@ -86,7 +89,12 @@ let test_collision_nlink_phase () =
     (content fa "/f" = content fb "/f" && content fa "/g" = content fb "/g");
   let last o = Oracle.n_calls o - 1 in
   if Oracle.post_digest oa (last oa) = Oracle.post_digest ob (last ob) then
-    Alcotest.fail "tree digest ignores nlink-only difference"
+    Alcotest.fail "tree digest ignores nlink-only difference";
+  let texts w = Array.of_list (List.map Syscall.to_string w) in
+  let key o w = Vcache.phase_key o ~text:(Array.get (texts w)) (Checker.After (last o)) in
+  Alcotest.(check string)
+    "compared call text identical" (texts wa).(last oa) (texts wb).(last ob);
+  if key oa wa = key ob wb then Alcotest.fail "phase key ignores nlink-only tree difference"
 
 let suite =
   [

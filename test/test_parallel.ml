@@ -31,12 +31,13 @@ let test_pool_sequential_fallback () =
 let test_pool_stop_prefix () =
   (* Once [stop] flips, no new tasks dispatch; completed indices form a
      contiguous prefix. *)
-  let stopped = ref false in
+  let stopped = Atomic.make false in
   let out =
     Pool.map ~jobs:3
-      ~stop:(fun () -> !stopped)
-      ~on_result:(fun i _ -> if i >= 5 then stopped := true)
-      (fun x -> x)
+      ~stop:(fun () -> Atomic.get stopped)
+      (fun x ->
+        if x >= 5 then Atomic.set stopped true;
+        x)
       (Seq.init 1000 Fun.id)
   in
   let n = List.length out in

@@ -99,7 +99,7 @@ let test_digest_undo_rollback () =
 
 let test_vcache_find_add_shared () =
   let c = Vcache.create () in
-  let k = Vcache.key ~phase_digest:"abc" ~image_digest:42 in
+  let k = (Vcache.Initial 1, 42) in
   Alcotest.(check bool) "empty cache misses" true (Vcache.find c k ~point:0 = None);
   Alcotest.(check int) "empty cache has no entries" 0 (Vcache.entries c);
   Vcache.add c k ~point:0 [];
@@ -110,7 +110,7 @@ let test_vcache_find_add_shared () =
   Alcotest.(check bool) "first verdict wins" true (Vcache.find c k ~point:3 = Some ([], false));
   (* Another domain sees the entry with no sync step, and its adds are
      visible back here. *)
-  let k' = Vcache.key ~phase_digest:"abc" ~image_digest:43 in
+  let k' = (Vcache.Initial 1, 43) in
   let seen =
     Domain.join
       (Domain.spawn (fun () ->
@@ -127,7 +127,7 @@ let test_vcache_find_same_point () =
   (* The entry's last point tells a dedup hit (a repeat at the crash point
      that last touched the key) from a verdict-cache hit. *)
   let c = Vcache.create () in
-  let k = Vcache.key ~phase_digest:"p" ~image_digest:1 in
+  let k = (Vcache.Initial 2, 1) in
   let kinds = [ R.verdict (R.Unusable "x") ] in
   Vcache.add c k ~point:10 kinds;
   Alcotest.(check bool) "repeat at the adding point: same point" true
@@ -145,21 +145,81 @@ let test_vcache_find_same_point () =
 let test_vcache_key_separates () =
   (* The key must separate phases at equal image digests, and image
      digests at equal phases. *)
-  let k1 = Vcache.key ~phase_digest:"p" ~image_digest:7 in
-  let k2 = Vcache.key ~phase_digest:"q" ~image_digest:7 in
-  let k3 = Vcache.key ~phase_digest:"p" ~image_digest:8 in
+  let p = Vcache.During ("mkdir /d", 1, 2) and q = Vcache.During ("mkdir /e", 1, 2) in
+  let k1 = (p, 7) and k2 = (q, 7) and k3 = (p, 8) in
   Alcotest.(check int) "three distinct keys" 3
     (List.length (List.sort_uniq compare [ k1; k2; k3 ]));
   Alcotest.(check bool) "equal parts, equal key" true
-    (Vcache.key ~phase_digest:"p" ~image_digest:7 = k1)
+    ((Vcache.During ("mkdir /d", 1, 2), 7) = k1)
+
+(* [Vcache.phase_key] over oracles built from chosen parts: changing any
+   one part the checker reads at a phase changes that phase's key, and
+   the cache keeps the keys apart; equal parts give equal keys, whatever
+   the call's index. *)
+let test_phase_key_parts () =
+  let oracle digests targets =
+    Oracle.make
+      ~trees:(Array.map (fun _ -> []) digests)
+      ~digests ~targets
+      ~rets:(Array.map (fun _ -> 0) targets)
+  in
+  let key ?(texts = [| "creat /f"; "fsync 0" |]) ?(digests = [| 10; 20; 30 |])
+      ?(targets = [| None; Some "/f" |]) phase =
+    Vcache.phase_key (oracle digests targets) ~text:(Array.get texts) phase
+  in
+  let d0 = Checker.During 0 and a0 = Checker.After 0 and a1 = Checker.After 1 in
+  let differ what a b = if a = b then Alcotest.failf "%s: keys equal" what in
+  let same what a b = if a <> b then Alcotest.failf "%s: keys differ" what in
+  differ "During, call text" (key d0) (key ~texts:[| "creat /g"; "fsync 0" |] d0);
+  differ "During, pre digest" (key d0) (key ~digests:[| 11; 20; 30 |] d0);
+  differ "During, post digest" (key d0) (key ~digests:[| 10; 21; 30 |] d0);
+  differ "After, call text" (key a1) (key ~texts:[| "creat /f"; "fsync 1" |] a1);
+  differ "After, post digest" (key a0) (key ~digests:[| 10; 21; 30 |] a0);
+  differ "After, target Some vs None" (key a1) (key ~targets:[| None; None |] a1);
+  differ "After, target path" (key a1) (key ~targets:[| None; Some "/g" |] a1);
+  differ "Initial, digest" (key Checker.Initial) (key ~digests:[| 11; 20; 30 |] Checker.Initial);
+  same "After reads no pre digest" (key a0) (key ~digests:[| 11; 20; 30 |] a0);
+  same "During reads no target" (key (Checker.During 1))
+    (key ~targets:[| None; None |] (Checker.During 1));
+  same "equal parts at another index" (key d0)
+    (key ~texts:[| "mkdir /a"; "creat /f" |] ~digests:[| 0; 10; 20 |] (Checker.During 1));
+  (* Equal numbers in every field: the phase kind alone tells them apart. *)
+  let flat = key ~texts:[| "x" |] ~digests:[| 5; 5 |] ~targets:[| None |] in
+  let kinds = [ flat Checker.Initial; flat d0; flat a0 ] in
+  Alcotest.(check int) "Initial, During, After distinct" 3
+    (List.length (List.sort_uniq compare kinds));
+  (* The cache keeps every distinct key apart at one image digest. *)
+  let keys =
+    List.sort_uniq compare
+      (kinds
+      @ [
+          key d0;
+          key ~texts:[| "creat /g"; "fsync 0" |] d0;
+          key ~digests:[| 11; 20; 30 |] d0;
+          key ~digests:[| 10; 21; 30 |] d0;
+          key a1;
+          key ~targets:[| None; None |] a1;
+          key ~targets:[| None; Some "/g" |] a1;
+        ])
+  in
+  Alcotest.(check int) "ten distinct keys" 10 (List.length keys);
+  let c = Vcache.create () in
+  List.iteri (fun i k -> Vcache.add c (k, 7) ~point:i [ R.verdict (R.Unusable (string_of_int i)) ]) keys;
+  Alcotest.(check int) "one entry per key" 10 (Vcache.entries c);
+  List.iteri
+    (fun i k ->
+      match Vcache.find c (k, 7) ~point:i with
+      | Some ([ v ], true) when v = R.verdict (R.Unusable (string_of_int i)) -> ()
+      | _ -> Alcotest.failf "key %d: another key's entry" i)
+    keys
 
 (* --- Call-prefix trie: the same oracle as Oracle.run --- *)
 
 (* One trie fed every ACE seq-1 and seq-2 workload in a shuffled order,
    then the first 512 programs of a seed-1 fuzz run: for each program it
    must return exactly the boundary trees, digests, call targets and
-   returns [Oracle.run] computes, the phase keys [Vcache.phase_digest]
-   renders from them, and the calls' texts. *)
+   returns [Oracle.run] computes, the same phase keys over the calls'
+   texts, and those texts. *)
 let test_trie_matches_oracle_run () =
   let ace = Array.of_seq (Seq.map snd (Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong))) in
   let rng = Random.State.make [| 18 |] in
@@ -186,7 +246,8 @@ let test_trie_matches_oracle_run () =
       done;
       let texts = Array.of_list (List.map Vfs.Syscall.to_string calls) in
       let same_key phase =
-        Vcache.phase_key p phase = Vcache.phase_digest o ~calls:texts phase
+        Vcache.phase_key q ~text:(Array.get texts) phase
+        = Vcache.phase_key o ~text:(Array.get texts) phase
       in
       if not (same_key Checker.Initial) then fail "initial keys";
       for i = 0 to n - 1 do
@@ -325,6 +386,7 @@ let suite =
       test_digest_undo_rollback;
     Alcotest.test_case "vcache: find/add shared across domains" `Quick test_vcache_find_add_shared;
     Alcotest.test_case "vcache: key separates phase/digest" `Quick test_vcache_key_separates;
+    Alcotest.test_case "vcache: phase key pins every part" `Quick test_phase_key_parts;
     Alcotest.test_case "vcache: find tells a same-point repeat" `Quick
       test_vcache_find_same_point;
     Alcotest.test_case "trie: oracle and phase keys equal Oracle.run" `Quick
