@@ -56,12 +56,14 @@ fuzz-smoke:
 # cache on and off, then once more at --jobs 2 (one verdict cache shared
 # by both worker domains under its lock); the per-finding fingerprint
 # lines must match exactly (only the hit-rate footer may differ).
-# Buggy PMFS runs with the cache on and off: its journal replay and the
-# usability probe write the most per crash state, so a wrong checkpoint
-# rollback shows there first. A short buggy-NOVA fuzz run with the cache
-# on and off must print the same finding and triage cluster lines: the
+# Buggy PMFS runs with the cache on and off, and at --jobs 2: its journal
+# replay and the usability probe write the most per crash state, so a
+# wrong checkpoint rollback shows there first, and at --jobs 2 both
+# domains share the cache's per-image memos (crash-point digests and
+# probe results). A short buggy-NOVA fuzz run with the cache on and off
+# must print the same finding and triage cluster lines: the
 # cache also serves the fuzzer's oracle boundaries from its call-prefix
-# trie and each finding's fingerprint parts. No run may print a
+# trie and each verdict's rendered fingerprint. No run may print a
 # "truncated:" footer: under default opts every crash state is checked.
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
@@ -82,8 +84,12 @@ cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
 	  --no-vcache | tee _build/cache-smoke-pmfs-nocache.out \
 	  | grep '^fingerprint' > _build/cache-smoke-pmfs-nocache.txt
+	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
+	  --jobs 2 | tee _build/cache-smoke-pmfs-jobs2.out \
+	  | grep '^fingerprint' > _build/cache-smoke-pmfs-jobs2.txt
 	test -s _build/cache-smoke-pmfs-default.txt
 	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-default.txt
+	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-jobs2.txt
 	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 256 --seed 1 \
 	  | tee _build/cache-smoke-fuzz-default.out \
 	  | grep -E '^(finding|  cluster)' > _build/cache-smoke-fuzz-default.txt
@@ -97,8 +103,8 @@ cache-smoke:
 # Reference-counter smoke test: one traced perfbench run per declared
 # workload must reproduce its reference ledger (crash states, dedup and
 # verdict-cache hits, mounts, trace stores and fences; crash points on
-# ace-pmfs only, since the fuzzer reports none). The last line a run
-# prints must say "correct":true and "failed":0.
+# ace-pmfs only, since perfbench does not read the fuzzer's count). The
+# last line a run prints must say "correct":true and "failed":0.
 counters-smoke: build
 	for w in fuzz-nova-j1 ace-pmfs; do \
 	  sh perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 \

@@ -76,17 +76,29 @@ let common_term =
   Term.(const mk $ cap_arg $ no_vcache_arg $ minimize_flag)
 
 (* The shared stats footer: the "cache:" line (hit counts and rates over
-   the enumerated crash states, and the oracle boundaries the cache's
-   call-prefix trie served), then a "truncated:" line when the subset
-   enumeration's safety valve skipped crash states anywhere. *)
-let footer ~crash_states ~dedup_hits ~vcache_hits ~oracle_reused ~truncated_points =
+   the enumerated crash states, the oracle boundaries the cache's
+   call-prefix trie served, and the crash points and usability probes its
+   per-image memos served), a "cache tables:" line with how large the
+   cache grew (absent without one), then a "truncated:" line when the
+   subset enumeration's safety valve skipped crash states anywhere. *)
+let footer ~crash_states ~dedup_hits ~vcache_hits ~oracle_reused ~points_reused ~probes_reused
+    ~(sizes : Chipmunk.Vcache.sizes option) ~truncated_points ~states_skipped =
   let rate n = if crash_states = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int crash_states in
-  Printf.printf "cache: dedup %d hits (%.1f%%), vcache %d hits (%.1f%%), oracle %d boundaries reused\n"
-    dedup_hits (rate dedup_hits) vcache_hits (rate vcache_hits) oracle_reused;
+  Printf.printf
+    "cache: dedup %d hits (%.1f%%), vcache %d hits (%.1f%%), oracle %d boundaries reused, %d \
+     crash points reused, %d probes reused\n"
+    dedup_hits (rate dedup_hits) vcache_hits (rate vcache_hits) oracle_reused points_reused
+    probes_reused;
+  Option.iter
+    (fun (z : Chipmunk.Vcache.sizes) ->
+      Printf.printf "cache tables: %d verdicts, %d trie nodes, %d crash points, %d probed images\n"
+        z.Chipmunk.Vcache.verdict_entries z.Chipmunk.Vcache.trie_nodes
+        z.Chipmunk.Vcache.point_memo z.Chipmunk.Vcache.probe_memo)
+    sizes;
   if truncated_points > 0 then
     Printf.printf
-      "truncated: %d crash point(s) hit max_states_per_point; some crash states were not checked\n"
-      truncated_points
+      "truncated: %d crash point(s) hit max_states_per_point; %d crash states were not checked\n"
+      truncated_points states_skipped
 
 (* Harness opts from the --cap flag; [default_cap] is the subcommand's cap
    when --cap is 0 (None = exhaustive). *)
@@ -171,7 +183,11 @@ let ace_cmd =
           ~dedup_hits:r.Chipmunk.Campaign.dedup_hits
           ~vcache_hits:r.Chipmunk.Campaign.vcache_hits
           ~oracle_reused:r.Chipmunk.Campaign.oracle_reused
-          ~truncated_points:r.Chipmunk.Campaign.truncated_points;
+          ~points_reused:r.Chipmunk.Campaign.points_reused
+          ~probes_reused:r.Chipmunk.Campaign.probes_reused
+          ~sizes:r.Chipmunk.Campaign.vcache_sizes
+          ~truncated_points:r.Chipmunk.Campaign.truncated_points
+          ~states_skipped:r.Chipmunk.Campaign.states_skipped;
         let events =
           if not c.minimize then r.Chipmunk.Campaign.events
           else
@@ -233,13 +249,17 @@ let fuzz_cmd =
       in
       let config = Fuzz.Fuzzer.config ~rng_seed:seed ~budget ~exec () in
       let r = Fuzz.Fuzzer.run ~config driver in
-      Printf.printf "%s: %d execs, %d crash states, coverage %d, corpus %d, %.2fs\n" fs
-        r.Fuzz.Fuzzer.execs r.Fuzz.Fuzzer.crash_states r.Fuzz.Fuzzer.coverage
-        r.Fuzz.Fuzzer.corpus_size r.Fuzz.Fuzzer.elapsed;
+      Printf.printf
+        "%s: %d execs, %d crash points, %d crash states, coverage %d, corpus %d, %.2fs\n" fs
+        r.Fuzz.Fuzzer.execs r.Fuzz.Fuzzer.crash_points r.Fuzz.Fuzzer.crash_states
+        r.Fuzz.Fuzzer.coverage r.Fuzz.Fuzzer.corpus_size r.Fuzz.Fuzzer.elapsed;
       footer ~crash_states:r.Fuzz.Fuzzer.crash_states
         ~dedup_hits:r.Fuzz.Fuzzer.dedup_hits ~vcache_hits:r.Fuzz.Fuzzer.vcache_hits
         ~oracle_reused:r.Fuzz.Fuzzer.oracle_reused
-        ~truncated_points:r.Fuzz.Fuzzer.truncated_points;
+        ~points_reused:r.Fuzz.Fuzzer.points_reused ~probes_reused:r.Fuzz.Fuzzer.probes_reused
+        ~sizes:r.Fuzz.Fuzzer.vcache_sizes
+        ~truncated_points:r.Fuzz.Fuzzer.truncated_points
+        ~states_skipped:r.Fuzz.Fuzzer.states_skipped;
       Printf.printf "%d unique finding(s) in %d cluster(s)\n"
         (List.length r.Fuzz.Fuzzer.events)
         (List.length r.Fuzz.Fuzzer.clusters);
@@ -319,7 +339,11 @@ let replay_cmd =
           ~dedup_hits:st.Chipmunk.Harness.dedup_hits
           ~vcache_hits:st.Chipmunk.Harness.vcache_hits
           ~oracle_reused:st.Chipmunk.Harness.oracle_reused
-          ~truncated_points:st.Chipmunk.Harness.truncated_points;
+          ~points_reused:st.Chipmunk.Harness.points_reused
+          ~probes_reused:st.Chipmunk.Harness.probes_reused
+          ~sizes:(Option.map Chipmunk.Vcache.sizes vcache)
+          ~truncated_points:st.Chipmunk.Harness.truncated_points
+          ~states_skipped:st.Chipmunk.Harness.states_skipped;
         (match r.Chipmunk.Harness.reports with
         | [] ->
           print_endline "crash consistent";

@@ -14,7 +14,11 @@ type result = {
   dedup_hits : int;
   vcache_hits : int;
   truncated_points : int;
+  states_skipped : int;
   oracle_reused : int;
+  points_reused : int;
+  probes_reused : int;
+  vcache_sizes : Vcache.sizes option;
   elapsed : float;
   max_in_flight : int;
 }
@@ -24,15 +28,20 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   (* A campaign's unit of execution is one workload, so [max_execs] is
      enforced up front by truncating the suite. *)
   let suite = match budget.Run.max_execs with None -> suite | Some m -> Seq.take m suite in
-  (* Live early-stop state, updated under its own lock as workloads finish
-     (in completion order). It only decides when to stop dispatching; the
-     returned result is merged deterministically below. *)
-  let live : unit Run.findings = Run.findings budget in
-  let live_lock = Mutex.create () in
+  (* Live early-stop state for [stop_after_findings], updated under its
+     own lock as workloads finish (in completion order). It only decides
+     when to stop dispatching; the returned result is merged
+     deterministically below. Without that cap nothing reads it. *)
+  let live =
+    Option.map (fun _ -> (Run.findings budget, Mutex.create ())) budget.Run.stop_after_findings
+  in
   let stop () =
     Run.out_of_budget budget ~execs:0
       ~seconds:(Unix.gettimeofday () -. t0)
-      ~findings:(Mutex.protect live_lock (fun () -> Run.count live))
+      ~findings:
+        (match live with
+        | Some (live, lock) -> Mutex.protect lock (fun () -> Run.count live)
+        | None -> 0)
   in
   (* One verdict cache for the whole campaign (when enabled), shared by
      every worker domain. Never reused across campaigns — the entries are
@@ -43,26 +52,23 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   let work (_name, workload) =
     let r = Harness.test_workload ~opts:exec.Run.opts ?vcache driver workload in
     let done_at = Unix.gettimeofday () -. t0 in
-    Mutex.protect live_lock (fun () -> Run.add live r.Harness.reports (fun _ _ -> ()));
-    (r.Harness.reports, r.Harness.stats, done_at)
+    let reports = r.Harness.reports and fingerprints = r.Harness.fingerprints in
+    Option.iter
+      (fun (live, lock) ->
+        Mutex.protect lock (fun () -> Run.add live ~fingerprints reports (fun _ _ -> ())))
+      live;
+    (reports, fingerprints, r.Harness.stats, done_at)
   in
   let completed = Pool.map ~jobs:(Run.effective_jobs exec) ~stop work suite in
   (* Deterministic merge: completed workloads arrive sorted by workload
      index, so fingerprint dedup ties always resolve to the lowest index,
      independent of domain scheduling. *)
   let found = Run.findings budget in
-  let states = ref 0 and points = ref 0 and dedups = ref 0 and vhits = ref 0 in
-  let truncated = ref 0 and max_if = ref 0 and reused = ref 0 in
+  let total = Harness.new_stats () in
   List.iter
-    (fun (index, (workload_name, _), (reports, (s : Harness.stats), elapsed)) ->
-      states := !states + s.Harness.crash_states;
-      points := !points + s.Harness.crash_points;
-      dedups := !dedups + s.Harness.dedup_hits;
-      vhits := !vhits + s.Harness.vcache_hits;
-      truncated := !truncated + s.Harness.truncated_points;
-      reused := !reused + s.Harness.oracle_reused;
-      max_if := max !max_if s.Harness.max_in_flight;
-      Run.add found reports (fun fingerprint report ->
+    (fun (index, (workload_name, _), (reports, fingerprints, stats, elapsed)) ->
+      Harness.add_stats ~into:total stats;
+      Run.add found ~fingerprints reports (fun fingerprint report ->
           {
             fingerprint;
             report;
@@ -74,12 +80,16 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   {
     events = Run.events found;
     workloads_run = List.length completed;
-    crash_states = !states;
-    crash_points = !points;
-    dedup_hits = !dedups;
-    vcache_hits = !vhits;
-    truncated_points = !truncated;
-    oracle_reused = !reused;
+    crash_states = total.Harness.crash_states;
+    crash_points = total.Harness.crash_points;
+    dedup_hits = total.Harness.dedup_hits;
+    vcache_hits = total.Harness.vcache_hits;
+    truncated_points = total.Harness.truncated_points;
+    states_skipped = total.Harness.states_skipped;
+    oracle_reused = total.Harness.oracle_reused;
+    points_reused = total.Harness.points_reused;
+    probes_reused = total.Harness.probes_reused;
+    vcache_sizes = Option.map Vcache.sizes vcache;
     elapsed = Unix.gettimeofday () -. t0;
-    max_in_flight = !max_if;
+    max_in_flight = total.Harness.max_in_flight;
   }

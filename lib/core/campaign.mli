@@ -36,10 +36,24 @@ type result = {
   truncated_points : int;
       (** Summed {!Harness.stats.truncated_points}: crash points where
           {!Harness.max_states_per_point} skipped crash states. *)
+  states_skipped : int;
+      (** Summed {!Harness.stats.states_skipped}: the crash states those
+          cuts dropped. *)
   oracle_reused : int;
       (** Summed {!Harness.stats.oracle_reused}: oracle boundaries served
           by the verdict cache's call-prefix trie. Like the hit counts it
           varies with scheduling at [jobs > 1]. *)
+  points_reused : int;
+      (** Summed {!Harness.stats.points_reused}: crash points whose state
+          digests the verdict cache's memo served. Varies with scheduling
+          at [jobs > 1]. *)
+  probes_reused : int;
+      (** Summed {!Harness.stats.probes_reused}: usability probes the
+          verdict cache's per-image memo answered. Varies with scheduling
+          at [jobs > 1]. *)
+  vcache_sizes : Vcache.sizes option;
+      (** The campaign's verdict-cache table sizes at the end ([None] with
+          [exec.use_vcache = false]). *)
   elapsed : float;
   max_in_flight : int;
 }

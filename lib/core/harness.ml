@@ -24,11 +24,15 @@ type stats = {
   mutable dedup_hits : int;
   mutable vcache_hits : int;
   mutable truncated_points : int;
-  oracle_reused : int;
+  mutable states_skipped : int;
+  mutable oracle_reused : int;
+  mutable points_reused : int;
+  mutable probes_reused : int;
 }
 
 type result = {
   reports : Report.t list;
+  fingerprints : string list;
   stats : stats;
   trace : Persist.Trace.t;
   outcomes : Vfs.Workload.outcome list;
@@ -55,12 +59,52 @@ let max_states_per_point = 512
    process, so a verdict-cache entry can tell which point last touched it. *)
 let next_point = Atomic.make 0
 
+let add_saturating a b = if a > max_int - b then max_int else a + b
+
+let new_stats () =
+  {
+    crash_points = 0;
+    crash_states = 0;
+    max_in_flight = 0;
+    dedup_hits = 0;
+    vcache_hits = 0;
+    truncated_points = 0;
+    states_skipped = 0;
+    oracle_reused = 0;
+    points_reused = 0;
+    probes_reused = 0;
+  }
+
+let add_stats ~into s =
+  into.crash_points <- into.crash_points + s.crash_points;
+  into.crash_states <- into.crash_states + s.crash_states;
+  into.max_in_flight <- max into.max_in_flight s.max_in_flight;
+  into.dedup_hits <- into.dedup_hits + s.dedup_hits;
+  into.vcache_hits <- into.vcache_hits + s.vcache_hits;
+  into.truncated_points <- into.truncated_points + s.truncated_points;
+  into.states_skipped <- add_saturating into.states_skipped s.states_skipped;
+  into.oracle_reused <- into.oracle_reused + s.oracle_reused;
+  into.points_reused <- into.points_reused + s.points_reused;
+  into.probes_reused <- into.probes_reused + s.probes_reused
+
+(* How many subsets of {0..n-1} have at most [max_size] elements,
+   saturating at [max_int]. C(n, k+1) = C(n, k) (n-k) / (k+1) exactly. *)
+let count_subsets ~n ~max_size =
+  let rec go k c acc =
+    let acc = add_saturating acc c in
+    if k = max_size then acc
+    else if c > max_int / (n - k) then max_int
+    else go (k + 1) (c * (n - k) / (k + 1)) acc
+  in
+  go 0 1 0
+
 (* Enumerate index subsets of {0..n-1} in increasing size order, invoking
    [yield] on each; sizes above [cap] are skipped, and enumeration stops
    after [limit] subsets. The empty subset (the fully-fenced prefix state)
    is always yielded first. Every [combo] call leads to at least one
    subset, so the budget check raises only when a subset is actually
-   skipped: the result says whether [limit] truncated the enumeration. *)
+   skipped: the result is the number of subsets [limit] cut, 0 when it
+   cut none. *)
 let enumerate_subsets ~n ~cap ~limit yield =
   let count = ref 0 in
   let budget () = !count < limit in
@@ -83,8 +127,25 @@ let enumerate_subsets ~n ~cap ~limit yield =
       in
       combo [] 0 size
     done;
-    false
-  with Exit -> true
+    0
+  with Exit -> count_subsets ~n ~max_size - limit
+
+(* What picks a crash point's states besides its fence-prefix image: the
+   in-flight units' (address, bytes) parts in order, unit by unit, and the
+   cap. A 63-bit FNV-style fold; each string enters through two seeded
+   full-length hashes. *)
+let point_signature ~cap units =
+  let mix h x = (h lxor x) * 0x100000001b3 in
+  List.fold_left
+    (fun h (u : Coalesce.t) ->
+      List.fold_left
+        (fun h (addr, data) ->
+          mix
+            (mix (mix (mix h addr) (String.length data)) (Hashtbl.seeded_hash 1 data))
+            (Hashtbl.seeded_hash 2 data))
+        (mix h (-1)) u.Coalesce.parts)
+    (mix 0x2bf29ce484222325 (match cap with None -> -1 | Some c -> c))
+    units
 
 (* The post-recovery usability probe: create a file in every directory,
    write to it, remove it, then delete every file and directory. *)
@@ -181,6 +242,9 @@ let record ?(opts = default_opts) (driver : Vfs.Driver.t) calls =
   with_image_pair driver.Vfs.Driver.device_size (fun (cpu, _) ->
       record_on ~opts driver calls ~cpu ~base:Image.snapshot)
 
+let point_key ?(opts = default_opts) ~replay (p : crash_point) =
+  (Image.digest replay, point_signature ~cap:opts.cap p.in_flight)
+
 let walk ?(opts = default_opts) ~replay trace f =
   let vec = ref [] (* newest first *) in
   let cur_syscall = ref None in
@@ -210,7 +274,7 @@ let walk ?(opts = default_opts) ~replay trace f =
       ignore (point ~at_fence:false (Checker.After idx));
       last_done := Some idx)
 
-let mount_and_check (driver : Vfs.Driver.t) ~workload ~oracle ~phase image =
+let mount_and_check_with ~probe (driver : Vfs.Driver.t) ~workload ~oracle ~phase image =
   let pm = Pm.create image in
   match driver.Vfs.Driver.mount pm with
   | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ]
@@ -223,11 +287,13 @@ let mount_and_check (driver : Vfs.Driver.t) ~workload ~oracle ~phase image =
           ~consistency:driver.Vfs.Driver.consistency ~workload ~oracle ~phase ~tree
       in
       if ks = [] then
-        match usability_probe h tree with Some m -> [ Report.Unusable m ] | None -> []
+        match probe h tree with Some m -> [ Report.Unusable m ] | None -> []
       else ks
     with
     | ks -> ks
     | exception e -> [ Report.Recovery_fault (Pmem.Fault.to_string e) ])
+
+let mount_and_check driver = mount_and_check_with ~probe:usability_probe driver
 
 (* Phases 2+3: oracle, then the replay loop over the trace. [replay] is
    consumed (mutated throughout); pass a snapshot to keep the base image. *)
@@ -239,19 +305,10 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
   let program = Option.map (fun vc -> Vcache.program vc calls) vcache in
   let oracle = match program with Some p -> Vcache.oracle p | None -> Oracle.run calls in
   (* Phase 3: replay. *)
-  let stats =
-    {
-      crash_points = 0;
-      crash_states = 0;
-      max_in_flight = 0;
-      dedup_hits = 0;
-      vcache_hits = 0;
-      truncated_points = 0;
-      oracle_reused = (match program with Some p -> Vcache.reused p | None -> 0);
-    }
-  in
+  let stats = new_stats () in
+  Option.iter (fun p -> stats.oracle_reused <- Vcache.reused p) program;
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let reports = ref [] in
+  let reports = ref [] (* (report, fingerprint), newest first *) in
   let workload_arr = Array.of_list calls in
   let fsync_boundary idx =
     idx < Array.length workload_arr && Vfs.Syscall.is_fsync_family workload_arr.(idx)
@@ -263,34 +320,40 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
       fun i -> (Lazy.force texts).(i)
   in
-  (* Per phase, built once per workload: the verdict-cache key half that
-     covers the oracle slice (everything the checker consults besides the
-     image), and the crash context of the fingerprints found there.
-     Per-state key building is then a tuple allocation, and a finding's
-     fingerprint a string join. *)
-  let phases : (Checker.phase, Vcache.phase_key * string) Hashtbl.t = Hashtbl.create 8 in
+  (* Per phase, built once per workload in a slot of [phases]: the phase's
+     verdict-cache id (its key covers the oracle slice, everything the
+     checker consults besides the image) and the crash context of the
+     fingerprints found there. A per-state key is then a pair of ints. *)
+  let phases = Array.make ((2 * Array.length workload_arr) + 1) None in
   let phase_info phase =
-    match Hashtbl.find_opt phases phase with
+    let slot, during_syscall, after_syscall =
+      match phase with
+      | Checker.Initial -> (0, None, None)
+      | Checker.During i -> ((2 * i) + 1, Some i, None)
+      | Checker.After i -> ((2 * i) + 2, None, Some i)
+    in
+    match phases.(slot) with
     | Some x -> x
     | None ->
-      let key = Vcache.phase_key oracle ~text phase in
-      let during_syscall, after_syscall =
-        match phase with
-        | Checker.During i -> (Some i, None)
-        | Checker.After i -> (None, Some i)
-        | Checker.Initial -> (None, None)
+      let id =
+        match vcache with
+        | Some vc -> Vcache.phase_id vc (Vcache.phase_key oracle ~text phase)
+        | None -> -1
       in
       let context =
         Report.context ~during_syscall ~after_syscall (fun i -> Report.first_word (text i))
       in
-      Hashtbl.add phases phase (key, context);
-      (key, context)
+      phases.(slot) <- Some (id, context);
+      (id, context)
   in
-  let emit (p : crash_point) ~replay_units verdicts =
-    let _, context = phase_info p.phase in
+  let fingerprinted ~context kinds =
+    List.map (fun k -> (k, Report.fingerprint_of ~fs:driver.Vfs.Driver.name ~context k)) kinds
+  in
+  (* [units ()] gives the state's writes; it runs only for a fingerprint
+     this workload has not reported yet. *)
+  let emit (p : crash_point) ~units verdicts =
     List.iter
-      (fun (v : Report.verdict) ->
-        let fp = Report.fingerprint_of ~fs:driver.Vfs.Driver.name ~context v in
+      (fun (kind, fp) ->
         if not (Hashtbl.mem seen fp) then begin
           Hashtbl.replace seen fp ();
           let crash_point =
@@ -298,60 +361,106 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
               Report.fence_no = p.fence_no;
               during_syscall = (match p.phase with Checker.During i -> Some i | _ -> None);
               after_syscall = p.after_syscall;
-              subset = List.map (fun (u : Coalesce.t) -> u.seq) replay_units;
+              subset = List.map (fun (u : Coalesce.t) -> u.seq) (units ());
               in_flight = List.length p.in_flight;
             }
           in
           reports :=
-            { Report.fs = driver.Vfs.Driver.name; workload = calls; crash_point; kind = v.verdict_kind }
+            ({ Report.fs = driver.Vfs.Driver.name; workload = calls; crash_point; kind }, fp)
             :: !reports
         end)
       verdicts
   in
-  let check_replay ~phase = mount_and_check driver ~workload:calls ~oracle ~phase replay in
-  (* One enumerated crash state: apply its writes onto the replay image
-     under a checkpoint (rolled back once the state is done, undoing the
-     writes and whatever recovery and the probe wrote), digest the result
-     (O(dirty lines) thanks to the image's incremental digest), then
-     look it up in the campaign-wide verdict cache ([vcache]) before paying
-     for a mount+check. A hit on an entry this crash point touched last is
-     a dedup hit: an earlier subset here built the same image and already
-     reported, so emit nothing. A hit from another point or workload
-     replays the memoized kinds through [emit] with this occurrence's crash
-     point, so finding sets are unchanged. With no [vcache], every state is
-     mounted and checked.
-     The state's writes are [base_units] and the chosen subset merged back
-     into in-flight (= sequence-number) order; the report's subset names
-     all of them, so {!Reproduce} rebuilds the same image. *)
-  let check_state (p : crash_point) ~point ~base_units units_arr subset_idxs =
+  let check_replay ~phase ~probe =
+    mount_and_check_with ~probe driver ~workload:calls ~oracle ~phase replay
+  in
+  (* One enumerated crash state. Its writes are [base_units] and the chosen
+     subset merged back into in-flight (= sequence-number) order; the
+     report's subset names all of them, so {!Reproduce} rebuilds the same
+     image. To build the state, apply them onto the replay image under a
+     checkpoint (rolled back once the state is done, undoing the writes and
+     whatever recovery and the probe wrote). With no [vcache], every state
+     is built, mounted and checked.
+     With a [vcache], the state's image digest is [memo_digest] when its
+     crash point repeats an earlier one (see [check_point]); otherwise the
+     state is built and digested (O(dirty lines) thanks to the image's
+     incremental digest). The (phase id, digest) key is then looked up
+     before paying for a mount+check. A hit on an entry this crash point
+     touched last is a dedup hit: an earlier subset here built the same
+     image and already reported, so emit nothing. A hit from another point
+     or workload replays the memoized kinds and fingerprints through
+     [emit] with this occurrence's crash point, so finding sets are
+     unchanged. Only a miss needs the image: a memo-served state is built
+     then, and its digest must equal the memo's. The probe's result is
+     memoized per image digest. Returns the state's digest (0 without a
+     [vcache]). *)
+  let check_state (p : crash_point) ~point ~base_units units_arr subset_idxs ~memo_digest =
     stats.crash_states <- stats.crash_states + 1;
-    let replay_units =
+    let replay_units () =
       List.merge
         (fun (a : Coalesce.t) (b : Coalesce.t) -> compare a.seq b.seq)
         base_units
         (List.map (fun i -> units_arr.(i)) subset_idxs)
     in
-    Image.checkpoint replay;
-    List.iter (Coalesce.apply (Image.write_string replay)) replay_units;
-    let finish verdicts =
-      Image.rollback replay;
-      if verdicts <> [] then emit p ~replay_units verdicts
+    let build () =
+      let units = replay_units () in
+      Image.checkpoint replay;
+      List.iter (Coalesce.apply (Image.write_string replay)) units;
+      units
     in
     match vcache with
-    | None -> finish (List.map Report.verdict (check_replay ~phase:p.phase))
-    | Some vc -> (
-      let key = (fst (phase_info p.phase), Image.digest replay) in
-      match Vcache.find vc key ~point with
+    | None ->
+      let units = build () in
+      let kinds = check_replay ~phase:p.phase ~probe:usability_probe in
+      Image.rollback replay;
+      if kinds <> [] then
+        emit p ~units:(fun () -> units) (fingerprinted ~context:(snd (phase_info p.phase)) kinds);
+      0
+    | Some vc ->
+      let id, context = phase_info p.phase in
+      let built, digest =
+        match memo_digest with
+        | Some d -> (None, d)
+        | None ->
+          let units = build () in
+          (Some units, Image.digest replay)
+      in
+      let key = (id, digest) in
+      let rollback_built () = if built <> None then Image.rollback replay in
+      (match Vcache.find vc key ~point with
       | Some (_, true) ->
         stats.dedup_hits <- stats.dedup_hits + 1;
-        Image.rollback replay
+        rollback_built ()
       | Some (verdicts, false) ->
         stats.vcache_hits <- stats.vcache_hits + 1;
-        finish verdicts
+        rollback_built ();
+        if verdicts <> [] then
+          emit p verdicts ~units:(fun () ->
+              match built with Some u -> u | None -> replay_units ())
       | None ->
-        let verdicts = List.map Report.verdict (check_replay ~phase:p.phase) in
+        let units =
+          match built with
+          | Some u -> u
+          | None ->
+            let u = build () in
+            let d = Image.digest replay in
+            if d <> digest then
+              failwith
+                (Printf.sprintf "Harness: crash-point memo gave digest %d, the built state has %d"
+                   digest d);
+            u
+        in
+        let probe h tree =
+          let r, reused = Vcache.probe vc digest (fun () -> usability_probe h tree) in
+          if reused then stats.probes_reused <- stats.probes_reused + 1;
+          r
+        in
+        let kinds = check_replay ~phase:p.phase ~probe in
+        Image.rollback replay;
+        let verdicts = fingerprinted ~context kinds in
         Vcache.add vc key ~point verdicts;
-        finish verdicts)
+        if verdicts <> [] then emit p verdicts ~units:(fun () -> units));
+      digest
   in
   (* The Vinter-style read-set heuristic (paper section 6.2): probe-mount
      the fully-fenced prefix state with a read recorder armed, then keep
@@ -410,17 +519,46 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let n = Array.length units_arr in
       stats.max_in_flight <- max stats.max_in_flight n;
       let point = Atomic.fetch_and_add next_point 1 in
-      let truncated =
+      (* A crash point whose fence-prefix image and in-flight writes repeat
+         an earlier point's has the same states: take their digests from
+         the cache's memo instead of building each one. (The read-set
+         heuristic picks subsets by a probe mount, so it is left out.) *)
+      let memo =
+        match vcache with
+        | Some vc when not opts.read_set_heuristic ->
+          let key = point_key ~opts ~replay p in
+          Some (vc, key, Vcache.point_digests vc key)
+        | _ -> None
+      in
+      let next = ref 0 and digests = ref [] in
+      let skipped =
         enumerate_subsets ~n ~cap:opts.cap ~limit:max_states_per_point (fun idxs ->
             List.iter
-              (fun base_units -> check_state p ~point ~base_units units_arr idxs)
+              (fun base_units ->
+                let memo_digest =
+                  match memo with Some (_, _, Some ds) -> Some ds.(!next) | _ -> None
+                in
+                incr next;
+                let d = check_state p ~point ~base_units units_arr idxs ~memo_digest in
+                match memo with Some (_, _, None) -> digests := d :: !digests | _ -> ())
               bases)
       in
-      if truncated then stats.truncated_points <- stats.truncated_points + 1
+      (match memo with
+      | Some (_, _, Some _) -> stats.points_reused <- stats.points_reused + 1
+      | Some (vc, key, None) -> Vcache.add_point vc key (Array.of_list (List.rev !digests))
+      | None -> ());
+      if skipped > 0 then begin
+        stats.truncated_points <- stats.truncated_points + 1;
+        (* Each base drops the same subsets. *)
+        List.iter
+          (fun _ -> stats.states_skipped <- add_saturating stats.states_skipped skipped)
+          bases
+      end
     end
   in
   walk ~opts ~replay trace check_point;
-  { reports = List.rev !reports; stats; trace; outcomes }
+  let reports, fingerprints = List.split (List.rev !reports) in
+  { reports; fingerprints; stats; trace; outcomes }
 
 let replay_recorded ?(opts = default_opts) ?vcache (driver : Vfs.Driver.t) r =
   replay_phases ~opts ?vcache driver ~calls:r.rec_calls ~trace:r.rec_trace

@@ -57,15 +57,36 @@ type stats = {
       (** Crash points whose subset enumeration was cut short by
           {!max_states_per_point}: some crash states there were never
           built or checked. *)
-  oracle_reused : int;
+  mutable states_skipped : int;
+      (** The crash states those cuts dropped (saturating at [max_int]). *)
+  mutable oracle_reused : int;
       (** Oracle boundaries the {!Vcache}'s call-prefix trie served instead
           of capturing them on Memfs: one more than the number of leading
           calls an earlier program of the campaign already ran. [0]
           without a verdict cache. *)
+  mutable points_reused : int;
+      (** Checked crash points whose fence-prefix image and in-flight
+          writes repeat a point the {!Vcache} memoized: their states were
+          looked up by memoized digest, and only the misses among them
+          were built. [0] without a verdict cache or under
+          [read_set_heuristic]. *)
+  mutable probes_reused : int;
+      (** Usability probes answered by the {!Vcache}'s per-image probe
+          memo instead of run. [0] without a verdict cache. *)
 }
+
+val new_stats : unit -> stats
+(** All counters zero. *)
+
+val add_stats : into:stats -> stats -> unit
+(** Add a run's counters into a total: sums, the larger [max_in_flight],
+    and a [states_skipped] sum saturating at [max_int]. *)
 
 type result = {
   reports : Report.t list;  (** Deduplicated by fingerprint, oldest first. *)
+  fingerprints : string list;
+      (** [List.map Report.fingerprint reports], rendered once per
+          verdict-cache entry rather than per report. *)
   stats : stats;
   trace : Persist.Trace.t;
   outcomes : Vfs.Workload.outcome list;
@@ -119,7 +140,11 @@ val test_workload :
     [vcache], when given, memoizes checker verdicts campaign-wide and
     skips states that repeat at their own crash point, and serves the
     oracle boundaries of call prefixes earlier programs ran (see
-    {!Vcache}). Without it every enumerated state is mounted and checked
+    {!Vcache}). It also memoizes each distinct crash point's state
+    digests, so a repeat point's states are looked up without being built
+    (a state whose lookup misses is built, and must digest as memoized:
+    the run raises [Failure] otherwise), and each crash image's usability
+    probe result. Without it every enumerated state is mounted and checked
     and the oracle is {!Oracle.run}. Findings are identical with or
     without it. *)
 
@@ -144,6 +169,14 @@ val walk :
     the recording's [rec_base]) holding the fully-fenced prefix; at a fence,
     then apply the in-flight vector to [replay]. Only [opts.coalesce]
     matters. An exception from [f] stops the walk at that point. *)
+
+val point_key : ?opts:opts -> replay:Pmem.Image.t -> crash_point -> int * int
+(** What fixes a crash point's states, the key under which a {!Vcache}
+    memoizes their digests ({!Vcache.point_digests}): the digest of
+    [replay] holding the point's fence prefix (as {!walk} passes it), and
+    a signature of the in-flight units' (address, bytes) parts, in order,
+    and of [opts.cap]. Two points with equal keys enumerate states with
+    equal digests, in the same order. *)
 
 val mount_and_check :
   Vfs.Driver.t ->

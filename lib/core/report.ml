@@ -61,18 +61,15 @@ let evidence = function
   | Torn_data { detail; _ } -> normalize detail
   | Inaccessible { error; _ } -> normalize error
 
-type verdict = { verdict_kind : kind; label : string; evidence : string }
-
-let verdict kind = { verdict_kind = kind; label = kind_label kind; evidence = evidence kind }
-
-let fingerprint_of ~fs ~context v = String.concat "/" [ fs; v.label; context; v.evidence ]
+let fingerprint_of ~fs ~context kind =
+  String.concat "/" [ fs; kind_label kind; context; evidence kind ]
 
 let fingerprint t =
   let context =
     context ~during_syscall:t.crash_point.during_syscall
       ~after_syscall:t.crash_point.after_syscall (first_word_of_call t.workload)
   in
-  fingerprint_of ~fs:t.fs ~context (verdict t.kind)
+  fingerprint_of ~fs:t.fs ~context t.kind
 
 let summary t =
   let where =

@@ -43,14 +43,8 @@ val fingerprint : t -> string
 
     A fingerprint joins four parts: the file system, the kind's label, the
     crash context and the normalized evidence. The replay loop renders the
-    context once per crash phase and a kind's label and evidence once per
-    verdict-cache entry, so a repeated finding costs a string join. *)
-
-type verdict = { verdict_kind : kind; label : string; evidence : string }
-(** A kind with its fingerprint label ({!kind_label}) and normalized
-    evidence, computed once by {!verdict}. *)
-
-val verdict : kind -> verdict
+    context once per crash phase and a fingerprint once per verdict-cache
+    entry, so a repeated finding renders nothing. *)
 
 val context : during_syscall:int option -> after_syscall:int option -> (int -> string) -> string
 (** ["during:W"], ["after:W"] or ["init"], where [W] is the given function
@@ -59,7 +53,7 @@ val context : during_syscall:int option -> after_syscall:int option -> (int -> s
 val first_word : string -> string
 (** The first word of a rendered syscall: its name. *)
 
-val fingerprint_of : fs:string -> context:string -> verdict -> string
+val fingerprint_of : fs:string -> context:string -> kind -> string
 (** ["fs/label/context/evidence"]: {!fingerprint} of a report with these
     parts. *)
 

@@ -40,18 +40,15 @@ let findings budget =
   { seen = Hashtbl.create 32; found = []; count = 0; cap = budget.stop_after_findings }
 
 (* Once [cap] events are held nothing more is recorded. *)
-let add f reports make =
-  List.iter
-    (fun report ->
-      if not (hit f.cap f.count) then begin
-        let fp = Report.fingerprint report in
-        if not (Hashtbl.mem f.seen fp) then begin
-          Hashtbl.replace f.seen fp ();
-          f.found <- make fp report :: f.found;
-          f.count <- f.count + 1
-        end
+let add f ~fingerprints reports make =
+  List.iter2
+    (fun fp report ->
+      if (not (hit f.cap f.count)) && not (Hashtbl.mem f.seen fp) then begin
+        Hashtbl.replace f.seen fp ();
+        f.found <- make fp report :: f.found;
+        f.count <- f.count + 1
       end)
-    reports
+    fingerprints reports
 
 let count f = f.count
 let events f = List.rev f.found

@@ -74,10 +74,13 @@ val findings : budget -> 'e findings
 (** An empty accumulator that holds at most [budget.stop_after_findings]
     events. *)
 
-val add : 'e findings -> Report.t list -> (string -> Report.t -> 'e) -> unit
-(** [add f reports make] records, in order, each report whose fingerprint
-    is new, as [make fingerprint report]. Once the cap is reached the rest
-    are dropped unseen. *)
+val add :
+  'e findings -> fingerprints:string list -> Report.t list -> (string -> Report.t -> 'e) -> unit
+(** [add f ~fingerprints reports make] records, in order, each report
+    whose fingerprint is new, as [make fingerprint report]. [fingerprints]
+    are the reports' {!Report.fingerprint}s, in the same order (a
+    {!Harness.result} carries both). Once the cap is reached the rest are
+    dropped unseen. *)
 
 val count : 'e findings -> int
 (** Events recorded so far. *)

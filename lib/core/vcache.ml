@@ -6,21 +6,29 @@
    against, or the fsync target for weak systems), and (c) the driver that
    mounts and judges it (its recovery code and its atomic_data / consistency
    contract). A cache serves one driver instance, so (c) is fixed per cache
-   and the key is (phase key, image digest). It does NOT depend on
+   and the key is (phase key, image digest), the phase key interned to an
+   int id. It does NOT depend on
    which workload or crash point produced the state, so verdicts are shared
    across crash points and across workloads: ACE workload families share long
    syscall prefixes, so whole mount+check rounds repeat campaign-wide.
 
    Each entry also remembers the crash point that last touched it: a repeat
    at one crash point repeats the whole key (one point has one phase), so
-   the cache doubles as the per-point dedup table.
+   the cache doubles as the per-point dedup table. It also holds its
+   verdicts' rendered fingerprints: the phase fixes a fingerprint's crash
+   context and the cache its file system, so they too are functions of
+   the key.
+
+   Two memos are functions of image content alone: the state digests of
+   each distinct crash point (fence-prefix digest, in-flight signature),
+   and the usability probe's result per crash image digest.
 
    The cache also holds a trie of the call prefixes the campaign has run.
    A prefix determines its oracle boundaries and the texts of its calls,
    the parts a phase key is built from, so a program re-derives only what
    its new suffix adds. *)
 
-type entry = { verdicts : Report.verdict list; mutable last_point : int }
+type entry = { verdicts : (Report.kind * string) list; mutable last_point : int }
 
 (* --- keys --- *)
 
@@ -34,15 +42,27 @@ type phase_key =
   | During of string * int * int  (* call text, pre digest, post digest *)
   | After of string * string option * int  (* call text, fsync target, post digest *)
 
-type key = phase_key * int
-(* (phase key, image digest): the phase half is built once per phase and
-   shared by every state of it, so a per-state key is one tuple. *)
+type key = int * int
+(* (phase id, image digest): the phase key is interned once per phase and
+   shared by every state of it, so a per-state key is a pair of ints. *)
 
 let phase_key oracle ~text (phase : Checker.phase) =
   match phase with
   | Checker.Initial -> Initial (Oracle.pre_digest oracle 0)
   | Checker.During i -> During (text i, Oracle.pre_digest oracle i, Oracle.post_digest oracle i)
   | Checker.After i -> After (text i, Oracle.target oracle i, Oracle.post_digest oracle i)
+
+(* Tables keyed by pairs and single ints, hashed without the polymorphic
+   hash's structural walk. The second int of every key is a content
+   digest, already well mixed. *)
+module Pair = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash ((a, b) : t) = (a * 0x1E3779B97F4A7C15) + b
+end)
+
+module Ints = Hashtbl.Make (Int)
 
 (* One node per distinct call prefix the campaign has run: everything the
    oracle derives from that prefix, and the text of its last call. The
@@ -56,11 +76,17 @@ type node = {
   children : (Vfs.Syscall.t, node) Hashtbl.t;
 }
 
+(* [mutex] guards the phase ids, the verdicts, the crash-point memo and
+   the probe memo; [trie_lock] guards the trie and its node count. *)
 type t = {
   mutex : Mutex.t;
-  table : (key, entry) Hashtbl.t;
+  phase_ids : (phase_key, int) Hashtbl.t;
+  table : entry Pair.t;
+  points : int array Pair.t;
+  probes : string option Ints.t;
   trie_lock : Mutex.t;
   root : node;
+  mutable n_nodes : int;
 }
 
 (* --- the cache --- *)
@@ -69,7 +95,10 @@ let create () =
   let empty = Oracle.run [] in
   {
     mutex = Mutex.create ();
-    table = Hashtbl.create 1024;
+    phase_ids = Hashtbl.create 256;
+    table = Pair.create 1024;
+    points = Pair.create 1024;
+    probes = Ints.create 1024;
     trie_lock = Mutex.create ();
     root =
       {
@@ -80,11 +109,21 @@ let create () =
         ret = 0;
         children = Hashtbl.create 64;
       };
+    n_nodes = 0;
   }
+
+let phase_id t key =
+  Mutex.protect t.mutex (fun () ->
+      match Hashtbl.find_opt t.phase_ids key with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length t.phase_ids in
+        Hashtbl.add t.phase_ids key id;
+        id)
 
 let find t key ~point =
   Mutex.protect t.mutex (fun () ->
-      Hashtbl.find_opt t.table key
+      Pair.find_opt t.table key
       |> Option.map (fun e ->
              let same = e.last_point = point in
              e.last_point <- point;
@@ -94,11 +133,42 @@ let find t key ~point =
    the entry already there (both verdicts are equal anyway). *)
 let add t key ~point verdicts =
   Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.table key with
+      match Pair.find_opt t.table key with
       | Some e -> e.last_point <- point
-      | None -> Hashtbl.replace t.table key { verdicts; last_point = point })
+      | None -> Pair.replace t.table key { verdicts; last_point = point })
 
-let entries t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
+let entries t = Mutex.protect t.mutex (fun () -> Pair.length t.table)
+
+(* --- per-image memos --- *)
+
+let point_digests t key = Mutex.protect t.mutex (fun () -> Pair.find_opt t.points key)
+
+let add_point t key digests =
+  Mutex.protect t.mutex (fun () ->
+      if not (Pair.mem t.points key) then Pair.replace t.points key digests)
+
+(* The probe runs outside the lock; a racing domain that probed the same
+   image meanwhile keeps its (equal) result. *)
+let probe t digest run =
+  match Mutex.protect t.mutex (fun () -> Ints.find_opt t.probes digest) with
+  | Some r -> (r, true)
+  | None ->
+    let r = run () in
+    Mutex.protect t.mutex (fun () ->
+        if not (Ints.mem t.probes digest) then Ints.replace t.probes digest r);
+    (r, false)
+
+type sizes = { verdict_entries : int; trie_nodes : int; point_memo : int; probe_memo : int }
+
+let sizes (t : t) =
+  let trie_nodes = Mutex.protect t.trie_lock (fun () -> t.n_nodes) in
+  Mutex.protect t.mutex (fun () ->
+      {
+        verdict_entries = Pair.length t.table;
+        trie_nodes;
+        point_memo = Pair.length t.points;
+        probe_memo = Ints.length t.probes;
+      })
 
 (* --- the call-prefix trie --- *)
 
@@ -158,7 +228,9 @@ let program t calls =
             let parent = if i = 0 then t.root else nodes.(i - 1) in
             match Hashtbl.find_opt parent.children calls.(i) with
             | Some existing -> nodes.(i) <- existing
-            | None -> Hashtbl.add parent.children calls.(i) nodes.(i)
+            | None ->
+              Hashtbl.add parent.children calls.(i) nodes.(i);
+              t.n_nodes <- t.n_nodes + 1
           done;
           nodes)
     end

@@ -1,22 +1,28 @@
 (** Campaign-wide verdict cache.
 
     Memoizes {!Checker.check} verdicts (the list of {!Report.kind}s, possibly
-    empty, each with its fingerprint parts) for one driver instance, under a key that captures everything
-    else the verdict can depend on: the crash phase's oracle slice
-    ({!phase_key}: rendered syscall + digests of the pre/post trees it is
-    judged against + the fsync target for weak systems) and the crash
-    image's content {!Pmem.Image.digest}. The
-    syscall {e index} is deliberately absent, so equivalent crash states
-    reached at different positions — or in different workloads sharing an ACE
-    family prefix — hit the same cache line and skip the mount+check round
-    entirely. Reports are still emitted per occurrence with their own crash
-    point, so finding sets are byte-identical with the cache on or off.
+    empty, each with its rendered fingerprint) for one driver instance,
+    under a key that captures everything else the verdict can depend on:
+    the crash phase's oracle slice ({!phase_key}: rendered syscall +
+    digests of the pre/post trees it is judged against + the fsync target
+    for weak systems), interned to an int id, and the crash image's
+    content {!Pmem.Image.digest}. The syscall {e index} is deliberately
+    absent, so equivalent crash states reached at different positions — or
+    in different workloads sharing an ACE family prefix — hit the same
+    cache line and skip the mount+check round entirely. Reports are still
+    emitted per occurrence with their own crash point, so finding sets are
+    byte-identical with the cache on or off.
 
-    Thread-safe: one table behind a mutex, which {!find}, {!add} and
-    {!entries} take, so a verdict added on one domain is visible to every
-    other domain at once; the call-prefix trie ({!program}) has a lock of
-    its own. With several domains hit counts depend on
-    scheduling, but findings never do; in one domain they are
+    Two per-image memos ride along: the state digests of each distinct
+    crash point ({!point_digests}), so a repeat point builds no image to
+    look its states up, and the usability probe's result per crash image
+    ({!probe}).
+
+    Thread-safe: the verdicts, phase ids and memos sit behind one mutex,
+    which every function here takes, so an entry added on one domain is
+    visible to every other domain at once; the call-prefix trie
+    ({!program}) has a lock of its own. With several domains hit counts
+    depend on scheduling, but findings never do; in one domain they are
     deterministic. *)
 
 type t
@@ -46,23 +52,56 @@ val phase_key : Oracle.t -> text:(int -> string) -> Checker.phase -> phase_key
     once per (program, phase) and share it across every crash state of
     that phase. *)
 
-type key = phase_key * int
-(** A cache key: a phase key and a crash image's {!Pmem.Image.digest}. *)
+val phase_id : t -> phase_key -> int
+(** The phase key's id in this cache: equal keys get equal ids, distinct
+    keys distinct ones. Intern each phase once and share the id across
+    every crash state of that phase. *)
 
-val find : t -> key -> point:int -> (Report.verdict list * bool) option
+type key = int * int
+(** A cache key: a {!phase_id} and a crash image's {!Pmem.Image.digest}. *)
+
+val find : t -> key -> point:int -> ((Report.kind * string) list * bool) option
 (** [None] if [key] is not cached yet, else the cached verdicts ([[]]
-    means "consistent") and whether the entry's last {!find} or {!add}
-    came from [point] (an id unique to one crash point), which then
-    replaces it. A verdict carries its kind's fingerprint label and
-    normalized evidence, so a hit renders a fingerprint by joining
-    strings. *)
+    means "consistent"), each kind with its {!Report.fingerprint}, and
+    whether the entry's last {!find} or {!add} came from [point] (an id
+    unique to one crash point), which then replaces it. A fingerprint is
+    a function of the key (the phase fixes the crash context, the cache
+    the file system), so a hit renders none. *)
 
-val add : t -> key -> point:int -> Report.verdict list -> unit
+val add : t -> key -> point:int -> (Report.kind * string) list -> unit
 (** Record a verdict found at [point]; an entry already present under
     [key] keeps its verdict and takes [point]. *)
 
 val entries : t -> int
-(** Number of entries added so far. *)
+(** Number of verdict entries added so far. *)
+
+(** {1 Per-image memos} *)
+
+val point_digests : t -> int * int -> int array option
+(** The image digests of a crash point's states, in enumeration order,
+    memoized under the point's content: its fence-prefix image digest and
+    a signature of its in-flight writes (and of whatever else picks its
+    subsets). [None] until {!add_point}. *)
+
+val add_point : t -> int * int -> int array -> unit
+(** Memoize a crash point's state digests; the first add wins. *)
+
+val probe : t -> int -> (unit -> string option) -> string option * bool
+(** [probe t digest run] is the usability probe's result on the crash
+    image with [digest], running [run] only the first time that image is
+    probed, and whether the result was reused. The probe reads only the
+    mounted handle and its tree, both functions of the image. *)
+
+type sizes = {
+  verdict_entries : int;  (** {!entries}. *)
+  trie_nodes : int;  (** Call prefixes in the trie, the empty one aside. *)
+  point_memo : int;  (** Distinct crash points with memoized digests. *)
+  probe_memo : int;  (** Distinct crash images probed. *)
+}
+
+val sizes : t -> sizes
+(** How large each table has grown. None is ever pruned: evicting would
+    change which states hit. *)
 
 (** {1 Call-prefix trie}
 

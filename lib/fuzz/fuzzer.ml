@@ -29,13 +29,18 @@ type event = {
 
 type result = {
   execs : int;
+  crash_points : int;
   crash_states : int;
   coverage : int;
   corpus_size : int;
   dedup_hits : int;
   vcache_hits : int;
   truncated_points : int;
+  states_skipped : int;
   oracle_reused : int;
+  points_reused : int;
+  probes_reused : int;
+  vcache_sizes : Chipmunk.Vcache.sizes option;
   events : event list;
   clusters : Triage.cluster list;
   elapsed : float;
@@ -54,10 +59,7 @@ let run ?(config = default_config) driver =
      long common prefixes with their seeds, so cross-execution hits are
      frequent. *)
   let vcache = if config.exec.Run.use_vcache then Some (Chipmunk.Vcache.create ()) else None in
-  let vhits = ref 0 in
-  let dhits = ref 0 in
-  let truncated = ref 0 in
-  let reused = ref 0 in
+  let total = Chipmunk.Harness.new_stats () in
   (* Corpus as an array so epoch snapshots are O(1) to capture and index;
      it only ever grows, at epoch boundaries, in execution order. *)
   let corpus = ref [||] in
@@ -65,7 +67,6 @@ let run ?(config = default_config) driver =
   let found = Run.findings budget in
   let all_reports = ref [] in
   let execs = ref 0 in
-  let states = ref 0 in
   let stopped = ref false in
   let epoch = ref 0 in
   let elapsed () = Unix.gettimeofday () -. t0 in
@@ -95,19 +96,14 @@ let run ?(config = default_config) driver =
             Chipmunk.Harness.test_workload ~opts:config.exec.Run.opts ?vcache driver workload)
       in
       let done_at = elapsed () in
-      let st = r.Chipmunk.Harness.stats in
       incr execs;
-      states := !states + st.Chipmunk.Harness.crash_states;
-      dhits := !dhits + st.Chipmunk.Harness.dedup_hits;
-      vhits := !vhits + st.Chipmunk.Harness.vcache_hits;
-      truncated := !truncated + st.Chipmunk.Harness.truncated_points;
-      reused := !reused + st.Chipmunk.Harness.oracle_reused;
+      Chipmunk.Harness.add_stats ~into:total r.Chipmunk.Harness.stats;
       if List.exists (fun p -> not (Hashtbl.mem seen_cov p)) hits then
         fresh_seeds := workload :: !fresh_seeds;
       List.iter (fun p -> Hashtbl.replace seen_cov p ()) hits;
       let reports = r.Chipmunk.Harness.reports in
       all_reports := List.rev_append reports !all_reports;
-      Run.add found reports (fun fingerprint report ->
+      Run.add found ~fingerprints:r.Chipmunk.Harness.fingerprints reports (fun fingerprint report ->
           { fingerprint; report; at_exec = !execs; elapsed = done_at; workload })
     in
     for s = 0 to n_slots - 1 do
@@ -118,13 +114,18 @@ let run ?(config = default_config) driver =
   done;
   {
     execs = !execs;
-    crash_states = !states;
+    crash_points = total.Chipmunk.Harness.crash_points;
+    crash_states = total.Chipmunk.Harness.crash_states;
     coverage = Hashtbl.length seen_cov;
     corpus_size = Array.length !corpus;
-    dedup_hits = !dhits;
-    vcache_hits = !vhits;
-    truncated_points = !truncated;
-    oracle_reused = !reused;
+    dedup_hits = total.Chipmunk.Harness.dedup_hits;
+    vcache_hits = total.Chipmunk.Harness.vcache_hits;
+    truncated_points = total.Chipmunk.Harness.truncated_points;
+    states_skipped = total.Chipmunk.Harness.states_skipped;
+    oracle_reused = total.Chipmunk.Harness.oracle_reused;
+    points_reused = total.Chipmunk.Harness.points_reused;
+    probes_reused = total.Chipmunk.Harness.probes_reused;
+    vcache_sizes = Option.map Chipmunk.Vcache.sizes vcache;
     events = Run.events found;
     clusters = Triage.cluster (List.rev !all_reports);
     elapsed = elapsed ();

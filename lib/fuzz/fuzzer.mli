@@ -68,6 +68,7 @@ type event = {
 
 type result = {
   execs : int;
+  crash_points : int;  (** Summed {!Chipmunk.Harness.stats.crash_points}. *)
   crash_states : int;
   coverage : int;
       (** Distinct coverage points reached across all executions (the
@@ -84,9 +85,21 @@ type result = {
   truncated_points : int;
       (** Summed {!Chipmunk.Harness.stats.truncated_points}: crash points
           where {!Chipmunk.Harness.max_states_per_point} skipped crash states. *)
+  states_skipped : int;
+      (** Summed {!Chipmunk.Harness.stats.states_skipped}: the crash states
+          those cuts dropped. *)
   oracle_reused : int;
       (** Summed {!Chipmunk.Harness.stats.oracle_reused}: oracle boundaries
           served by the verdict cache's call-prefix trie. *)
+  points_reused : int;
+      (** Summed {!Chipmunk.Harness.stats.points_reused}: crash points whose
+          state digests the verdict cache's memo served. *)
+  probes_reused : int;
+      (** Summed {!Chipmunk.Harness.stats.probes_reused}: usability probes
+          the verdict cache's per-image memo answered. *)
+  vcache_sizes : Chipmunk.Vcache.sizes option;
+      (** The run's verdict-cache table sizes at the end ([None] with
+          [exec.use_vcache = false]). *)
   events : event list;  (** Unique findings in discovery order. *)
   clusters : Triage.cluster list;
   elapsed : float;

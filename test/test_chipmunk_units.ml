@@ -381,6 +381,12 @@ let test_truncation_counted () =
   in
   Alcotest.(check bool) "in-flight writes" true (cut.Harness.max_in_flight > 0);
   Alcotest.(check int) "truncation counted" 1 cut.Harness.truncated_points;
+  (* The one cut point is the widest: at cap 2 it has 1 + n + n(n-1)/2
+     subsets, of which the valve let 512 through. *)
+  let n = cut.Harness.max_in_flight in
+  Alcotest.(check int) "skipped states counted"
+    (1 + n + (n * (n - 1) / 2) - Harness.max_states_per_point)
+    cut.Harness.states_skipped;
   Alcotest.(check int) "default opts do not truncate" 0
     (run Harness.default_opts).Harness.truncated_points
 

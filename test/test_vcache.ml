@@ -99,18 +99,18 @@ let test_digest_undo_rollback () =
 
 let test_vcache_find_add_shared () =
   let c = Vcache.create () in
-  let k = (Vcache.Initial 1, 42) in
+  let k = (Vcache.phase_id c (Vcache.Initial 1), 42) in
   Alcotest.(check bool) "empty cache misses" true (Vcache.find c k ~point:0 = None);
   Alcotest.(check int) "empty cache has no entries" 0 (Vcache.entries c);
   Vcache.add c k ~point:0 [];
   Alcotest.(check bool) "consistent verdict cached as Some []" true
     (Vcache.find c k ~point:1 = Some ([], false));
   Alcotest.(check int) "entries counts the add at once" 1 (Vcache.entries c);
-  Vcache.add c k ~point:2 [ R.verdict (R.Unusable "later") ];
+  Vcache.add c k ~point:2 [ (R.Unusable "later", "fp") ];
   Alcotest.(check bool) "first verdict wins" true (Vcache.find c k ~point:3 = Some ([], false));
   (* Another domain sees the entry with no sync step, and its adds are
      visible back here. *)
-  let k' = (Vcache.Initial 1, 43) in
+  let k' = (fst k, 43) in
   let seen =
     Domain.join
       (Domain.spawn (fun () ->
@@ -127,8 +127,8 @@ let test_vcache_find_same_point () =
   (* The entry's last point tells a dedup hit (a repeat at the crash point
      that last touched the key) from a verdict-cache hit. *)
   let c = Vcache.create () in
-  let k = (Vcache.Initial 2, 1) in
-  let kinds = [ R.verdict (R.Unusable "x") ] in
+  let k = (Vcache.phase_id c (Vcache.Initial 2), 1) in
+  let kinds = [ (R.Unusable "x", "fp") ] in
   Vcache.add c k ~point:10 kinds;
   Alcotest.(check bool) "repeat at the adding point: same point" true
     (Vcache.find c k ~point:10 = Some (kinds, true));
@@ -143,14 +143,21 @@ let test_vcache_find_same_point () =
     (Vcache.find c k ~point:12 = Some (kinds, true))
 
 let test_vcache_key_separates () =
-  (* The key must separate phases at equal image digests, and image
-     digests at equal phases. *)
-  let p = Vcache.During ("mkdir /d", 1, 2) and q = Vcache.During ("mkdir /e", 1, 2) in
-  let k1 = (p, 7) and k2 = (q, 7) and k3 = (p, 8) in
-  Alcotest.(check int) "three distinct keys" 3
-    (List.length (List.sort_uniq compare [ k1; k2; k3 ]));
+  (* Phase ids intern phase keys: equal keys share an id, distinct keys
+     do not. The int-pair key must then separate phases at equal image
+     digests, and image digests at equal phases. *)
+  let c = Vcache.create () in
+  let p = Vcache.phase_id c (Vcache.During ("mkdir /d", 1, 2))
+  and q = Vcache.phase_id c (Vcache.During ("mkdir /e", 1, 2)) in
+  Alcotest.(check bool) "distinct phase keys, distinct ids" true (p <> q);
+  Alcotest.(check int) "equal phase keys, equal ids" p
+    (Vcache.phase_id c (Vcache.During ("mkdir /d", 1, 2)));
+  List.iteri
+    (fun i k -> Vcache.add c k ~point:i [ (R.Unusable (string_of_int i), string_of_int i) ])
+    [ (p, 7); (q, 7); (p, 8) ];
+  Alcotest.(check int) "three distinct entries" 3 (Vcache.entries c);
   Alcotest.(check bool) "equal parts, equal key" true
-    ((Vcache.During ("mkdir /d", 1, 2), 7) = k1)
+    (Vcache.find c (p, 7) ~point:0 = Some ([ (R.Unusable "0", "0") ], true))
 
 (* [Vcache.phase_key] over oracles built from chosen parts: changing any
    one part the checker reads at a phase changes that phase's key, and
@@ -204,12 +211,15 @@ let test_phase_key_parts () =
   in
   Alcotest.(check int) "ten distinct keys" 10 (List.length keys);
   let c = Vcache.create () in
-  List.iteri (fun i k -> Vcache.add c (k, 7) ~point:i [ R.verdict (R.Unusable (string_of_int i)) ]) keys;
+  let ids = List.map (Vcache.phase_id c) keys in
+  Alcotest.(check int) "one id per key" 10 (List.length (List.sort_uniq compare ids));
+  let verdict i = [ (R.Unusable (string_of_int i), string_of_int i) ] in
+  List.iteri (fun i id -> Vcache.add c (id, 7) ~point:i (verdict i)) ids;
   Alcotest.(check int) "one entry per key" 10 (Vcache.entries c);
   List.iteri
     (fun i k ->
-      match Vcache.find c (k, 7) ~point:i with
-      | Some ([ v ], true) when v = R.verdict (R.Unusable (string_of_int i)) -> ()
+      match Vcache.find c (Vcache.phase_id c k, 7) ~point:i with
+      | Some (v, true) when v = verdict i -> ()
       | _ -> Alcotest.failf "key %d: another key's entry" i)
     keys
 
@@ -354,6 +364,145 @@ let test_harness_vcache_second_run_hits () =
     true (r2.Harness.stats.Harness.vcache_hits > 0);
   Alcotest.(check bool) "cache holds entries" true (Vcache.entries vcache > 0)
 
+(* --- Per-image memos --- *)
+
+let seven_buggy () =
+  List.map
+    (fun (name, _) -> (name, Option.get (Catalog.buggy_driver name) ()))
+    Catalog.clean_drivers
+
+let seq1_for (d : Vfs.Driver.t) =
+  List.of_seq
+    (Seq.map snd
+       (Ace.seq1 (if d.Vfs.Driver.consistency = Vfs.Driver.Weak then Ace.Fsync else Ace.Strong)))
+
+(* The harness's subset order: the empty subset, then every subset of
+   each size 1..n in lexicographic order, at most [limit] in all. *)
+let subsets ~n ~limit =
+  let out = ref [] and count = ref 0 in
+  let rec combo acc start remaining =
+    if !count < limit then
+      if remaining = 0 then begin
+        incr count;
+        out := List.rev acc :: !out
+      end
+      else
+        for i = start to n - remaining do
+          combo (i :: acc) (i + 1) (remaining - 1)
+        done
+  in
+  for size = 0 to n do
+    combo [] 0 size
+  done;
+  List.rev !out
+
+(* Every digest the crash-point memo would serve matches the image built
+   from that subset: run seq-1 through one cache per driver, then walk
+   each workload's trace again, and at every point the memo knows, build
+   each state and digest it. *)
+let test_point_memo_digests () =
+  List.iter
+    (fun (name, driver) ->
+      let vc = Vcache.create () in
+      let workloads = seq1_for driver in
+      List.iter (fun calls -> ignore (Harness.test_workload ~vcache:vc driver calls)) workloads;
+      let served = ref 0 in
+      List.iter
+        (fun calls ->
+          let r = Harness.record driver calls in
+          let replay = Image.snapshot r.Harness.rec_base in
+          Harness.walk ~replay r.Harness.rec_trace (fun p ->
+              match Vcache.point_digests vc (Harness.point_key ~replay p) with
+              | None -> ()
+              | Some digests ->
+                let units = Array.of_list p.Harness.in_flight in
+                let states =
+                  subsets ~n:(Array.length units) ~limit:Harness.max_states_per_point
+                in
+                Alcotest.(check int) (name ^ ": one digest per state") (List.length states)
+                  (Array.length digests);
+                List.iteri
+                  (fun j idxs ->
+                    Image.checkpoint replay;
+                    List.iter
+                      (fun i -> Chipmunk.Coalesce.apply (Image.write_string replay) units.(i))
+                      idxs;
+                    let d = Image.digest replay in
+                    Image.rollback replay;
+                    incr served;
+                    if d <> digests.(j) then
+                      Alcotest.failf "%s, %s: state %d digests to %d, the memo says %d" name
+                        (Fuzz.Prog.to_string calls) j d digests.(j))
+                  states))
+        workloads;
+      if !served = 0 then Alcotest.failf "%s: no memoized crash point met" name)
+    (seven_buggy ())
+
+(* A result's fingerprints are its reports' fingerprints, with the cache
+   on (hits render none) and off. *)
+let test_result_fingerprints () =
+  List.iter
+    (fun (name, driver) ->
+      let vcache = Vcache.create () in
+      List.iter
+        (fun calls ->
+          List.iter
+            (fun vcache ->
+              let r = Harness.test_workload ?vcache driver calls in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s, %s" name (Fuzz.Prog.to_string calls))
+                (List.map R.fingerprint r.Harness.reports)
+                r.Harness.fingerprints)
+            [ Some vcache; None ])
+        (seq1_for driver))
+    (seven_buggy ())
+
+(* A driver whose mounted handles count the usability probe: a mount's
+   first mutating call starts it, and the crash image's digest at mount
+   names it. *)
+let probe_counting (d : Vfs.Driver.t) =
+  let probes : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let mount pm =
+    let digest = Image.digest (Persist.Pm.image pm) in
+    let started = ref false in
+    let start () =
+      if not !started then begin
+        started := true;
+        Hashtbl.replace probes digest (1 + Option.value ~default:0 (Hashtbl.find_opt probes digest))
+      end
+    in
+    Result.map
+      (fun (h : Vfs.Handle.t) ->
+        {
+          h with
+          Vfs.Handle.creat = (fun ~path -> start (); h.Vfs.Handle.creat ~path);
+          unlink = (fun ~path -> start (); h.Vfs.Handle.unlink ~path);
+          rmdir = (fun ~path -> start (); h.Vfs.Handle.rmdir ~path);
+        })
+      (d.Vfs.Driver.mount pm)
+  in
+  ({ d with Vfs.Driver.mount }, probes)
+
+let test_probe_once_per_image () =
+  let run use_vcache =
+    let driver, probes = probe_counting (Option.get (Catalog.buggy_driver "pmfs") ()) in
+    let r = Campaign.run ~exec:(Chipmunk.Run.exec ~use_vcache ()) driver (Ace.seq1 Ace.Strong) in
+    (r, Hashtbl.fold (fun _ n acc -> n :: acc) probes [])
+  in
+  let on, counts = run true in
+  List.iter (fun n -> Alcotest.(check int) "one probe per image digest" 1 n) counts;
+  let off, off_counts = run false in
+  let probed = List.fold_left ( + ) 0 off_counts in
+  Alcotest.(check int) "the same images probed without the cache" (List.length off_counts)
+    (List.length counts);
+  Alcotest.(check bool)
+    (Printf.sprintf "the memo saved probes (%d reused)" on.Campaign.probes_reused)
+    true
+    (on.Campaign.probes_reused > 0);
+  Alcotest.(check int) "no probes reused without a cache" 0 off.Campaign.probes_reused;
+  Alcotest.(check bool) "without the cache some image is probed twice" true
+    (probed > List.length off_counts)
+
 (* --- record / replay_recorded split --- *)
 
 let test_replay_recorded_equals_test_workload () =
@@ -401,4 +550,9 @@ let suite =
       test_harness_vcache_second_run_hits;
     Alcotest.test_case "harness: replay_recorded == test_workload" `Quick
       test_replay_recorded_equals_test_workload;
+    Alcotest.test_case "memo: served digests equal built images" `Quick
+      test_point_memo_digests;
+    Alcotest.test_case "harness: result fingerprints are the reports'" `Quick
+      test_result_fingerprints;
+    Alcotest.test_case "memo: one usability probe per image" `Quick test_probe_once_per_image;
   ]
