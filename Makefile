@@ -1,9 +1,9 @@
 # Convenience targets; the source of truth is dune.
 
 .PHONY: ci build test bench-perf bench-shrink shrink-smoke fuzz-smoke \
-  cache-smoke counters-smoke clean
+  cache-smoke seq3-smoke counters-smoke clean
 
-ci: build test shrink-smoke fuzz-smoke cache-smoke counters-smoke
+ci: build test shrink-smoke fuzz-smoke cache-smoke seq3-smoke counters-smoke
 
 build:
 	dune build @all
@@ -99,6 +99,17 @@ cache-smoke:
 	test -s _build/cache-smoke-fuzz-default.txt
 	diff -u _build/cache-smoke-fuzz-novcache.txt _build/cache-smoke-fuzz-default.txt
 	! grep -H '^truncated:' _build/cache-smoke-*.out
+
+# ACE seq-3 smoke test: the full 54,872-workload suite on buggy NOVA must
+# complete (exit 0) and find exactly the unique findings EXPERIMENTS.md E21
+# records. It is the suite whose crash images exposed equal-offset swap
+# collisions in the content digests, which the crash-point memo check
+# turned into an abort, and the one whose memory the streaming merge bounds.
+SEQ3_NOVA_FINDINGS = 34
+
+seq3-smoke: build
+	$(CLI) ace --fs nova --buggy --suite seq3 > _build/seq3-smoke.out
+	grep -qx '$(SEQ3_NOVA_FINDINGS) unique finding(s):' _build/seq3-smoke.out
 
 # Reference-counter smoke test: one traced perfbench run per declared
 # workload must reproduce its reference ledger (crash states, dedup and

@@ -165,32 +165,28 @@ let suite_stats () =
     "crash states" "dedup" "false pos" "time(s)";
   (* One worker domain per file system: the seven sweeps are independent, so
      fanning the drivers out (rather than sharding workloads within one
-     driver) parallelizes across the whole table. Pool.map returns results
-     in submission order, so rows print deterministically, driver by
+     driver) parallelizes across the whole table. Pool.iter hands results
+     over in submission order, so rows print deterministically, driver by
      driver, whatever order the domains finished in. *)
-  let results =
-    Chipmunk.Pool.map
-      ~jobs:(min jobs (List.length Catalog.clean_drivers))
-      (fun (name, mk) ->
-        let suite =
-          if name = "ext4-dax" || name = "xfs-dax" then
-            Seq.append (Ace.seq1 Ace.Fsync) (Seq.take 1500 (Ace.seq2 Ace.Fsync))
-          else Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong)
-        in
-        Chipmunk.Campaign.run (mk ()) suite)
-      (List.to_seq Catalog.clean_drivers)
-  in
-  let rows =
-    List.map
-      (fun (_, (name, _), r) ->
-        Printf.printf "%-12s %10d %12d %12d %10d %10d %8.1f\n" name
-          r.Chipmunk.Campaign.workloads_run r.Chipmunk.Campaign.crash_points
-          r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
-          (List.length r.Chipmunk.Campaign.events)
-          r.Chipmunk.Campaign.elapsed;
-        (name, r.Chipmunk.Campaign.crash_states))
-      results
-  in
+  let rows = ref [] in
+  Chipmunk.Pool.iter
+    ~jobs:(min jobs (List.length Catalog.clean_drivers))
+    (fun (name, mk) ->
+      let suite =
+        if name = "ext4-dax" || name = "xfs-dax" then
+          Seq.append (Ace.seq1 Ace.Fsync) (Seq.take 1500 (Ace.seq2 Ace.Fsync))
+        else Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong)
+      in
+      Chipmunk.Campaign.run (mk ()) suite)
+    (List.to_seq Catalog.clean_drivers)
+    (fun _ (name, _) r ->
+      Printf.printf "%-12s %10d %12d %12d %10d %10d %8.1f\n%!" name
+        r.Chipmunk.Campaign.workloads_run r.Chipmunk.Campaign.crash_points
+        r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
+        (List.length r.Chipmunk.Campaign.events)
+        r.Chipmunk.Campaign.elapsed;
+      rows := (name, r.Chipmunk.Campaign.crash_states) :: !rows);
+  let rows = !rows in
   let strong = List.filter (fun (n, _) -> n <> "ext4-dax" && n <> "xfs-dax") rows in
   let mx = List.fold_left (fun a (_, s) -> max a s) 0 strong in
   let mn = List.fold_left (fun a (_, s) -> min a s) max_int strong in
@@ -536,31 +532,31 @@ let parallel_perf () =
    minimizer's effectiveness is tracked across commits. *)
 let shrink_bench () =
   header "Minimizer: delta-debugging shrink factors over the 25-bug corpus";
-  let results =
-    Chipmunk.Pool.map
-      ~jobs:(min jobs (List.length Catalog.all))
-      (fun (b : Catalog.t) ->
-        let driver = b.Catalog.driver () in
-        let r = Chipmunk.Harness.test_workload driver b.Catalog.trigger in
-        match r.Chipmunk.Harness.reports with
-        | [] -> Error "trigger found nothing"
-        | rep :: _ -> (
-          match Shrink.Minimize.run driver rep with
-          | Error e -> Error e
-          | Ok o ->
-            let preserved =
-              Chipmunk.Report.fingerprint o.Shrink.Minimize.report
-              = Chipmunk.Report.fingerprint rep
-            in
-            let reverifies = Chipmunk.Reproduce.verify driver o.Shrink.Minimize.report in
-            Ok (o, preserved, reverifies)))
-      (List.to_seq Catalog.all)
-  in
+  let results = ref [] in
+  Chipmunk.Pool.iter
+    ~jobs:(min jobs (List.length Catalog.all))
+    (fun (b : Catalog.t) ->
+      let driver = b.Catalog.driver () in
+      let r = Chipmunk.Harness.test_workload driver b.Catalog.trigger in
+      match r.Chipmunk.Harness.reports with
+      | [] -> Error "trigger found nothing"
+      | rep :: _ -> (
+        match Shrink.Minimize.run driver rep with
+        | Error e -> Error e
+        | Ok o ->
+          let preserved =
+            Chipmunk.Report.fingerprint o.Shrink.Minimize.report
+            = Chipmunk.Report.fingerprint rep
+          in
+          let reverifies = Chipmunk.Reproduce.verify driver o.Shrink.Minimize.report in
+          Ok (o, preserved, reverifies)))
+    (List.to_seq Catalog.all)
+    (fun _ b res -> results := (b, res) :: !results);
   Printf.printf "%-4s %-12s %10s %10s %10s %10s %6s %6s\n" "Bug" "FS" "ops" "min ops"
     "writes" "min wr" "fp" "repro";
   let ok_rows =
     List.filter_map
-      (fun (_, (b : Catalog.t), res) ->
+      (fun ((b : Catalog.t), res) ->
         match res with
         | Error e ->
           Printf.printf "%-4d %-12s FAILED: %s\n" b.Catalog.bug_no b.Catalog.fs e;
@@ -573,7 +569,7 @@ let shrink_bench () =
             (if preserved then "yes" else "NO")
             (if reverifies then "yes" else "NO");
           Some (b, s, preserved, reverifies))
-      results
+      (List.rev !results)
   in
   let median l =
     match List.sort compare l with

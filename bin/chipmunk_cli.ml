@@ -276,11 +276,11 @@ let fuzz_cmd =
             match o with
             | None ->
               Printf.printf "  cluster %d (%d reports): %s [did not reproduce]\n" i
-                (List.length cl.Fuzz.Triage.members)
+                cl.Fuzz.Triage.size
                 (Chipmunk.Report.summary cl.Fuzz.Triage.representative)
             | Some (o : Shrink.Minimize.outcome) ->
               Printf.printf "  cluster %d (%d reports): %s [%d -> %d ops, %d -> %d writes]\n" i
-                (List.length cl.Fuzz.Triage.members)
+                cl.Fuzz.Triage.size
                 (Chipmunk.Report.summary cl.Fuzz.Triage.representative)
                 o.Shrink.Minimize.stats.Shrink.Minimize.ops_before
                 o.Shrink.Minimize.stats.Shrink.Minimize.ops_after
@@ -290,7 +290,7 @@ let fuzz_cmd =
       else
         List.iteri
           (fun i (cl : Fuzz.Triage.cluster) ->
-            Printf.printf "  cluster %d (%d reports): %s\n" i (List.length cl.Fuzz.Triage.members)
+            Printf.printf "  cluster %d (%d reports): %s\n" i cl.Fuzz.Triage.size
               (Chipmunk.Report.summary cl.Fuzz.Triage.representative))
           r.Fuzz.Fuzzer.clusters;
       (match save with

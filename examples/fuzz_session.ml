@@ -27,7 +27,7 @@ let () =
   Printf.printf "triage dashboard (%d clusters):\n" (List.length r.Fuzz.Fuzzer.clusters);
   List.iteri
     (fun i (c : Fuzz.Triage.cluster) ->
-      Printf.printf "  #%d  x%-4d %s\n" i (List.length c.Fuzz.Triage.members)
+      Printf.printf "  #%d  x%-4d %s\n" i c.Fuzz.Triage.size
         (Chipmunk.Report.summary c.Fuzz.Triage.representative))
     r.Fuzz.Fuzzer.clusters;
 

@@ -28,58 +28,38 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   (* A campaign's unit of execution is one workload, so [max_execs] is
      enforced up front by truncating the suite. *)
   let suite = match budget.Run.max_execs with None -> suite | Some m -> Seq.take m suite in
-  (* Live early-stop state for [stop_after_findings], updated under its
-     own lock as workloads finish (in completion order). It only decides
-     when to stop dispatching; the returned result is merged
-     deterministically below. Without that cap nothing reads it. *)
-  let live =
-    Option.map (fun _ -> (Run.findings budget, Mutex.create ())) budget.Run.stop_after_findings
-  in
+  (* [Pool.iter] calls [stop] and the merge below under one lock, so
+     [stop] reads the merged finding count directly. *)
+  let found = Run.findings budget in
+  let total = Harness.new_stats () in
+  let workloads_run = ref 0 in
   let stop () =
     Run.out_of_budget budget ~execs:0
       ~seconds:(Unix.gettimeofday () -. t0)
-      ~findings:
-        (match live with
-        | Some (live, lock) -> Mutex.protect lock (fun () -> Run.count live)
-        | None -> 0)
+      ~findings:(Run.count found)
   in
   (* One verdict cache for the whole campaign (when enabled), shared by
      every worker domain. Never reused across campaigns — the entries are
      only valid for this [driver] instance. *)
   let vcache = if exec.Run.use_vcache then Some (Vcache.create ()) else None in
   (* Keep only what the merge reads: the workload's trace and outcomes
-     would otherwise stay alive until every workload has finished. *)
+     would otherwise stay alive until the merge reaches it. *)
   let work (_name, workload) =
     let r = Harness.test_workload ~opts:exec.Run.opts ?vcache driver workload in
-    let done_at = Unix.gettimeofday () -. t0 in
-    let reports = r.Harness.reports and fingerprints = r.Harness.fingerprints in
-    Option.iter
-      (fun (live, lock) ->
-        Mutex.protect lock (fun () -> Run.add live ~fingerprints reports (fun _ _ -> ())))
-      live;
-    (reports, fingerprints, r.Harness.stats, done_at)
+    (r.Harness.reports, r.Harness.fingerprints, r.Harness.stats, Unix.gettimeofday () -. t0)
   in
-  let completed = Pool.map ~jobs:(Run.effective_jobs exec) ~stop work suite in
-  (* Deterministic merge: completed workloads arrive sorted by workload
-     index, so fingerprint dedup ties always resolve to the lowest index,
-     independent of domain scheduling. *)
-  let found = Run.findings budget in
-  let total = Harness.new_stats () in
-  List.iter
-    (fun (index, (workload_name, _), (reports, fingerprints, stats, elapsed)) ->
+  (* Deterministic merge: results arrive in workload-index order, so
+     fingerprint dedup ties always resolve to the lowest index, independent
+     of domain scheduling. *)
+  Pool.iter ~jobs:(Run.effective_jobs exec) ~stop work suite
+    (fun index (workload_name, _) (reports, fingerprints, stats, elapsed) ->
+      incr workloads_run;
       Harness.add_stats ~into:total stats;
       Run.add found ~fingerprints reports (fun fingerprint report ->
-          {
-            fingerprint;
-            report;
-            workload_name;
-            workload_index = index;
-            elapsed;
-          }))
-    completed;
+          { fingerprint; report; workload_name; workload_index = index; elapsed }));
   {
     events = Run.events found;
-    workloads_run = List.length completed;
+    workloads_run = !workloads_run;
     crash_states = total.Harness.crash_states;
     crash_points = total.Harness.crash_points;
     dedup_hits = total.Harness.dedup_hits;

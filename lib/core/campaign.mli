@@ -6,9 +6,11 @@
     One entry point, {!run}, configured by the shared {!Run.exec} /
     {!Run.budget} records: [exec.jobs = 1] tests workloads sequentially in
     suite order in the calling domain; [jobs > 1] shards the suite across
-    OCaml 5 domains (see {!Pool}) and merges results in workload-index
-    order, so every job count produces the same finding fingerprints
-    attributed to the same workload indices. *)
+    OCaml 5 domains (see {!Pool}). Either way each workload's result is
+    merged as it arrives, in workload-index order ({!Pool.iter}), so every
+    job count produces the same finding fingerprints attributed to the same
+    workload indices, and a campaign keeps its findings and summed stats,
+    never a per-workload result list. *)
 
 type event = {
   fingerprint : string;
@@ -73,16 +75,21 @@ val run :
     images, so no harness state is shared. Findings, their fingerprints and
     their [workload_index] attributions are deterministic across job counts
     because results are merged in workload-index order with ties broken by
-    lowest index (see {!Run.findings}). Each event holds the report as
+    lowest index (see {!Run.findings}). The merge runs under the pool lock
+    as each result's turn comes: stats and findings accumulate there, and
+    the per-workload reports are dropped once merged. Each event holds the report as
     found; a caller that wants reproducers maps [Shrink.Minimize.rewrite]
     over [events] afterwards, paying once per unique bug.
 
     Budget caps: [max_execs] truncates the suite up front (one workload is
     one execution); [max_seconds] and [stop_after_findings] stop the
     campaign from dispatching further workloads once satisfied — in-flight
-    workloads still complete (and are merged), so with [jobs > 1] and one
-    of these set, [workloads_run] may exceed what a sequential run would
-    have executed. The [events] list holds at most [stop_after_findings]
+    workloads still complete (and are merged). [stop_after_findings] reads
+    the merged finding count, which at [jobs = 1] is current before each
+    dispatch, so the campaign stops right after the workload that reaches
+    the cap. With [jobs > 1] a finding counts only once every lower-index
+    workload has been merged, so [workloads_run] may exceed the sequential
+    count by the workloads in flight or waiting to be merged. The [events] list holds at most [stop_after_findings]
     entries.
 
     When [exec.use_vcache] is set (the default), the campaign creates one

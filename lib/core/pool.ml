@@ -5,8 +5,9 @@ let default_jobs () =
 type ('a, 'b) state = {
   mutex : Mutex.t;
   mutable remaining : 'a Seq.t;
-  mutable next_index : int;
-  mutable results : (int * 'a * 'b) list;  (* completion order *)
+  mutable next_index : int;  (* next task to dispatch *)
+  mutable next_emit : int;  (* next result to hand to the callback *)
+  waiting : (int, 'a * 'b) Hashtbl.t;  (* finished ahead of [next_emit] *)
   mutable stopped : bool;
   mutable failure : exn option;
 }
@@ -30,30 +31,47 @@ let next_task st ~stop =
           st.next_index <- i + 1;
           Some (i, x))
 
-(* Run tasks until the queue drains. The first exception, from [f], [stop]
-   or the sequence, is kept and stops every worker's dispatch. *)
-let rec worker st ~stop f () =
+let fail st e = if st.failure = None then st.failure <- Some e
+
+(* Under the lock: hand every waiting result that is next in index order to
+   [emit]. *)
+let rec flush st emit =
+  match Hashtbl.find_opt st.waiting st.next_emit with
+  | None -> ()
+  | Some (x, y) ->
+    let i = st.next_emit in
+    Hashtbl.remove st.waiting i;
+    st.next_emit <- i + 1;
+    emit i x y;
+    flush st emit
+
+(* Run tasks until the queue drains. The first exception, from [f], [stop],
+   the sequence or [emit], is kept and stops every worker's dispatch. *)
+let rec worker st ~stop f emit () =
   match Option.map (fun (i, x) -> (i, x, f x)) (next_task st ~stop) with
   | None -> ()
-  | Some r ->
-    Mutex.protect st.mutex (fun () -> st.results <- r :: st.results);
-    worker st ~stop f ()
-  | exception e ->
-    Mutex.protect st.mutex (fun () -> if st.failure = None then st.failure <- Some e)
+  | Some (i, x, y) ->
+    Mutex.protect st.mutex (fun () ->
+        if st.failure = None then begin
+          Hashtbl.replace st.waiting i (x, y);
+          try flush st emit with e -> fail st e
+        end);
+    worker st ~stop f emit ()
+  | exception e -> Mutex.protect st.mutex (fun () -> fail st e)
 
-let map ?jobs ?(stop = fun () -> false) f seq =
+let iter ?jobs ?(stop = fun () -> false) f seq emit =
   let jobs = match jobs with None -> default_jobs () | Some j -> max 1 (min j 64) in
   let st =
     {
       mutex = Mutex.create ();
       remaining = seq;
       next_index = 0;
-      results = [];
+      next_emit = 0;
+      waiting = Hashtbl.create 16;
       stopped = false;
       failure = None;
     }
   in
-  if jobs <= 1 then worker st ~stop f ()
-  else List.iter Domain.join (List.init jobs (fun _ -> Domain.spawn (worker st ~stop f)));
-  (match st.failure with Some e -> raise e | None -> ());
-  List.sort (fun (i, _, _) (j, _, _) -> compare (i : int) j) st.results
+  if jobs <= 1 then worker st ~stop f emit ()
+  else List.iter Domain.join (List.init jobs (fun _ -> Domain.spawn (worker st ~stop f emit)));
+  match st.failure with Some e -> raise e | None -> ()

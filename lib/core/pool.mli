@@ -9,31 +9,40 @@
     sequence of tasks across [jobs] worker domains pulling from a common
     cursor (stdlib [Domain]/[Mutex] only; no external dependency).
 
-    Results carry the index of the task that produced them, so callers can
-    merge deterministically regardless of scheduling order. *)
+    Results stream to a callback in task-index order, whatever order the
+    domains finish in, so callers merge deterministically as results
+    arrive and keep nothing per task once it is merged. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [\[1, 8\]]. *)
 
-val map :
+val iter :
   ?jobs:int ->
   ?stop:(unit -> bool) ->
   ('a -> 'b) ->
   'a Seq.t ->
-  (int * 'a * 'b) list
-(** [map f seq] applies [f] to every element of [seq] on a pool of worker
-    domains and returns [(index, input, output)] triples sorted by index
-    (the position of the input in [seq]).
+  (int -> 'a -> 'b -> unit) ->
+  unit
+(** [iter f seq emit] applies [f] to every element of [seq] on a pool of
+    worker domains and calls [emit index input output] once per task, in
+    index order (the position of the input in [seq]). A result that
+    finishes ahead of a lower index waits in a small index-keyed table
+    until every result before it has been emitted; the table holds at most
+    the results of tasks dispatched after the oldest one still running.
 
     - [jobs] is the number of worker domains (default {!default_jobs};
-      [jobs <= 1] runs in the calling domain with identical semantics).
+      [jobs <= 1] runs in the calling domain with identical semantics:
+      each result is emitted before the next task is dispatched).
     - [stop] is polled before each task is dispatched; once it returns
-      [true] no further tasks start, but tasks already running complete,
-      so the returned indices always form a contiguous prefix [0..k].
-      It runs under the pool lock; state it reads that [f] updates (a
-      campaign's finding counter) needs a lock of its own.
+      [true] no further tasks start, but tasks already running complete
+      and are emitted, so the emitted indices always form a contiguous
+      prefix [0..k].
+    - [emit] and [stop] both run under the pool lock, so [stop] may read
+      state that [emit] writes (a campaign's merged finding count) without
+      a lock of its own.
     - The sequence is forced lazily, one element per dispatch, under the
       pool lock: it is never evaluated concurrently and never materialized.
 
-    If [f], [stop] or the sequence raises, the pool drains (no new tasks
-    start) and the first exception observed is re-raised in the caller. *)
+    If [f], [stop], the sequence or [emit] raises, the pool drains (no new
+    tasks start, no further results are emitted) and the first exception
+    observed is re-raised in the caller. *)

@@ -55,7 +55,7 @@ val exec :
 
 val effective_jobs : exec -> int
 (** [exec.jobs], with [0] and negative resolved to {!Pool.default_jobs}
-    and large values clamped to the {!Pool.map} limit. *)
+    and large values clamped to the {!Pool.iter} limit. *)
 
 val out_of_budget : budget -> execs:int -> seconds:float -> findings:int -> bool
 (** [true] once {e any} cap is reached ([counter >= cap]); [None] caps

@@ -65,7 +65,7 @@ let run ?(config = default_config) driver =
   let corpus = ref [||] in
   let seen_cov : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let found = Run.findings budget in
-  let all_reports = ref [] in
+  let triage = Triage.create () in
   let execs = ref 0 in
   let stopped = ref false in
   let epoch = ref 0 in
@@ -101,9 +101,10 @@ let run ?(config = default_config) driver =
       if List.exists (fun p -> not (Hashtbl.mem seen_cov p)) hits then
         fresh_seeds := workload :: !fresh_seeds;
       List.iter (fun p -> Hashtbl.replace seen_cov p ()) hits;
-      let reports = r.Chipmunk.Harness.reports in
-      all_reports := List.rev_append reports !all_reports;
-      Run.add found ~fingerprints:r.Chipmunk.Harness.fingerprints reports (fun fingerprint report ->
+      let reports = r.Chipmunk.Harness.reports
+      and fingerprints = r.Chipmunk.Harness.fingerprints in
+      List.iter2 (fun fingerprint report -> Triage.add triage ~fingerprint report) fingerprints reports;
+      Run.add found ~fingerprints reports (fun fingerprint report ->
           { fingerprint; report; at_exec = !execs; elapsed = done_at; workload })
     in
     for s = 0 to n_slots - 1 do
@@ -127,6 +128,6 @@ let run ?(config = default_config) driver =
     probes_reused = total.Chipmunk.Harness.probes_reused;
     vcache_sizes = Option.map Chipmunk.Vcache.sizes vcache;
     events = Run.events found;
-    clusters = Triage.cluster (List.rev !all_reports);
+    clusters = Triage.clusters triage;
     elapsed = elapsed ();
   }

@@ -102,6 +102,9 @@ type result = {
           [exec.use_vcache = false]). *)
   events : event list;  (** Unique findings in discovery order. *)
   clusters : Triage.cluster list;
+      (** Every report occurrence of the run, clustered as it was found
+          ({!Triage.add} in execution order); a cluster's [size] counts
+          the occurrences it holds, repeats of one finding included. *)
   elapsed : float;
 }
 

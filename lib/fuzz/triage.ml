@@ -1,6 +1,6 @@
 type cluster = {
   representative : Chipmunk.Report.t;
-  members : Chipmunk.Report.t list;
+  size : int;
 }
 
 let tokens r =
@@ -38,21 +38,29 @@ let similarity a b = jaccard (tokens a) (tokens b)
 type open_cluster = {
   rep : Chipmunk.Report.t;
   rep_tokens : string list;
-  mutable rev_members : Chipmunk.Report.t list;
+  mutable count : int;
 }
 
+type key = string * string * Chipmunk.Report.kind * int option * int option
+
 (* What a report's tokens are a function of: its summary and fingerprint
-   read only the fs, the kind, and the call at the crash point's
-   during/after index. *)
-let token_key (r : Chipmunk.Report.t) =
+   read only the fs, the kind, the crash point's during/after index and
+   the first word of the call there, which the fingerprint's context
+   carries. *)
+let key ~fingerprint (r : Chipmunk.Report.t) =
   let cp = r.Chipmunk.Report.crash_point in
-  let call i = List.nth_opt r.Chipmunk.Report.workload i in
   ( r.Chipmunk.Report.fs,
+    fingerprint,
     r.Chipmunk.Report.kind,
     cp.Chipmunk.Report.during_syscall,
-    cp.Chipmunk.Report.after_syscall,
-    Option.bind cp.Chipmunk.Report.during_syscall call,
-    Option.bind cp.Chipmunk.Report.after_syscall call )
+    cp.Chipmunk.Report.after_syscall )
+
+type t = {
+  mutable open_clusters : open_cluster list;  (* creation order *)
+  placed : (key, open_cluster) Hashtbl.t;
+}
+
+let create () = { open_clusters = []; placed = Hashtbl.create 64 }
 
 (* The similarity at which a report joins a cluster. *)
 let threshold = 0.6
@@ -63,27 +71,34 @@ let threshold = 0.6
    same cluster again: every cluster before it still fails, and it still
    matches (it did, or its representative has these very tokens, which
    [threshold] accepts). *)
-let cluster reports =
-  let clusters = ref [] in
-  let placed = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      let key = token_key r in
-      match Hashtbl.find_opt placed key with
-      | Some c -> c.rev_members <- r :: c.rev_members
-      | None -> (
-        let tr = tokens r in
-        match List.find_opt (fun c -> jaccard c.rep_tokens tr >= threshold) !clusters with
-        | Some c ->
-          c.rev_members <- r :: c.rev_members;
-          Hashtbl.add placed key c
+let add t ~fingerprint r =
+  let key = key ~fingerprint r in
+  let c =
+    match Hashtbl.find_opt t.placed key with
+    | Some c -> c
+    | None ->
+      let tr = tokens r in
+      let c =
+        match List.find_opt (fun c -> jaccard c.rep_tokens tr >= threshold) t.open_clusters with
+        | Some c -> c
         | None ->
-          let c = { rep = r; rep_tokens = tr; rev_members = [ r ] } in
-          clusters := !clusters @ [ c ];
-          Hashtbl.add placed key c))
-    reports;
-  List.map (fun c -> { representative = c.rep; members = List.rev c.rev_members }) !clusters
-  |> List.sort (fun a b -> compare (List.length b.members) (List.length a.members))
+          let c = { rep = r; rep_tokens = tr; count = 0 } in
+          t.open_clusters <- t.open_clusters @ [ c ];
+          c
+      in
+      Hashtbl.add t.placed key c;
+      c
+  in
+  c.count <- c.count + 1
+
+let clusters t =
+  List.map (fun c -> { representative = c.rep; size = c.count }) t.open_clusters
+  |> List.stable_sort (fun a b -> compare b.size a.size)
+
+let cluster reports =
+  let t = create () in
+  List.iter (fun r -> add t ~fingerprint:(Chipmunk.Report.fingerprint r) r) reports;
+  clusters t
 
 let minimize ?opts driver clusters =
   List.map

@@ -4,7 +4,7 @@
 
 type cluster = {
   representative : Chipmunk.Report.t;
-  members : Chipmunk.Report.t list;  (** Including the representative. *)
+  size : int;  (** Reports placed in the cluster, the representative included. *)
 }
 
 val tokens : Chipmunk.Report.t -> string list
@@ -13,10 +13,40 @@ val tokens : Chipmunk.Report.t -> string list
 val similarity : Chipmunk.Report.t -> Chipmunk.Report.t -> float
 (** Jaccard similarity of token sets, in [0, 1]. *)
 
+(** {2 Incremental clustering}
+
+    Greedy first-match clustering: each report joins the first cluster,
+    in creation order, whose representative is at least 0.6 similar, else
+    it starts a new one. Placement depends only on the order reports
+    arrive in, so adding a run's reports one at a time, as they are found,
+    gives the clusters of the whole list. A cluster keeps its
+    representative and a count, never its members: triage memory grows
+    with the distinct reports, not with every occurrence. *)
+
+type t
+(** Clusters under construction. *)
+
+val create : unit -> t
+
+val add : t -> fingerprint:string -> Chipmunk.Report.t -> unit
+(** Place one report. [fingerprint] is its {!Chipmunk.Report.fingerprint}
+    (a {!Chipmunk.Harness.result} carries it). Each distinct {!key} is
+    tokenized and placed once; later reports with that key join the same
+    cluster without a comparison. *)
+
+val clusters : t -> cluster list
+(** The clusters so far, largest first (ties in creation order). *)
+
 val cluster : Chipmunk.Report.t list -> cluster list
-(** Greedy clustering: each report joins the first cluster whose
-    representative is at least 0.6 similar, else
-    starts a new one. Clusters are returned largest first. *)
+(** [clusters] after [add]ing every report of the list, in order. *)
+
+type key = string * string * Chipmunk.Report.kind * int option * int option
+
+val key : fingerprint:string -> Chipmunk.Report.t -> key
+(** The placement memo's key: [(fs, fingerprint, kind, during_syscall,
+    after_syscall)]. It determines {!tokens}: those read only the fs, the
+    kind, the crash point's indices and the first word of the call there,
+    which the fingerprint carries. *)
 
 val minimize :
   ?opts:Chipmunk.Harness.opts ->

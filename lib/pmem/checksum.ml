@@ -16,3 +16,10 @@ let crc32_sub s ~pos ~len =
   !crc lxor 0xFFFFFFFF
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
+
+(* splitmix64's finalizer, its multipliers truncated to 63 bits (both stay
+   odd, so each step is still invertible). *)
+let mix h =
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)

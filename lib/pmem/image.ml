@@ -1,6 +1,6 @@
 (* The image maintains an incremental content digest alongside the bytes: a
-   64-bit-ish (63-bit native int) FNV-style hash per cache line, folded into a
-   rolling root by commutative addition. Hashing is deferred: a write only
+   63-bit FNV-1a hash per cache line, finalized by [Checksum.mix] and folded
+   into a rolling root by commutative addition. Hashing is deferred: a write only
    marks the lines it touches stale, and the next [digest] (or [snapshot],
    [restore], [equal], [checkpoint]) rehashes each stale line once and
    patches the root (subtract old line hash, add new). Digesting a crash
@@ -50,7 +50,9 @@ let written_flag = 4
 (* FNV-1a offset basis / prime, basis truncated to fit OCaml's 63-bit int;
    the per-line seed mixes the line index in so identical lines at different
    offsets hash differently (the rolling root is a plain sum, so without the
-   index mix swapping two equal-length regions would collide). *)
+   index mix swapping two equal-length regions would collide). The root sums
+   [Checksum.mix] of each line's FNV state: unmixed, equal-offset byte swaps
+   between two lines cancel in the sum far more often than chance. *)
 let fnv_basis = 0x1bf29ce484222325
 let fnv_prime = 0x100000001b3
 let index_mix = 0x2545F4914F6CDD1D
@@ -64,7 +66,7 @@ let hash_line data size idx =
   for i = off to stop - 1 do
     h := (!h lxor Char.code (Bytes.unsafe_get data i)) * fnv_prime
   done;
-  !h
+  Checksum.mix !h
 
 (* The line hashes and root of a zero-filled device depend only on its
    size: hash them once per size (campaigns create and clear images of one

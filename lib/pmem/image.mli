@@ -42,9 +42,13 @@ val size : t -> int
 
 val digest : t -> int
 (** The rolling content digest, maintained incrementally (stale lines are
-    rehashed first). Equal bytes imply equal digests; distinct digests imply
-    distinct bytes. Collisions between distinct contents are possible but
-    need ~2^31 states by birthday bound. *)
+    rehashed first): the sum of a finalized ({!Checksum.mix}) FNV-1a hash
+    per cache line, mixed with the size. Equal bytes imply equal digests;
+    distinct digests imply distinct bytes. Distinct contents can collide,
+    and nothing here bounds how often. The finalizer keeps swaps of
+    equal-length byte runs at one offset in two lines from cancelling in
+    the sum; a structured-adversary property in the tests checks that
+    case. *)
 
 val rehash : t -> int
 (** Recompute {!digest} from scratch over the whole image (O(size)). Test

@@ -142,10 +142,11 @@ let serialize_node buf n =
     Buffer.add_string buf e);
   Buffer.add_char buf '\n'
 
-(* FNV-1a, same constants as [Pmem.Image]'s per-line hashes. Per-node hashes
-   are folded into a root by plain addition, then mixed with the node count.
-   The serialization starts with the path, so the sum still distinguishes
-   "same bytes at a different path". *)
+(* FNV-1a, same constants as [Pmem.Image]'s per-line hashes, finalized by
+   [Pmem.Checksum.mix] (unmixed, equal-offset swaps between two nodes cancel
+   in the sum). Per-node hashes are folded into a root by plain addition,
+   then mixed with the node count. The serialization starts with the path,
+   so the sum still distinguishes "same bytes at a different path". *)
 
 let fnv_basis = 0x1bf29ce484222325
 let fnv_prime = 0x100000001b3
@@ -156,7 +157,7 @@ let hash_node n =
   let s = Buffer.contents buf in
   let h = ref fnv_basis in
   String.iter (fun c -> h := (!h lxor Char.code c) * fnv_prime) s;
-  !h
+  Pmem.Checksum.mix !h
 
 let digest tree =
   let root = List.fold_left (fun acc n -> acc + hash_node n) 0 tree in

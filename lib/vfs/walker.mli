@@ -29,9 +29,12 @@ val find : tree -> string -> node option
 val digest : tree -> int
 (** Tree digest: an FNV-1a hash per node, over a stable byte rendering that
     covers every field [equal_node] compares (plus [nlink] unconditionally),
-    summed and mixed with the node count. Equal trees (per [equal] modulo
-    the nlink-for-directories caveat) digest equally; the test battery
-    guards that differing xattrs / nlink / errors change it. *)
+    finalized by {!Pmem.Checksum.mix}, summed and mixed with the node count.
+    Equal trees (per [equal] modulo the nlink-for-directories caveat) digest
+    equally. Distinct trees can collide, and nothing here bounds how
+    often. The finalizer keeps swaps of names or contents between two
+    nodes from cancelling in the sum; the tests check that each field
+    reaches the digest and that such swaps digest differently. *)
 
 val equal_node : node -> node -> bool
 (** Compare kind, size, content and directory entries; compare [nlink] for

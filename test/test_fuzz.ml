@@ -73,8 +73,7 @@ let test_triage_groups_similar () =
   let c = mk_report (Chipmunk.Report.Unusable "creat probe in /d: ENOSPC") in
   let clusters = Fuzz.Triage.cluster [ a; b; c ] in
   Alcotest.(check int) "two clusters" 2 (List.length clusters);
-  Alcotest.(check int) "similar pair grouped" 2
-    (List.length (List.hd clusters).Fuzz.Triage.members)
+  Alcotest.(check int) "similar pair grouped" 2 (List.hd clusters).Fuzz.Triage.size
 
 let test_triage_similarity_bounds () =
   let a = mk_report (Chipmunk.Report.Unmountable "xyz") in
@@ -106,16 +105,22 @@ let reference_cluster reports =
   List.map (fun c -> let rep, members = !c in (rep, List.rev members)) !clusters
   |> List.sort (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
 
+(* A clustering as [(representative, size)] pairs, the representative as
+   its whole JSON form (workload, crash point, evidence). *)
+let shape clusters =
+  List.map
+    (fun c -> (Chipmunk.Report.to_json c.Fuzz.Triage.representative, c.Fuzz.Triage.size))
+    clusters
+
+let reference_shape reports =
+  List.map
+    (fun (rep, members) -> (Chipmunk.Report.to_json rep, List.length members))
+    (reference_cluster reports)
+
 let test_triage_matches_reference () =
-  let config =
-    Fuzz.Fuzzer.config ~rng_seed:1
-      ~budget:(Chipmunk.Run.budget ~max_execs:512 ~max_seconds:60.0 ())
-      ()
-  in
-  let r = Fuzz.Fuzzer.run ~config (Option.get (Catalog.buggy_driver "nova") ()) in
-  (* Every report of the run, once: each one is a member of one cluster. *)
-  let reports = List.concat_map (fun c -> c.Fuzz.Triage.members) r.Fuzz.Fuzzer.clusters in
-  Alcotest.(check bool) "several clusters" true (List.length r.Fuzz.Fuzzer.clusters > 1);
+  (* Every report occurrence of a 512-exec fuzz run, in execution order. *)
+  let _, reports, _ = Helpers.fuzz_replica ~seed:1 ~execs:512 in
+  Alcotest.(check bool) "several clusters" true (List.length (Fuzz.Triage.cluster reports) > 1);
   let fp = Chipmunk.Report.fingerprint in
   let shuffled =
     let rng = Random.State.make [| 1 |] in
@@ -123,16 +128,10 @@ let test_triage_matches_reference () =
   in
   List.iter
     (fun (what, reports) ->
-      let got =
-        List.map
-          (fun c -> (fp c.Fuzz.Triage.representative, List.map fp c.Fuzz.Triage.members))
-          (Fuzz.Triage.cluster reports)
-      in
-      let want =
-        List.map (fun (rep, members) -> (fp rep, List.map fp members)) (reference_cluster reports)
-      in
-      Alcotest.(check (list (pair string (list string)))) what want got)
-    [ ("in cluster order", reports); ("reversed", List.rev reports); ("shuffled", shuffled) ];
+      Alcotest.(check (list (pair string int)))
+        what (reference_shape reports)
+        (shape (Fuzz.Triage.cluster reports)))
+    [ ("in run order", reports); ("reversed", List.rev reports); ("shuffled", shuffled) ];
   let sample = List.filteri (fun i _ -> i < 40) shuffled in
   List.iter
     (fun a ->
@@ -145,8 +144,9 @@ let test_triage_matches_reference () =
 
 (* On the report streams of real fuzz runs (seeds 1 and 2), in run order:
    placing each distinct token key once must give exactly the clusters of
-   the memo-free reference. The replica of the run is checked against the
-   run itself. *)
+   the memo-free reference, and the run, which adds each report as it is
+   found, must give the clusters of its replica's stream. Within a stream,
+   reports that share a placement key share their tokens. *)
 let test_triage_memo_matches_reference () =
   List.iter
     (fun seed ->
@@ -155,20 +155,62 @@ let test_triage_memo_matches_reference () =
       Alcotest.(check int)
         (Printf.sprintf "seed %d: replica has the run's crash states" seed)
         run.Fuzz.Fuzzer.crash_states states;
-      let shape = List.map (fun c -> (c.Fuzz.Triage.representative, c.Fuzz.Triage.members)) in
-      Alcotest.(check bool)
+      Alcotest.(check (list (pair string int)))
         (Printf.sprintf "seed %d: replica reports cluster as the run's" seed)
-        true
-        (shape (Fuzz.Triage.cluster reports) = shape run.Fuzz.Fuzzer.clusters);
+        (shape run.Fuzz.Fuzzer.clusters)
+        (shape (Fuzz.Triage.cluster reports));
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: %d reports in several clusters" seed (List.length reports))
         true
         (List.length run.Fuzz.Fuzzer.clusters > 1);
-      Alcotest.(check bool)
+      Alcotest.(check (list (pair string int)))
         (Printf.sprintf "seed %d: memoized == reference" seed)
-        true
-        (shape (Fuzz.Triage.cluster reports) = reference_cluster reports))
+        (reference_shape reports)
+        (shape (Fuzz.Triage.cluster reports));
+      let tokens_of_key = Hashtbl.create 64 in
+      List.iter
+        (fun r ->
+          let key = Fuzz.Triage.key ~fingerprint:(Chipmunk.Report.fingerprint r) r in
+          let tokens = Fuzz.Triage.tokens r in
+          match Hashtbl.find_opt tokens_of_key key with
+          | None -> Hashtbl.add tokens_of_key key tokens
+          | Some t ->
+            if t <> tokens then
+              Alcotest.failf "seed %d: one key, two token sets: %s" seed
+                (Chipmunk.Report.fingerprint r))
+        reports)
     [ 1; 2 ]
+
+let test_triage_key_ignores_call_arguments () =
+  (* Two reports that differ only in the arguments of the call they crashed
+     in tokenize alike and share one placement key: the key holds the
+     call's name (in the fingerprint), not the call. *)
+  let at workload =
+    {
+      (mk_report (Chipmunk.Report.Unmountable "dentry references free inode 3")) with
+      Chipmunk.Report.workload;
+    }
+  in
+  let a =
+    at
+      [
+        Vfs.Syscall.Creat { path = "/a"; fd_var = 0 };
+        Vfs.Syscall.Write { fd_var = 0; data = { seed = 1; len = 300 } };
+      ]
+  and b =
+    at
+      [
+        Vfs.Syscall.Creat { path = "/bb"; fd_var = 3 };
+        Vfs.Syscall.Write { fd_var = 3; data = { seed = 9; len = 40 } };
+      ]
+  in
+  let key r = Fuzz.Triage.key ~fingerprint:(Chipmunk.Report.fingerprint r) r in
+  Alcotest.(check (list string)) "equal tokens" (Fuzz.Triage.tokens a) (Fuzz.Triage.tokens b);
+  Alcotest.(check bool) "one memo key" true (key a = key b);
+  let t = Fuzz.Triage.create () in
+  List.iter (fun r -> Fuzz.Triage.add t ~fingerprint:(Chipmunk.Report.fingerprint r) r) [ a; b ];
+  Alcotest.(check (list (pair string int)))
+    "one cluster of two" [ (Chipmunk.Report.to_json a, 2) ] (shape (Fuzz.Triage.clusters t))
 
 let test_fuzzer_finds_injected_bug () =
   let bugs = { Novafs.Bugs.none with bug4_inplace_dentry_invalidate = true } in
@@ -222,6 +264,8 @@ let suite =
       test_triage_matches_reference;
     Alcotest.test_case "triage: memoized placement == reference on fuzz runs" `Quick
       test_triage_memo_matches_reference;
+    Alcotest.test_case "triage: key ignores the crash call's arguments" `Quick
+      test_triage_key_ignores_call_arguments;
     Alcotest.test_case "fuzzer finds injected bug" `Quick test_fuzzer_finds_injected_bug;
     Alcotest.test_case "fuzzer silent on clean FS" `Quick test_fuzzer_clean_is_silent;
     Alcotest.test_case "fuzzer deterministic per seed" `Quick test_fuzzer_deterministic_given_seed;

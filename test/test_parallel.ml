@@ -10,9 +10,15 @@ module Pool = Chipmunk.Pool
 
 (* --- Pool --- *)
 
-let test_pool_map_ordered () =
+(* Every [(index, input, output)] the pool emits, in emission order. *)
+let emitted ?jobs ?stop f seq =
+  let out = ref [] in
+  Pool.iter ?jobs ?stop f seq (fun i x y -> out := (i, x, y) :: !out);
+  List.rev !out
+
+let test_pool_iter_ordered () =
   let inputs = List.init 100 Fun.id in
-  let out = Pool.map ~jobs:4 (fun x -> x * x) (List.to_seq inputs) in
+  let out = emitted ~jobs:4 (fun x -> x * x) (List.to_seq inputs) in
   Alcotest.(check int) "all tasks ran" 100 (List.length out);
   List.iteri
     (fun k (i, x, y) ->
@@ -22,18 +28,18 @@ let test_pool_map_ordered () =
     out
 
 let test_pool_sequential_fallback () =
-  let out = Pool.map ~jobs:1 (fun x -> x + 1) (List.to_seq [ 10; 20; 30 ]) in
+  let out = emitted ~jobs:1 (fun x -> x + 1) (List.to_seq [ 10; 20; 30 ]) in
   Alcotest.(check (list (pair int int)))
     "jobs=1 identical semantics"
     [ (0, 11); (1, 21); (2, 31) ]
     (List.map (fun (i, _, y) -> (i, y)) out)
 
 let test_pool_stop_prefix () =
-  (* Once [stop] flips, no new tasks dispatch; completed indices form a
+  (* Once [stop] flips, no new tasks dispatch; emitted indices form a
      contiguous prefix. *)
   let stopped = Atomic.make false in
   let out =
-    Pool.map ~jobs:3
+    emitted ~jobs:3
       ~stop:(fun () -> Atomic.get stopped)
       (fun x ->
         if x >= 5 then Atomic.set stopped true;
@@ -46,10 +52,36 @@ let test_pool_stop_prefix () =
 
 let test_pool_exception_propagates () =
   Alcotest.check_raises "worker exception re-raised" (Failure "boom") (fun () ->
-      ignore
-        (Pool.map ~jobs:2
-           (fun x -> if x = 7 then failwith "boom" else x)
-           (Seq.init 50 Fun.id)))
+      ignore (emitted ~jobs:2 (fun x -> if x = 7 then failwith "boom" else x) (Seq.init 50 Fun.id)))
+
+let test_pool_callback_raises () =
+  (* An exception from the callback drains the pool like one from [f]:
+     nothing after it is emitted, and it reaches the caller. *)
+  let last = ref (-1) in
+  Alcotest.check_raises "callback exception re-raised" (Failure "merge") (fun () ->
+      Pool.iter ~jobs:2 Fun.id (Seq.init 50 Fun.id) (fun i _ _ ->
+          if i = 9 then failwith "merge";
+          last := i));
+  Alcotest.(check int) "emitted in order up to the failing index" 8 !last
+
+let test_pool_stop_reads_callback_state () =
+  (* [stop] and the callback run under one lock, so [stop] may read a
+     plain counter the callback writes. At jobs=1 each result is merged
+     before the next dispatch, so the run stops exactly at the cap; with
+     more domains, tasks already in flight still complete and are merged. *)
+  List.iter
+    (fun jobs ->
+      let merged = ref 0 in
+      Pool.iter ~jobs
+        ~stop:(fun () -> !merged >= 10)
+        Fun.id (Seq.init 1000 Fun.id)
+        (fun _ _ _ -> incr merged);
+      if jobs = 1 then Alcotest.(check int) "jobs=1 stops at the cap" 10 !merged
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "jobs=%d reaches the cap (%d merged)" jobs !merged)
+          true (!merged >= 10))
+    [ 1; 2; 4 ]
 
 let test_pool_lazy_seq () =
   (* The sequence is forced at most once per element, even across domains. *)
@@ -59,7 +91,7 @@ let test_pool_lazy_seq () =
         Atomic.incr forced;
         i)
   in
-  let out = Pool.map ~jobs:4 (fun x -> x) seq in
+  let out = emitted ~jobs:4 Fun.id seq in
   Alcotest.(check int) "every element seen" 64 (List.length out);
   Alcotest.(check int) "each element forced once" 64 (Atomic.get forced)
 
@@ -167,10 +199,13 @@ let test_read_set_cold_base_regression () =
 
 let suite =
   [
-    Alcotest.test_case "pool: map returns index order" `Quick test_pool_map_ordered;
+    Alcotest.test_case "pool: iter emits in index order" `Quick test_pool_iter_ordered;
     Alcotest.test_case "pool: jobs=1 sequential fallback" `Quick test_pool_sequential_fallback;
     Alcotest.test_case "pool: stop gives a contiguous prefix" `Quick test_pool_stop_prefix;
     Alcotest.test_case "pool: exceptions propagate" `Quick test_pool_exception_propagates;
+    Alcotest.test_case "pool: callback exceptions propagate" `Quick test_pool_callback_raises;
+    Alcotest.test_case "pool: stop reads state the callback writes" `Quick
+      test_pool_stop_reads_callback_state;
     Alcotest.test_case "pool: sequence forced once per element" `Quick test_pool_lazy_seq;
     Alcotest.test_case "campaign: parallel == sequential" `Quick test_parallel_matches_sequential;
     Alcotest.test_case "campaign: parallel repeatable across job counts" `Quick

@@ -349,16 +349,16 @@ let test_triage_minimize () =
   Alcotest.(check bool) "clusters formed" true (clusters <> []);
   let minimized = Fuzz.Triage.minimize driver clusters in
   Alcotest.(check int) "one result per cluster" (List.length clusters) (List.length minimized);
-  List.iter
-    (fun ((c : Fuzz.Triage.cluster), o) ->
+  List.iter2
+    (fun (before : Fuzz.Triage.cluster) ((c : Fuzz.Triage.cluster), o) ->
+      Alcotest.(check int) "size retained" before.Fuzz.Triage.size c.Fuzz.Triage.size;
       match o with
       | None -> Alcotest.fail "cluster representative did not reproduce"
       | Some (o : Shrink.Minimize.outcome) ->
         Alcotest.(check string) "representative replaced by the minimized report"
           (R.fingerprint o.Shrink.Minimize.report)
-          (R.fingerprint c.Fuzz.Triage.representative);
-        Alcotest.(check bool) "members retained" true (c.Fuzz.Triage.members <> []))
-    minimized
+          (R.fingerprint c.Fuzz.Triage.representative))
+    clusters minimized
 
 let suite =
   [
