@@ -55,14 +55,16 @@ fuzz-smoke:
 # finds, only how fast it finds it. Run the buggy-NOVA ACE suite with the
 # cache on and off, then once more at --jobs 2 (one verdict cache shared
 # by both worker domains under its lock); the per-finding fingerprint
-# lines must match exactly (only the hit-rate footer may differ).
+# lines must match exactly, and so must the footer's dedup count (each
+# crash point counts its own repeats, whatever the other domain stored);
+# the rest of the hit-rate footer may differ.
 # Buggy PMFS runs with the cache on and off, and at --jobs 2: its journal
 # replay and the usability probe write the most per crash state, so a
 # wrong checkpoint rollback shows there first, and at --jobs 2 both
 # domains share the cache's per-image memos (crash-point digests and
-# probe results). A short buggy-NOVA fuzz run with the cache on and off
-# must print the same finding and triage cluster lines: the
-# cache also serves the fuzzer's oracle boundaries from its call-prefix
+# probe results); its dedup count must match too. A short buggy-NOVA
+# fuzz run with the cache on and off must print the same finding and
+# triage cluster lines: the cache also serves the fuzzer's oracle boundaries from its call-prefix
 # trie and each verdict's rendered fingerprint. No run may print a
 # "truncated:" footer: under default opts every crash state is checked.
 cache-smoke:
@@ -78,6 +80,10 @@ cache-smoke:
 	test -s _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-jobs2.txt
+	grep -o '^cache: dedup [0-9]* hits' _build/cache-smoke-default.out \
+	  > _build/cache-smoke-dedup.txt
+	grep -o '^cache: dedup [0-9]* hits' _build/cache-smoke-jobs2.out \
+	  | diff -u _build/cache-smoke-dedup.txt -
 	dune exec bin/chipmunk_cli.exe -- ace --fs pmfs --buggy --suite seq1 \
 	  | tee _build/cache-smoke-pmfs-default.out \
 	  | grep '^fingerprint' > _build/cache-smoke-pmfs-default.txt
@@ -90,6 +96,10 @@ cache-smoke:
 	test -s _build/cache-smoke-pmfs-default.txt
 	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-default.txt
 	diff -u _build/cache-smoke-pmfs-nocache.txt _build/cache-smoke-pmfs-jobs2.txt
+	grep -o '^cache: dedup [0-9]* hits' _build/cache-smoke-pmfs-default.out \
+	  > _build/cache-smoke-pmfs-dedup.txt
+	grep -o '^cache: dedup [0-9]* hits' _build/cache-smoke-pmfs-jobs2.out \
+	  | diff -u _build/cache-smoke-pmfs-dedup.txt -
 	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 256 --seed 1 \
 	  | tee _build/cache-smoke-fuzz-default.out \
 	  | grep -E '^(finding|  cluster)' > _build/cache-smoke-fuzz-default.txt

@@ -29,12 +29,13 @@ type result = {
   crash_points : int;
   dedup_hits : int;
       (** Summed {!Harness.stats.dedup_hits}; [0] with [exec.use_vcache =
-          false]. Like [vcache_hits], it varies with scheduling at [jobs > 1]. *)
+          false]. A function of the workloads alone: equal at any job
+          count. *)
   vcache_hits : int;
       (** Crash states whose verdict came from the campaign-wide {!Vcache}
           (summed {!Harness.stats.vcache_hits}); [0] when the campaign ran
-          with [exec.use_vcache = false]. Hit counts vary with scheduling
-          at [jobs > 1]; findings do not. *)
+          with [exec.use_vcache = false]. It (like the memo counters)
+          varies with scheduling at [jobs > 1]; findings do not. *)
   truncated_points : int;
       (** Summed {!Harness.stats.truncated_points}: crash points where
           {!Harness.max_states_per_point} skipped crash states. *)

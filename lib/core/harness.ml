@@ -55,10 +55,6 @@ type crash_point = {
 
 let max_states_per_point = 512
 
-(* Ids for checked crash points, unique across every run and domain of the
-   process, so a verdict-cache entry can tell which point last touched it. *)
-let next_point = Atomic.make 0
-
 let add_saturating a b = if a > max_int - b then max_int else a + b
 
 let new_stats () =
@@ -379,88 +375,82 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
      report's subset names all of them, so {!Reproduce} rebuilds the same
      image. To build the state, apply them onto the replay image under a
      checkpoint (rolled back once the state is done, undoing the writes and
-     whatever recovery and the probe wrote). With no [vcache], every state
-     is built, mounted and checked.
+     whatever recovery and the probe wrote); a state is built at most once.
+     With no [vcache], every state is built, mounted and checked.
      With a [vcache], the state's image digest is [memo_digest] when its
      crash point repeats an earlier one (see [check_point]); otherwise the
      state is built and digested (O(dirty lines) thanks to the image's
-     incremental digest). The (phase id, digest) key is then looked up
-     before paying for a mount+check. A hit on an entry this crash point
-     touched last is a dedup hit: an earlier subset here built the same
-     image and already reported, so emit nothing. A hit from another point
-     or workload replays the memoized kinds and fingerprints through
-     [emit] with this occurrence's crash point, so finding sets are
-     unchanged. Only a miss needs the image: a memo-served state is built
-     then, and its digest must equal the memo's. The probe's result is
-     memoized per image digest. Returns the state's digest (0 without a
-     [vcache]). *)
-  let check_state (p : crash_point) ~point ~base_units units_arr subset_idxs ~memo_digest =
+     incremental digest). A digest already in [looked_up], the digests
+     this crash point looked up, is a dedup hit: an earlier subset here built
+     the same image under the same phase and already reported, so emit
+     nothing. Otherwise the (phase id, digest) key is looked up before
+     paying for a mount+check; a hit replays the memoized kinds and
+     fingerprints through [emit] with this occurrence's crash point, so
+     finding sets are unchanged. Only a miss needs the image: a
+     memo-served state is built then, and its digest must equal the
+     memo's. The probe's result is memoized per image digest. Returns the
+     state's digest (0 without a [vcache]). *)
+  let check_state (p : crash_point) ~looked_up ~base_units units_arr subset_idxs ~memo_digest =
     stats.crash_states <- stats.crash_states + 1;
+    let id, context = phase_info p.phase in
     let replay_units () =
       List.merge
         (fun (a : Coalesce.t) (b : Coalesce.t) -> compare a.seq b.seq)
         base_units
         (List.map (fun i -> units_arr.(i)) subset_idxs)
     in
+    let built = ref None in
     let build () =
       let units = replay_units () in
       Image.checkpoint replay;
       List.iter (Coalesce.apply (Image.write_string replay)) units;
-      units
+      built := Some units
     in
-    match vcache with
-    | None ->
-      let units = build () in
-      let kinds = check_replay ~phase:p.phase ~probe:usability_probe in
-      Image.rollback replay;
-      if kinds <> [] then
-        emit p ~units:(fun () -> units) (fingerprinted ~context:(snd (phase_info p.phase)) kinds);
-      0
-    | Some vc ->
-      let id, context = phase_info p.phase in
-      let built, digest =
-        match memo_digest with
-        | Some d -> (None, d)
-        | None ->
-          let units = build () in
-          (Some units, Image.digest replay)
-      in
-      let key = (id, digest) in
-      let rollback_built () = if built <> None then Image.rollback replay in
-      (match Vcache.find vc key ~point with
-      | Some (_, true) ->
-        stats.dedup_hits <- stats.dedup_hits + 1;
-        rollback_built ()
-      | Some (verdicts, false) ->
-        stats.vcache_hits <- stats.vcache_hits + 1;
-        rollback_built ();
-        if verdicts <> [] then
-          emit p verdicts ~units:(fun () ->
-              match built with Some u -> u | None -> replay_units ())
+    let check probe = fingerprinted ~context (check_replay ~phase:p.phase ~probe) in
+    let verdicts, digest =
+      match vcache with
       | None ->
-        let units =
-          match built with
-          | Some u -> u
+        build ();
+        (check usability_probe, 0)
+      | Some vc ->
+        let digest =
+          match memo_digest with
+          | Some d -> d
           | None ->
-            let u = build () in
-            let d = Image.digest replay in
-            if d <> digest then
-              failwith
-                (Printf.sprintf "Harness: crash-point memo gave digest %d, the built state has %d"
-                   digest d);
-            u
+            build ();
+            Image.digest replay
         in
-        let probe h tree =
-          let r, reused = Vcache.probe vc digest (fun () -> usability_probe h tree) in
-          if reused then stats.probes_reused <- stats.probes_reused + 1;
-          r
-        in
-        let kinds = check_replay ~phase:p.phase ~probe in
-        Image.rollback replay;
-        let verdicts = fingerprinted ~context kinds in
-        Vcache.add vc key ~point verdicts;
-        if verdicts <> [] then emit p verdicts ~units:(fun () -> units));
-      digest
+        if List.mem digest !looked_up then begin
+          stats.dedup_hits <- stats.dedup_hits + 1;
+          ([], digest)
+        end
+        else begin
+          looked_up := digest :: !looked_up;
+          let verdicts, hit =
+            Vcache.verdict vc (id, digest) (fun () ->
+                if !built = None then begin
+                  build ();
+                  let d = Image.digest replay in
+                  if d <> digest then
+                    failwith
+                      (Printf.sprintf
+                         "Harness: crash-point memo gave digest %d, the built state has %d"
+                         digest d)
+                end;
+                check (fun h tree ->
+                    let r, reused = Vcache.probe vc digest (fun () -> usability_probe h tree) in
+                    if reused then stats.probes_reused <- stats.probes_reused + 1;
+                    r))
+          in
+          if hit then stats.vcache_hits <- stats.vcache_hits + 1;
+          (verdicts, digest)
+        end
+    in
+    if !built <> None then Image.rollback replay;
+    if verdicts <> [] then
+      emit p verdicts ~units:(fun () ->
+          match !built with Some u -> u | None -> replay_units ());
+    digest
   in
   (* The Vinter-style read-set heuristic (paper section 6.2): probe-mount
      the fully-fenced prefix state with a read recorder armed, then keep
@@ -518,7 +508,9 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let bases = if cold_units = [] then [ [] ] else [ []; cold_units ] in
       let n = Array.length units_arr in
       stats.max_in_flight <- max stats.max_in_flight n;
-      let point = Atomic.fetch_and_add next_point 1 in
+      (* The digests this point's states looked up. One point has one
+         phase, so a digest repeated here repeats a whole cache key. *)
+      let looked_up = ref [] in
       (* A crash point whose fence-prefix image and in-flight writes repeat
          an earlier point's has the same states: take their digests from
          the cache's memo instead of building each one. (The read-set
@@ -539,7 +531,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
                   match memo with Some (_, _, Some ds) -> Some ds.(!next) | _ -> None
                 in
                 incr next;
-                let d = check_state p ~point ~base_units units_arr idxs ~memo_digest in
+                let d = check_state p ~looked_up ~base_units units_arr idxs ~memo_digest in
                 match memo with Some (_, _, None) -> digests := d :: !digests | _ -> ())
               bases)
       in

@@ -41,17 +41,19 @@ type stats = {
   mutable crash_states : int;
   mutable max_in_flight : int;  (** Largest coalesced in-flight vector seen. *)
   mutable dedup_hits : int;
-      (** Crash states the {!Vcache} found repeating at the same crash
-          point (Vinter likewise deduplicates crash images by content): an
-          earlier subset there built the same image, so this state emits
-          nothing. [0] without a verdict cache. [crash_states] still counts
-          every enumerated state, so the mount+check work actually done is
+      (** Crash states whose image digest an earlier state of the same
+          crash point already looked up in the {!Vcache} (Vinter likewise
+          deduplicates crash images by content): an earlier subset there
+          built the same image, so this state emits nothing. A function of
+          the workload alone, at any job count; [0] without a verdict
+          cache. [crash_states] still counts every enumerated state, so the
+          mount+check work actually done is
           [crash_states - dedup_hits - vcache_hits]. *)
   mutable vcache_hits : int;
       (** Crash states whose verdict the campaign-wide {!Vcache} served
           from another crash point or workload instead of a mount+check.
-          It depends on what other workloads populated the cache first; at
-          [jobs > 1] so does the split between it and [dedup_hits].
+          It depends on what other workloads populated the cache first, so
+          at [jobs > 1] it (like the memo counters) depends on scheduling.
           Findings are unaffected either way. *)
   mutable truncated_points : int;
       (** Crash points whose subset enumeration was cut short by
@@ -137,8 +139,9 @@ val test_workload :
     pair, and a call that raises drops its pair. Results are the same as
     on fresh images.
 
-    [vcache], when given, memoizes checker verdicts campaign-wide and
-    skips states that repeat at their own crash point, and serves the
+    [vcache], when given, memoizes checker verdicts campaign-wide (states
+    that repeat an image digest at their own crash point are skipped
+    before the lookup), and serves the
     oracle boundaries of call prefixes earlier programs ran (see
     {!Vcache}). It also memoizes each distinct crash point's state
     digests, so a repeat point's states are looked up without being built

@@ -12,12 +12,11 @@
    across crash points and across workloads: ACE workload families share long
    syscall prefixes, so whole mount+check rounds repeat campaign-wide.
 
-   Each entry also remembers the crash point that last touched it: a repeat
-   at one crash point repeats the whole key (one point has one phase), so
-   the cache doubles as the per-point dedup table. It also holds its
-   verdicts' rendered fingerprints: the phase fixes a fingerprint's crash
-   context and the cache its file system, so they too are functions of
-   the key.
+   An entry is an immutable verdict: the kinds with their rendered
+   fingerprints (the phase fixes a fingerprint's crash context and the
+   cache its file system, so they too are functions of the key). Equal
+   verdicts are interned, so keys whose states judge alike share one
+   value; which crash point looked a key up is the harness's business.
 
    Two memos are functions of image content alone: the state digests of
    each distinct crash point (fence-prefix digest, in-flight signature),
@@ -28,7 +27,7 @@
    the parts a phase key is built from, so a program re-derives only what
    its new suffix adds. *)
 
-type entry = { verdicts : (Report.kind * string) list; mutable last_point : int }
+type verdict = (Report.kind * string) list
 
 (* --- keys --- *)
 
@@ -76,12 +75,14 @@ type node = {
   children : (Vfs.Syscall.t, node) Hashtbl.t;
 }
 
-(* [mutex] guards the phase ids, the verdicts, the crash-point memo and
-   the probe memo; [trie_lock] guards the trie and its node count. *)
+(* [mutex] guards the phase ids, the verdicts and their interned values,
+   the crash-point memo and the probe memo; [trie_lock] guards the trie
+   and its node count. *)
 type t = {
   mutex : Mutex.t;
   phase_ids : (phase_key, int) Hashtbl.t;
-  table : entry Pair.t;
+  table : verdict Pair.t;
+  distinct : (verdict, verdict) Hashtbl.t;
   points : int array Pair.t;
   probes : string option Ints.t;
   trie_lock : Mutex.t;
@@ -97,6 +98,7 @@ let create () =
     mutex = Mutex.create ();
     phase_ids = Hashtbl.create 256;
     table = Pair.create 1024;
+    distinct = Hashtbl.create 256;
     points = Pair.create 1024;
     probes = Ints.create 1024;
     trie_lock = Mutex.create ();
@@ -121,21 +123,24 @@ let phase_id t key =
         Hashtbl.add t.phase_ids key id;
         id)
 
-let find t key ~point =
-  Mutex.protect t.mutex (fun () ->
-      Pair.find_opt t.table key
-      |> Option.map (fun e ->
-             let same = e.last_point = point in
-             e.last_point <- point;
-             (e.verdicts, same)))
+(* The result stored under a key, or [run ()]'s, which [store] stores
+   unless a racing domain stored one meanwhile (first result wins; both
+   are equal anyway), and whether it was stored before. [run] runs
+   outside the lock. *)
+let memo t find store run =
+  match Mutex.protect t.mutex find with
+  | Some r -> (r, true)
+  | None ->
+    let r = run () in
+    (Mutex.protect t.mutex (fun () -> match find () with Some r -> r | None -> store r), false)
 
-(* First verdict wins: a racing domain that computed the same key keeps
-   the entry already there (both verdicts are equal anyway). *)
-let add t key ~point verdicts =
-  Mutex.protect t.mutex (fun () ->
-      match Pair.find_opt t.table key with
-      | Some e -> e.last_point <- point
-      | None -> Pair.replace t.table key { verdicts; last_point = point })
+let verdict t key =
+  memo t (fun () -> Pair.find_opt t.table key) (fun v ->
+      (* Equal verdicts share the first one stored. *)
+      let v = Option.value (Hashtbl.find_opt t.distinct v) ~default:v in
+      Hashtbl.replace t.distinct v v;
+      Pair.replace t.table key v;
+      v)
 
 let entries t = Mutex.protect t.mutex (fun () -> Pair.length t.table)
 
@@ -147,16 +152,8 @@ let add_point t key digests =
   Mutex.protect t.mutex (fun () ->
       if not (Pair.mem t.points key) then Pair.replace t.points key digests)
 
-(* The probe runs outside the lock; a racing domain that probed the same
-   image meanwhile keeps its (equal) result. *)
-let probe t digest run =
-  match Mutex.protect t.mutex (fun () -> Ints.find_opt t.probes digest) with
-  | Some r -> (r, true)
-  | None ->
-    let r = run () in
-    Mutex.protect t.mutex (fun () ->
-        if not (Ints.mem t.probes digest) then Ints.replace t.probes digest r);
-    (r, false)
+let probe t digest =
+  memo t (fun () -> Ints.find_opt t.probes digest) (fun r -> Ints.replace t.probes digest r; r)
 
 type sizes = { verdict_entries : int; trie_nodes : int; point_memo : int; probe_memo : int }
 

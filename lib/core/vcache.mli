@@ -11,7 +11,9 @@
     in different workloads sharing an ACE family prefix — hit the same
     cache line and skip the mount+check round entirely. Reports are still
     emitted per occurrence with their own crash point, so finding sets are
-    byte-identical with the cache on or off.
+    byte-identical with the cache on or off. An entry is an immutable,
+    interned value; which crash point looked a key up is not recorded
+    (the harness tells repeats at one point apart itself).
 
     Two per-image memos ride along: the state digests of each distinct
     crash point ({!point_digests}), so a repeat point builds no image to
@@ -21,9 +23,9 @@
     Thread-safe: the verdicts, phase ids and memos sit behind one mutex,
     which every function here takes, so an entry added on one domain is
     visible to every other domain at once; the call-prefix trie
-    ({!program}) has a lock of its own. With several domains hit counts
-    depend on scheduling, but findings never do; in one domain they are
-    deterministic. *)
+    ({!program}) has a lock of its own. With several domains whether a
+    lookup hits depends on scheduling, but findings never do; in one
+    domain it is deterministic. *)
 
 type t
 
@@ -60,20 +62,21 @@ val phase_id : t -> phase_key -> int
 type key = int * int
 (** A cache key: a {!phase_id} and a crash image's {!Pmem.Image.digest}. *)
 
-val find : t -> key -> point:int -> ((Report.kind * string) list * bool) option
-(** [None] if [key] is not cached yet, else the cached verdicts ([[]]
-    means "consistent"), each kind with its {!Report.fingerprint}, and
-    whether the entry's last {!find} or {!add} came from [point] (an id
-    unique to one crash point), which then replaces it. A fingerprint is
-    a function of the key (the phase fixes the crash context, the cache
-    the file system), so a hit renders none. *)
+type verdict = (Report.kind * string) list
+(** A state's {!Checker.check} kinds ([[]] means "consistent"), each with
+    its {!Report.fingerprint}. A fingerprint is a function of the key (the
+    phase fixes the crash context, the cache the file system), so a hit
+    renders none. *)
 
-val add : t -> key -> point:int -> (Report.kind * string) list -> unit
-(** Record a verdict found at [point]; an entry already present under
-    [key] keeps its verdict and takes [point]. *)
+val verdict : t -> key -> (unit -> verdict) -> verdict * bool
+(** [verdict t key run] is the verdict cached under [key], running [run]
+    (outside the lock) only when none is, and whether it was cached. When
+    two domains miss on one key, the first verdict stored wins. Stored
+    verdicts are interned: equal verdicts under different keys are one
+    physically shared value. *)
 
 val entries : t -> int
-(** Number of verdict entries added so far. *)
+(** Number of keys with a cached verdict. *)
 
 (** {1 Per-image memos} *)
 

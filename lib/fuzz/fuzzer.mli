@@ -76,12 +76,14 @@ type result = {
   corpus_size : int;
   dedup_hits : int;
       (** Summed {!Chipmunk.Harness.stats.dedup_hits}; [0] with
-          [exec.use_vcache = false]. Deterministic per seed. *)
+          [exec.use_vcache = false]. A function of the programs run alone,
+          so deterministic per seed. *)
   vcache_hits : int;
       (** Crash states answered from the run-wide verdict cache (summed
           {!Chipmunk.Harness.stats.vcache_hits}); [0] with
-          [exec.use_vcache = false]. Deterministic per seed, like every
-          other count in this record. *)
+          [exec.use_vcache = false]. It depends on what earlier programs
+          stored; the fuzzer runs in one domain, so it is deterministic
+          per seed, like every other count in this record. *)
   truncated_points : int;
       (** Summed {!Chipmunk.Harness.stats.truncated_points}: crash points
           where {!Chipmunk.Harness.max_states_per_point} skipped crash states. *)

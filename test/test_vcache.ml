@@ -97,50 +97,59 @@ let test_digest_undo_rollback () =
 
 (* --- Vcache unit behaviour --- *)
 
-let test_vcache_find_add_shared () =
+(* [Vcache.verdict c k v] with a [run] that must not be called. *)
+let cached c k = Vcache.verdict c k (fun () -> Alcotest.fail "a hit ran the check")
+
+let test_vcache_verdict_shared () =
   let c = Vcache.create () in
   let k = (Vcache.phase_id c (Vcache.Initial 1), 42) in
-  Alcotest.(check bool) "empty cache misses" true (Vcache.find c k ~point:0 = None);
   Alcotest.(check int) "empty cache has no entries" 0 (Vcache.entries c);
-  Vcache.add c k ~point:0 [];
-  Alcotest.(check bool) "consistent verdict cached as Some []" true
-    (Vcache.find c k ~point:1 = Some ([], false));
-  Alcotest.(check int) "entries counts the add at once" 1 (Vcache.entries c);
-  Vcache.add c k ~point:2 [ (R.Unusable "later", "fp") ];
-  Alcotest.(check bool) "first verdict wins" true (Vcache.find c k ~point:3 = Some ([], false));
-  (* Another domain sees the entry with no sync step, and its adds are
-     visible back here. *)
+  let runs = ref 0 in
+  let run v () =
+    incr runs;
+    v
+  in
+  Alcotest.(check bool) "a miss returns the check's verdict" true
+    (Vcache.verdict c k (run []) = ([], false));
+  Alcotest.(check int) "a miss runs the check once" 1 !runs;
+  Alcotest.(check bool) "consistent verdict cached as []" true (cached c k = ([], true));
+  Alcotest.(check int) "entries counts the key at once" 1 (Vcache.entries c);
+  (* Another domain sees the entry with no sync step, and its verdicts
+     are visible back here. *)
   let k' = (fst k, 43) in
   let seen =
     Domain.join
       (Domain.spawn (fun () ->
-           let v = Vcache.find c k ~point:4 in
-           Vcache.add c k' ~point:4 [];
+           let v = cached c k in
+           ignore (Vcache.verdict c k' (run []));
            v))
   in
-  Alcotest.(check bool) "fresh domain hits" true (seen = Some ([], false));
-  Alcotest.(check bool) "its add is visible here" true
-    (Vcache.find c k' ~point:5 = Some ([], false));
-  Alcotest.(check int) "two entries" 2 (Vcache.entries c)
+  Alcotest.(check bool) "fresh domain hits" true (seen = ([], true));
+  Alcotest.(check bool) "its verdict is visible here" true (cached c k' = ([], true));
+  (* Two domains miss on one key: the verdict stored first wins, also
+     for the domain whose check finished last. *)
+  let k'' = (fst k, 44) and first = [ (R.Unusable "first", "fp1") ] in
+  let raced =
+    Vcache.verdict c k'' (fun () ->
+        ignore (Domain.join (Domain.spawn (fun () -> Vcache.verdict c k'' (run first))));
+        [ (R.Unusable "later", "fp2") ])
+  in
+  Alcotest.(check bool) "first verdict wins a race" true (raced = (first, false));
+  Alcotest.(check bool) "and stays cached" true (cached c k'' = (first, true));
+  Alcotest.(check int) "each counted miss ran its check once" 3 !runs;
+  Alcotest.(check int) "entries counts each key once" 3 (Vcache.entries c)
 
-let test_vcache_find_same_point () =
-  (* The entry's last point tells a dedup hit (a repeat at the crash point
-     that last touched the key) from a verdict-cache hit. *)
+let test_vcache_equal_verdicts_shared () =
+  (* Equal verdicts under different keys are one value. *)
   let c = Vcache.create () in
-  let k = (Vcache.phase_id c (Vcache.Initial 2), 1) in
-  let kinds = [ (R.Unusable "x", "fp") ] in
-  Vcache.add c k ~point:10 kinds;
-  Alcotest.(check bool) "repeat at the adding point: same point" true
-    (Vcache.find c k ~point:10 = Some (kinds, true));
-  Alcotest.(check bool) "repeat at another point: vcache hit" true
-    (Vcache.find c k ~point:11 = Some (kinds, false));
-  Alcotest.(check bool) "that point now owns the entry" true
-    (Vcache.find c k ~point:11 = Some (kinds, true));
-  Alcotest.(check bool) "the first point, after another touched the key, is a vcache hit" true
-    (Vcache.find c k ~point:10 = Some (kinds, false));
-  Vcache.add c k ~point:12 [];
-  Alcotest.(check bool) "a duplicate add moves the point, keeps the verdict" true
-    (Vcache.find c k ~point:12 = Some (kinds, true))
+  let p = Vcache.phase_id c (Vcache.Initial 3) in
+  let make () = [ (R.Torn_data { path = "/f"; detail = String.make 2 'x' }, "fp" ^ "1") ] in
+  let a, _ = Vcache.verdict c (p, 1) make and b, _ = Vcache.verdict c (p, 2) make in
+  Alcotest.(check bool) "structurally equal" true (a = b);
+  Alcotest.(check bool) "physically shared" true (a == b);
+  Alcotest.(check bool) "a hit returns the shared value" true (fst (cached c (p, 2)) == a);
+  let other, _ = Vcache.verdict c (p, 3) (fun () -> [ (R.Unusable "y", "fp2") ]) in
+  Alcotest.(check bool) "distinct verdicts stay apart" true (other <> a)
 
 let test_vcache_key_separates () =
   (* Phase ids intern phase keys: equal keys share an id, distinct keys
@@ -153,11 +162,12 @@ let test_vcache_key_separates () =
   Alcotest.(check int) "equal phase keys, equal ids" p
     (Vcache.phase_id c (Vcache.During ("mkdir /d", 1, 2)));
   List.iteri
-    (fun i k -> Vcache.add c k ~point:i [ (R.Unusable (string_of_int i), string_of_int i) ])
+    (fun i k ->
+      ignore (Vcache.verdict c k (fun () -> [ (R.Unusable (string_of_int i), string_of_int i) ])))
     [ (p, 7); (q, 7); (p, 8) ];
   Alcotest.(check int) "three distinct entries" 3 (Vcache.entries c);
   Alcotest.(check bool) "equal parts, equal key" true
-    (Vcache.find c (p, 7) ~point:0 = Some ([ (R.Unusable "0", "0") ], true))
+    (cached c (p, 7) = ([ (R.Unusable "0", "0") ], true))
 
 (* [Vcache.phase_key] over oracles built from chosen parts: changing any
    one part the checker reads at a phase changes that phase's key, and
@@ -214,12 +224,12 @@ let test_phase_key_parts () =
   let ids = List.map (Vcache.phase_id c) keys in
   Alcotest.(check int) "one id per key" 10 (List.length (List.sort_uniq compare ids));
   let verdict i = [ (R.Unusable (string_of_int i), string_of_int i) ] in
-  List.iteri (fun i id -> Vcache.add c (id, 7) ~point:i (verdict i)) ids;
+  List.iteri (fun i id -> ignore (Vcache.verdict c (id, 7) (fun () -> verdict i))) ids;
   Alcotest.(check int) "one entry per key" 10 (Vcache.entries c);
   List.iteri
     (fun i k ->
-      match Vcache.find c (Vcache.phase_id c k, 7) ~point:i with
-      | Some (v, true) when v = verdict i -> ()
+      match cached c (Vcache.phase_id c k, 7) with
+      | v, true when v = verdict i -> ()
       | _ -> Alcotest.failf "key %d: another key's entry" i)
     keys
 
@@ -320,7 +330,8 @@ let test_campaign_vcache_parallel_deterministic () =
   Alcotest.(check int) "same workload count" j1.Campaign.workloads_run
     j4.Campaign.workloads_run;
   Alcotest.(check int) "same crash states" j1.Campaign.crash_states j4.Campaign.crash_states;
-  Alcotest.(check int) "same crash points" j1.Campaign.crash_points j4.Campaign.crash_points
+  Alcotest.(check int) "same crash points" j1.Campaign.crash_points j4.Campaign.crash_points;
+  Alcotest.(check int) "same dedup hits" j1.Campaign.dedup_hits j4.Campaign.dedup_hits
 
 let test_campaign_seq1_cache_counts () =
   (* At jobs=1 the hit counters are deterministic. The verdict cache is the
@@ -533,11 +544,11 @@ let suite =
       test_digest_snapshot_restore;
     Alcotest.test_case "digest: undo rollback restores it exactly" `Quick
       test_digest_undo_rollback;
-    Alcotest.test_case "vcache: find/add shared across domains" `Quick test_vcache_find_add_shared;
+    Alcotest.test_case "vcache: verdict shared across domains" `Quick test_vcache_verdict_shared;
+    Alcotest.test_case "vcache: equal verdicts stored once" `Quick
+      test_vcache_equal_verdicts_shared;
     Alcotest.test_case "vcache: key separates phase/digest" `Quick test_vcache_key_separates;
     Alcotest.test_case "vcache: phase key pins every part" `Quick test_phase_key_parts;
-    Alcotest.test_case "vcache: find tells a same-point repeat" `Quick
-      test_vcache_find_same_point;
     Alcotest.test_case "trie: oracle and phase keys equal Oracle.run" `Quick
       test_trie_matches_oracle_run;
     Alcotest.test_case "campaign: findings identical with vcache on/off" `Quick
