@@ -345,8 +345,8 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
   let fingerprinted ~context kinds =
     List.map (fun k -> (k, Report.fingerprint_of ~fs:driver.Vfs.Driver.name ~context k)) kinds
   in
-  (* [units ()] gives the state's writes; it runs only for a fingerprint
-     this workload has not reported yet. *)
+  (* [units] runs only for a fingerprint this workload has not reported
+     yet. *)
   let emit (p : crash_point) ~units verdicts =
     List.iter
       (fun (kind, fp) ->
@@ -367,90 +367,14 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
         end)
       verdicts
   in
-  let check_replay ~phase ~probe =
-    mount_and_check_with ~probe driver ~workload:calls ~oracle ~phase replay
-  in
-  (* One enumerated crash state. Its writes are [base_units] and the chosen
-     subset merged back into in-flight (= sequence-number) order; the
-     report's subset names all of them, so {!Reproduce} rebuilds the same
-     image. To build the state, apply them onto the replay image under a
-     checkpoint (rolled back once the state is done, undoing the writes and
-     whatever recovery and the probe wrote); a state is built at most once.
-     With no [vcache], every state is built, mounted and checked.
-     With a [vcache], the state's image digest is [memo_digest] when its
-     crash point repeats an earlier one (see [check_point]); otherwise the
-     state is built and digested (O(dirty lines) thanks to the image's
-     incremental digest). A digest already in [looked_up], the digests
-     this crash point looked up, is a dedup hit: an earlier subset here built
-     the same image under the same phase and already reported, so emit
-     nothing. Otherwise the (phase id, digest) key is looked up before
-     paying for a mount+check; a hit replays the memoized kinds and
-     fingerprints through [emit] with this occurrence's crash point, so
-     finding sets are unchanged. Only a miss needs the image: a
-     memo-served state is built then, and its digest must equal the
-     memo's. The probe's result is memoized per image digest. Returns the
-     state's digest (0 without a [vcache]). *)
-  let check_state (p : crash_point) ~looked_up ~base_units units_arr subset_idxs ~memo_digest =
-    stats.crash_states <- stats.crash_states + 1;
-    let id, context = phase_info p.phase in
-    let replay_units () =
-      List.merge
-        (fun (a : Coalesce.t) (b : Coalesce.t) -> compare a.seq b.seq)
-        base_units
-        (List.map (fun i -> units_arr.(i)) subset_idxs)
-    in
-    let built = ref None in
-    let build () =
-      let units = replay_units () in
-      Image.checkpoint replay;
-      List.iter (Coalesce.apply (Image.write_string replay)) units;
-      built := Some units
-    in
-    let check probe = fingerprinted ~context (check_replay ~phase:p.phase ~probe) in
-    let verdicts, digest =
-      match vcache with
-      | None ->
-        build ();
-        (check usability_probe, 0)
-      | Some vc ->
-        let digest =
-          match memo_digest with
-          | Some d -> d
-          | None ->
-            build ();
-            Image.digest replay
-        in
-        if List.mem digest !looked_up then begin
-          stats.dedup_hits <- stats.dedup_hits + 1;
-          ([], digest)
-        end
-        else begin
-          looked_up := digest :: !looked_up;
-          let verdicts, hit =
-            Vcache.verdict vc (id, digest) (fun () ->
-                if !built = None then begin
-                  build ();
-                  let d = Image.digest replay in
-                  if d <> digest then
-                    failwith
-                      (Printf.sprintf
-                         "Harness: crash-point memo gave digest %d, the built state has %d"
-                         digest d)
-                end;
-                check (fun h tree ->
-                    let r, reused = Vcache.probe vc digest (fun () -> usability_probe h tree) in
-                    if reused then stats.probes_reused <- stats.probes_reused + 1;
-                    r))
-          in
-          if hit then stats.vcache_hits <- stats.vcache_hits + 1;
-          (verdicts, digest)
-        end
-    in
-    if !built <> None then Image.rollback replay;
-    if verdicts <> [] then
-      emit p verdicts ~units:(fun () ->
-          match !built with Some u -> u | None -> replay_units ());
-    digest
+  (* Run [f] on the replay image with [units] applied, then roll back,
+     undoing the units and whatever [f] wrote (recovery, the probe). *)
+  let on_state units f =
+    Image.checkpoint replay;
+    List.iter (Coalesce.apply (Image.write_string replay)) units;
+    let r = f () in
+    Image.rollback replay;
+    r
   in
   (* The Vinter-style read-set heuristic (paper section 6.2): probe-mount
      the fully-fenced prefix state with a read recorder armed, then keep
@@ -458,18 +382,17 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
      inspects. Writes recovery never reads cannot change its outcome, so
      subsets are enumerated over the hot units only. *)
   let recovery_read_set () =
-    Image.checkpoint replay;
-    let pm2 = Pm.create replay in
-    let reads = ref [] in
-    Pm.set_read_hook pm2 (Some (fun off len -> reads := (off, len) :: !reads));
-    (try
-       match driver.Vfs.Driver.mount pm2 with
-       | exception _ -> ()
-       | Error _ -> ()
-       | Ok _ -> ()
-     with _ -> ());
-    Image.rollback replay;
-    !reads
+    on_state [] (fun () ->
+        let pm2 = Pm.create replay in
+        let reads = ref [] in
+        Pm.set_read_hook pm2 (Some (fun off len -> reads := (off, len) :: !reads));
+        (try
+           match driver.Vfs.Driver.mount pm2 with
+           | exception _ -> ()
+           | Error _ -> ()
+           | Ok _ -> ()
+         with _ -> ());
+        !reads)
   in
   let overlaps_reads reads (u : Coalesce.t) =
     List.exists
@@ -508,37 +431,87 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       let bases = if cold_units = [] then [ [] ] else [ []; cold_units ] in
       let n = Array.length units_arr in
       stats.max_in_flight <- max stats.max_in_flight n;
-      (* The digests this point's states looked up. One point has one
-         phase, so a digest repeated here repeats a whole cache key. *)
-      let looked_up = ref [] in
-      (* A crash point whose fence-prefix image and in-flight writes repeat
-         an earlier point's has the same states: take their digests from
-         the cache's memo instead of building each one. (The read-set
-         heuristic picks subsets by a probe mount, so it is left out.) *)
-      let memo =
-        match vcache with
-        | Some vc when not opts.read_set_heuristic ->
-          let key = point_key ~opts ~replay p in
-          Some (vc, key, Vcache.point_digests vc key)
-        | _ -> None
-      in
-      let next = ref 0 and digests = ref [] in
+      (* The point's states: each subset on each base, in enumeration
+         order. A state's writes are its base and subset merged back into
+         in-flight (= sequence-number) order; the report's subset names
+         all of them, so {!Reproduce} rebuilds the same image. *)
+      let states = ref [] in
       let skipped =
         enumerate_subsets ~n ~cap:opts.cap ~limit:max_states_per_point (fun idxs ->
-            List.iter
-              (fun base_units ->
-                let memo_digest =
-                  match memo with Some (_, _, Some ds) -> Some ds.(!next) | _ -> None
-                in
-                incr next;
-                let d = check_state p ~looked_up ~base_units units_arr idxs ~memo_digest in
-                match memo with Some (_, _, None) -> digests := d :: !digests | _ -> ())
-              bases)
+            List.iter (fun base -> states := (base, idxs) :: !states) bases)
       in
-      (match memo with
-      | Some (_, _, Some _) -> stats.points_reused <- stats.points_reused + 1
-      | Some (vc, key, None) -> Vcache.add_point vc key (Array.of_list (List.rev !digests))
-      | None -> ());
+      let states = Array.of_list (List.rev !states) in
+      stats.crash_states <- stats.crash_states + Array.length states;
+      let units (base, idxs) =
+        List.merge
+          (fun (a : Coalesce.t) (b : Coalesce.t) -> compare a.seq b.seq)
+          base
+          (List.map (fun i -> units_arr.(i)) idxs)
+      in
+      let id, context = phase_info p.phase in
+      let check probe =
+        fingerprinted ~context
+          (mount_and_check_with ~probe driver ~workload:calls ~oracle ~phase:p.phase replay)
+      in
+      (match vcache with
+      | None ->
+        Array.iter
+          (fun s ->
+            let verdicts = on_state (units s) (fun () -> check usability_probe) in
+            emit p verdicts ~units:(fun () -> units s))
+          states
+      | Some vc ->
+        (* Step 1: the states' image digests. A crash point whose
+           fence-prefix image and in-flight writes repeat an earlier
+           point's has the same states, so the cache's memo serves them.
+           (The read-set heuristic picks subsets by a probe mount, so it
+           digests its states directly.) *)
+        let digest_all () =
+          Array.map (fun s -> on_state (units s) (fun () -> Image.digest replay)) states
+        in
+        let digests =
+          if opts.read_set_heuristic then digest_all ()
+          else begin
+            let ds, reused = Vcache.point vc (point_key ~opts ~replay p) digest_all in
+            if reused then stats.points_reused <- stats.points_reused + 1;
+            ds
+          end
+        in
+        (* Step 2: judging. A digest an earlier state of this point looked
+           up (one point has one phase, so it repeats a whole cache key) is
+           a dedup hit: that state built the same image and already
+           reported, so emit nothing. Otherwise a verdict-cache hit replays
+           the memoized kinds and fingerprints through [emit] with this
+           occurrence's crash point, so finding sets are unchanged. Only a
+           miss builds the state, and it must digest to its key. The
+           probe's result is memoized per image digest. *)
+        let looked_up = ref [] in
+        Array.iteri
+          (fun j s ->
+            let digest = digests.(j) in
+            if List.mem digest !looked_up then stats.dedup_hits <- stats.dedup_hits + 1
+            else begin
+              looked_up := digest :: !looked_up;
+              let verdicts, hit =
+                Vcache.verdict vc (id, digest) (fun () ->
+                    on_state (units s) (fun () ->
+                        let d = Image.digest replay in
+                        if d <> digest then
+                          failwith
+                            (Printf.sprintf
+                               "Harness: crash state looked up under digest %d digests to %d"
+                               digest d);
+                        check (fun h tree ->
+                            let r, reused =
+                              Vcache.probe vc digest (fun () -> usability_probe h tree)
+                            in
+                            if reused then stats.probes_reused <- stats.probes_reused + 1;
+                            r)))
+              in
+              if hit then stats.vcache_hits <- stats.vcache_hits + 1;
+              emit p verdicts ~units:(fun () -> units s)
+            end)
+          states);
       if skipped > 0 then begin
         stats.truncated_points <- stats.truncated_points + 1;
         (* Each base drops the same subsets. *)

@@ -144,12 +144,14 @@ val test_workload :
     before the lookup), and serves the
     oracle boundaries of call prefixes earlier programs ran (see
     {!Vcache}). It also memoizes each distinct crash point's state
-    digests, so a repeat point's states are looked up without being built
-    (a state whose lookup misses is built, and must digest as memoized:
-    the run raises [Failure] otherwise), and each crash image's usability
-    probe result. Without it every enumerated state is mounted and checked
-    and the oracle is {!Oracle.run}. Findings are identical with or
-    without it. *)
+    digests, so a repeat point's states are looked up without being
+    built, and each crash image's usability probe result. Every state
+    whose lookup misses, on a fresh or a repeat point, is built (again)
+    and must digest to the key it was looked up under: the run raises
+    [Failure] otherwise, which also catches a rollback that did not
+    restore the prefix exactly. Without it every enumerated state is
+    mounted and checked and the oracle is {!Oracle.run}. Findings are
+    identical with or without it. *)
 
 (** {1 Crash states}
 
@@ -175,7 +177,7 @@ val walk :
 
 val point_key : ?opts:opts -> replay:Pmem.Image.t -> crash_point -> int * int
 (** What fixes a crash point's states, the key under which a {!Vcache}
-    memoizes their digests ({!Vcache.point_digests}): the digest of
+    memoizes their digests ({!Vcache.point}): the digest of
     [replay] holding the point's fence prefix (as {!walk} passes it), and
     a signature of the in-flight units' (address, bytes) parts, in order,
     and of [opts.cap]. Two points with equal keys enumerate states with

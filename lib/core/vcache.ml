@@ -20,7 +20,8 @@
 
    Two memos are functions of image content alone: the state digests of
    each distinct crash point (fence-prefix digest, in-flight signature),
-   and the usability probe's result per crash image digest.
+   and the usability probe's result per crash image digest. The verdicts
+   and both memos go through one find-or-run helper, [memo].
 
    The cache also holds a trie of the call prefixes the campaign has run.
    A prefix determines its oracle boundaries and the texts of its calls,
@@ -146,11 +147,8 @@ let entries t = Mutex.protect t.mutex (fun () -> Pair.length t.table)
 
 (* --- per-image memos --- *)
 
-let point_digests t key = Mutex.protect t.mutex (fun () -> Pair.find_opt t.points key)
-
-let add_point t key digests =
-  Mutex.protect t.mutex (fun () ->
-      if not (Pair.mem t.points key) then Pair.replace t.points key digests)
+let point t key =
+  memo t (fun () -> Pair.find_opt t.points key) (fun ds -> Pair.replace t.points key ds; ds)
 
 let probe t digest =
   memo t (fun () -> Ints.find_opt t.probes digest) (fun r -> Ints.replace t.probes digest r; r)

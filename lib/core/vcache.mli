@@ -16,9 +16,9 @@
     (the harness tells repeats at one point apart itself).
 
     Two per-image memos ride along: the state digests of each distinct
-    crash point ({!point_digests}), so a repeat point builds no image to
-    look its states up, and the usability probe's result per crash image
-    ({!probe}).
+    crash point ({!point}), so a repeat point builds no image to look its
+    states up, and the usability probe's result per crash image
+    ({!probe}). Like {!verdict}, each is one find-or-run call.
 
     Thread-safe: the verdicts, phase ids and memos sit behind one mutex,
     which every function here takes, so an entry added on one domain is
@@ -80,14 +80,15 @@ val entries : t -> int
 
 (** {1 Per-image memos} *)
 
-val point_digests : t -> int * int -> int array option
-(** The image digests of a crash point's states, in enumeration order,
-    memoized under the point's content: its fence-prefix image digest and
-    a signature of its in-flight writes (and of whatever else picks its
-    subsets). [None] until {!add_point}. *)
-
-val add_point : t -> int * int -> int array -> unit
-(** Memoize a crash point's state digests; the first add wins. *)
+val point : t -> int * int -> (unit -> int array) -> int array * bool
+(** [point t key run] is the image digests of a crash point's states, in
+    enumeration order, memoized under the point's content (the harness's
+    [point_key]: its fence-prefix image digest and a signature of its
+    in-flight writes and of whatever else picks its subsets), running
+    [run] only when none are memoized, and whether they were. The
+    digests are trusted only as lookup keys: the harness rebuilds every
+    state whose verdict lookup misses and raises unless it digests as
+    served. *)
 
 val probe : t -> int -> (unit -> string option) -> string option * bool
 (** [probe t digest run] is the usability probe's result on the crash

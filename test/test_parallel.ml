@@ -141,23 +141,31 @@ let test_parallel_repeatable () =
 (* --- Per-point dedup through the verdict cache --- *)
 
 let test_dedup_equivalent_reports () =
+  (* Under the read-set heuristic the states are digested directly rather
+     than through the crash-point memo, so both paths are compared. *)
   let total_hits = ref 0 in
   List.iter
-    (fun (b : Catalog.t) ->
-      let run vcache = Harness.test_workload ?vcache (b.Catalog.driver ()) b.Catalog.trigger in
-      let on = run (Some (Chipmunk.Vcache.create ())) and off = run None in
-      Alcotest.(check (list string))
-        (Printf.sprintf "bug %d (%s): same reports with cache on and off" b.Catalog.bug_no
-           b.Catalog.fs)
-        (List.map Chipmunk.Report.fingerprint off.Harness.reports)
-        (List.map Chipmunk.Report.fingerprint on.Harness.reports);
-      Alcotest.(check int)
-        "cache does not change the enumerated state count" off.Harness.stats.Harness.crash_states
-        on.Harness.stats.Harness.crash_states;
-      Alcotest.(check int) "cache off never skips" 0 off.Harness.stats.Harness.dedup_hits;
-      Alcotest.(check int) "cache off never hits" 0 off.Harness.stats.Harness.vcache_hits;
-      total_hits := !total_hits + on.Harness.stats.Harness.dedup_hits)
-    Catalog.all;
+    (fun read_set_heuristic ->
+      let opts = { Harness.default_opts with read_set_heuristic } in
+      List.iter
+        (fun (b : Catalog.t) ->
+          let run vcache =
+            Harness.test_workload ~opts ?vcache (b.Catalog.driver ()) b.Catalog.trigger
+          in
+          let on = run (Some (Chipmunk.Vcache.create ())) and off = run None in
+          Alcotest.(check (list string))
+            (Printf.sprintf "bug %d (%s), read set %b: same reports with cache on and off"
+               b.Catalog.bug_no b.Catalog.fs read_set_heuristic)
+            (List.map Chipmunk.Report.fingerprint off.Harness.reports)
+            (List.map Chipmunk.Report.fingerprint on.Harness.reports);
+          Alcotest.(check int)
+            "cache does not change the enumerated state count"
+            off.Harness.stats.Harness.crash_states on.Harness.stats.Harness.crash_states;
+          Alcotest.(check int) "cache off never skips" 0 off.Harness.stats.Harness.dedup_hits;
+          Alcotest.(check int) "cache off never hits" 0 off.Harness.stats.Harness.vcache_hits;
+          total_hits := !total_hits + on.Harness.stats.Harness.dedup_hits)
+        Catalog.all)
+    [ false; true ];
   Alcotest.(check bool)
     (Printf.sprintf "nonzero hit count over the catalog (%d hits)" !total_hits)
     true (!total_hits > 0)

@@ -331,7 +331,15 @@ let test_campaign_vcache_parallel_deterministic () =
     j4.Campaign.workloads_run;
   Alcotest.(check int) "same crash states" j1.Campaign.crash_states j4.Campaign.crash_states;
   Alcotest.(check int) "same crash points" j1.Campaign.crash_points j4.Campaign.crash_points;
-  Alcotest.(check int) "same dedup hits" j1.Campaign.dedup_hits j4.Campaign.dedup_hits
+  Alcotest.(check int) "same dedup hits" j1.Campaign.dedup_hits j4.Campaign.dedup_hits;
+  (* Each table holds one entry per distinct key, whichever domain added
+     it first. *)
+  let sizes (r : Campaign.result) =
+    match r.Campaign.vcache_sizes with
+    | Some z -> Vcache.[ z.verdict_entries; z.trie_nodes; z.point_memo; z.probe_memo ]
+    | None -> Alcotest.fail "a cached campaign reports its table sizes"
+  in
+  Alcotest.(check (list int)) "same cache table sizes" (sizes j1) (sizes j4)
 
 let test_campaign_seq1_cache_counts () =
   (* At jobs=1 the hit counters are deterministic. The verdict cache is the
@@ -423,9 +431,9 @@ let test_point_memo_digests () =
           let r = Harness.record driver calls in
           let replay = Image.snapshot r.Harness.rec_base in
           Harness.walk ~replay r.Harness.rec_trace (fun p ->
-              match Vcache.point_digests vc (Harness.point_key ~replay p) with
-              | None -> ()
-              | Some digests ->
+              match Vcache.point vc (Harness.point_key ~replay p) (fun () -> raise Exit) with
+              | exception Exit -> ()
+              | digests, _ ->
                 let units = Array.of_list p.Harness.in_flight in
                 let states =
                   subsets ~n:(Array.length units) ~limit:Harness.max_states_per_point
@@ -448,6 +456,28 @@ let test_point_memo_digests () =
         workloads;
       if !served = 0 then Alcotest.failf "%s: no memoized crash point met" name)
     (seven_buggy ())
+
+(* Served digests are only lookup keys: a state whose lookup misses is
+   rebuilt and must digest as served. Seed the memo with wrong digests for
+   a workload's first crash point, then run the workload through the
+   cache: the point's first state misses, and the run must raise. *)
+let test_point_memo_wrong_digests_raise () =
+  let driver = nova_buggy () in
+  let calls = List.hd (seq1_for driver) in
+  let vc = Vcache.create () in
+  let r = Harness.record driver calls in
+  let replay = Image.snapshot r.Harness.rec_base in
+  (try
+     Harness.walk ~replay r.Harness.rec_trace (fun p ->
+         let n = List.length p.Harness.in_flight in
+         let states = List.length (subsets ~n ~limit:Harness.max_states_per_point) in
+         let wrong = Array.init states (fun j -> Image.digest replay + j + 1) in
+         ignore (Vcache.point vc (Harness.point_key ~replay p) (fun () -> wrong));
+         raise Exit)
+   with Exit -> ());
+  match Harness.test_workload ~vcache:vc driver calls with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a state built under a wrong memoized digest went unnoticed"
 
 (* A result's fingerprints are its reports' fingerprints, with the cache
    on (hits render none) and off. *)
@@ -563,6 +593,8 @@ let suite =
       test_replay_recorded_equals_test_workload;
     Alcotest.test_case "memo: served digests equal built images" `Quick
       test_point_memo_digests;
+    Alcotest.test_case "memo: wrong served digests raise on a miss" `Quick
+      test_point_memo_wrong_digests_raise;
     Alcotest.test_case "harness: result fingerprints are the reports'" `Quick
       test_result_fingerprints;
     Alcotest.test_case "memo: one usability probe per image" `Quick test_probe_once_per_image;
