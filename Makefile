@@ -1,15 +1,31 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: ci build test bench-perf bench-shrink shrink-smoke fuzz-smoke \
+.PHONY: ci build test bench-perf bench-shrink bench-smoke shrink-smoke fuzz-smoke \
   cache-smoke seq3-smoke counters-smoke clean
 
-ci: build test shrink-smoke fuzz-smoke cache-smoke seq3-smoke counters-smoke
+ci: build test bench-smoke shrink-smoke fuzz-smoke cache-smoke seq3-smoke counters-smoke
 
 build:
 	dune build @all
 
 test:
 	dune runtest
+
+# Bench smoke test: rerun the parallel and shrink benches in a scratch
+# directory and diff the JSON they write against the committed
+# BENCH_parallel.json and BENCH_shrink.json. Every field but "jobs" (the
+# machine's core count) is deterministic, so only that one is stripped.
+BENCH = $(CURDIR)/_build/default/bench/main.exe
+
+bench-smoke: build
+	rm -rf _build/bench-smoke
+	mkdir -p _build/bench-smoke
+	cd _build/bench-smoke && $(BENCH) parallel > parallel.out && $(BENCH) shrink > shrink.out
+	for f in BENCH_parallel.json BENCH_shrink.json; do \
+	  sed 's/"jobs":[0-9]*,//' $$f > _build/bench-smoke/$$f.want && \
+	  sed 's/"jobs":[0-9]*,//' _build/bench-smoke/$$f \
+	    | diff -u _build/bench-smoke/$$f.want - || exit 1; \
+	done
 
 # Minimizer smoke test: shrink one known catalogued bug to a reproducer
 # (must strictly reduce the workload and keep the fingerprint — the CLI

@@ -298,49 +298,19 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
   (* Phase 2: the oracle. With a verdict cache it comes from the cache's
      call-prefix trie, which captures only the boundaries no earlier
      program of the campaign had. *)
-  let program = Option.map (fun vc -> Vcache.program vc calls) vcache in
-  let oracle = match program with Some p -> Vcache.oracle p | None -> Oracle.run calls in
+  let program = Option.map (fun vc -> (vc, Vcache.program vc calls)) vcache in
+  let oracle = match program with Some (_, p) -> Vcache.oracle p | None -> Oracle.run calls in
   (* Phase 3: replay. *)
   let stats = new_stats () in
-  Option.iter (fun p -> stats.oracle_reused <- Vcache.reused p) program;
+  Option.iter (fun (_, p) -> stats.oracle_reused <- Vcache.reused p) program;
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let reports = ref [] (* (report, fingerprint), newest first *) in
   let workload_arr = Array.of_list calls in
   let fsync_boundary idx =
     idx < Array.length workload_arr && Vfs.Syscall.is_fsync_family workload_arr.(idx)
   in
-  let text =
-    match program with
-    | Some p -> Vcache.text p
-    | None ->
-      let texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
-      fun i -> (Lazy.force texts).(i)
-  in
-  (* Per phase, built once per workload in a slot of [phases]: the phase's
-     verdict-cache id (its key covers the oracle slice, everything the
-     checker consults besides the image) and the crash context of the
-     fingerprints found there. A per-state key is then a pair of ints. *)
-  let phases = Array.make ((2 * Array.length workload_arr) + 1) None in
-  let phase_info phase =
-    let slot, during_syscall, after_syscall =
-      match phase with
-      | Checker.Initial -> (0, None, None)
-      | Checker.During i -> ((2 * i) + 1, Some i, None)
-      | Checker.After i -> ((2 * i) + 2, None, Some i)
-    in
-    match phases.(slot) with
-    | Some x -> x
-    | None ->
-      let id =
-        match vcache with
-        | Some vc -> Vcache.phase_id vc (Vcache.phase_key oracle ~text phase)
-        | None -> -1
-      in
-      let context =
-        Report.context ~during_syscall ~after_syscall (fun i -> Report.first_word (text i))
-      in
-      phases.(slot) <- Some (id, context);
-      (id, context)
+  let during_syscall (p : crash_point) =
+    match p.phase with Checker.During i -> Some i | _ -> None
   in
   let fingerprinted ~context kinds =
     List.map (fun k -> (k, Report.fingerprint_of ~fs:driver.Vfs.Driver.name ~context k)) kinds
@@ -355,7 +325,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
           let crash_point =
             {
               Report.fence_no = p.fence_no;
-              during_syscall = (match p.phase with Checker.During i -> Some i | _ -> None);
+              during_syscall = during_syscall p;
               after_syscall = p.after_syscall;
               subset = List.map (fun (u : Coalesce.t) -> u.seq) (units ());
               in_flight = List.length p.in_flight;
@@ -448,19 +418,25 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
           base
           (List.map (fun i -> units_arr.(i)) idxs)
       in
-      let id, context = phase_info p.phase in
+      (* The crash context of the fingerprints found here, rendered at
+         most once: a point whose states all hit the cache needs none. *)
+      let context =
+        lazy
+          (Report.context ~during_syscall:(during_syscall p) ~after_syscall:p.after_syscall
+             (fun i -> Report.first_word (Vfs.Syscall.to_string workload_arr.(i))))
+      in
       let check probe =
-        fingerprinted ~context
+        fingerprinted ~context:(Lazy.force context)
           (mount_and_check_with ~probe driver ~workload:calls ~oracle ~phase:p.phase replay)
       in
-      (match vcache with
+      (match program with
       | None ->
         Array.iter
           (fun s ->
             let verdicts = on_state (units s) (fun () -> check usability_probe) in
             emit p verdicts ~units:(fun () -> units s))
           states
-      | Some vc ->
+      | Some (vc, prog) ->
         (* Step 1: the states' image digests. A crash point whose
            fence-prefix image and in-flight writes repeat an earlier
            point's has the same states, so the cache's memo serves them.
@@ -484,7 +460,9 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
            the memoized kinds and fingerprints through [emit] with this
            occurrence's crash point, so finding sets are unchanged. Only a
            miss builds the state, and it must digest to its key. The
-           probe's result is memoized per image digest. *)
+           probe's result is memoized per image digest. A key's phase id
+           is the trie's, interned once per call prefix. *)
+        let id = Vcache.phase prog p.phase in
         let looked_up = ref [] in
         Array.iteri
           (fun j s ->

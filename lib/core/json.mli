@@ -10,9 +10,6 @@
 
 (** {1 Encoding} *)
 
-val escape : string -> string
-(** Body of a JSON string literal (no surrounding quotes). *)
-
 val str : string -> string
 (** A quoted, escaped string literal. *)
 

@@ -1,53 +1,50 @@
-type t = {
-  trees : Vfs.Walker.tree array;
-  digests : int array;  (* [Vfs.Walker.digest] of each boundary tree *)
-  targets : string option array;
-  rets : int array;
+type boundary = {
+  tree : Vfs.Walker.tree;
+  digest : int;  (* [Vfs.Walker.digest tree] *)
+  target : string option;  (* of the call that led here; [None] at boundary 0 *)
+  ret : int;
 }
 
-let n_calls t = Array.length t.targets
-let pre t i = t.trees.(i)
-let post t i = t.trees.(i + 1)
-let final t = t.trees.(Array.length t.trees - 1)
-let target t i = t.targets.(i)
-let ret t i = t.rets.(i)
-let pre_digest t i = t.digests.(i)
-let post_digest t i = t.digests.(i + 1)
+(* Boundary [b] is the state after [b] calls, so call [i] runs between
+   boundaries [i] and [i + 1]. *)
+type t = boundary array
 
-let make ~trees ~digests ~targets ~rets = { trees; digests; targets; rets }
+let n_calls t = Array.length t - 1
+let boundary t b = t.(b)
+let pre t i = t.(i).tree
+let post t i = t.(i + 1).tree
+let final t = t.(Array.length t - 1).tree
+let target t i = t.(i + 1).target
+let ret t i = t.(i + 1).ret
+let pre_digest t i = t.(i).digest
+let post_digest t i = t.(i + 1).digest
 
-(* Run [calls] on Memfs. Boundaries [0 .. n_calls known] come from [known];
-   only later ones are captured and digested. Memfs still runs every call,
-   since it holds the state the later boundaries are captured from. *)
-let run_memfs ?known calls =
+let make ~trees ~digests ~targets ~rets =
+  Array.init (Array.length trees) (fun b ->
+      let target, ret = if b = 0 then (None, 0) else (targets.(b - 1), rets.(b - 1)) in
+      { tree = trees.(b); digest = digests.(b); target; ret })
+
+(* Run [calls] on Memfs, capturing and digesting only the boundaries
+   after [known]'s, which are appended to [known]. Memfs still runs every
+   call, since it holds the state the later boundaries are captured
+   from. *)
+let run_memfs ~known calls =
   let h = Memfs.handle () in
-  let n = List.length calls in
-  let trees = Array.make (n + 1) [] in
-  let digests = Array.make (n + 1) 0 in
-  let targets = Array.make n None in
-  let rets = Array.make n 0 in
-  let have =
-    match known with
-    | None -> -1
-    | Some o ->
-      let k = n_calls o in
-      Array.blit o.trees 0 trees 0 (k + 1);
-      Array.blit o.digests 0 digests 0 (k + 1);
-      k
-  in
-  let capture b =
-    if b > have then begin
+  let have = Array.length known in
+  let fresh = ref [] (* boundaries [have ..], newest first *) in
+  let capture b target ret =
+    if b >= have then begin
       let tree = Vfs.Walker.capture h in
-      trees.(b) <- tree;
-      digests.(b) <- Vfs.Walker.digest tree
+      fresh := { tree; digest = Vfs.Walker.digest tree; target; ret } :: !fresh
     end
   in
   let var_paths : (int, string) Hashtbl.t = Hashtbl.create 8 in
-  capture 0;
-  let before idx call =
+  capture 0 None 0;
+  let target = ref None in
+  let before _idx call =
     let target_of var = Hashtbl.find_opt var_paths var in
-    targets.(idx) <-
-      (match call with
+    target :=
+      match call with
       | Vfs.Syscall.Write { fd_var; _ }
       | Vfs.Syscall.Pwrite { fd_var; _ }
       | Vfs.Syscall.Fallocate { fd_var; _ }
@@ -58,10 +55,9 @@ let run_memfs ?known calls =
       | Vfs.Syscall.Setxattr { path; _ }
       | Vfs.Syscall.Removexattr { path; _ } ->
         Some path
-      | _ -> None)
+      | _ -> None
   in
   let after idx call ret =
-    rets.(idx) <- ret;
     (if ret >= 0 then
        match call with
        | Vfs.Syscall.Creat { path; fd_var } | Vfs.Syscall.Open { path; fd_var; _ } ->
@@ -78,12 +74,10 @@ let run_memfs ?known calls =
            (fun var p -> if p = path then Hashtbl.remove var_paths var)
            (Hashtbl.copy var_paths)
        | _ -> ());
-    capture (idx + 1)
+    capture (idx + 1) !target ret
   in
   let _ = Vfs.Workload.run ~before ~after h calls in
-  { trees; digests; targets; rets }
+  Array.append known (Array.of_list (List.rev !fresh))
 
-let run ?known calls =
-  match known with
-  | Some o when n_calls o = List.length calls -> o
-  | _ -> run_memfs ?known calls
+let run ?(known = [||]) calls =
+  if Array.length known = List.length calls + 1 then known else run_memfs ~known calls

@@ -8,16 +8,22 @@
     untouched" checks. *)
 
 type t
+(** The workload's [n + 1] boundaries: boundary [b] is the state after
+    [b] calls, so call [i] runs from boundary [i] to boundary [i + 1]. *)
 
-val run : ?known:t -> Vfs.Syscall.t list -> t
+type boundary
+(** One boundary: its tree and the tree's digest, and the target and
+    return of the call that led there (none for boundary 0). *)
+
+val run : ?known:boundary array -> Vfs.Syscall.t list -> t
 (** The oracle of [calls]. Without [known] this is the reference: every
     boundary is captured and digested.
 
-    [known], the oracle of a prefix of [calls] (the caller vouches for
-    that), supplies the boundaries of that prefix: they are not captured
-    or digested again. Memfs still runs every call unless [known] covers
-    all of [calls], in which case it is returned as is. The result equals
-    the reference either way. *)
+    [known], boundaries [0 .. k] of the oracle of [calls] (the caller
+    vouches for that), is taken as they are: only the later boundaries
+    are captured and digested, and appended to it. Memfs still runs
+    every call unless [known] covers all of [calls], in which case it is
+    the result. The result equals the reference either way. *)
 
 val make :
   trees:Vfs.Walker.tree array ->
@@ -30,6 +36,9 @@ val make :
     each other. *)
 
 val n_calls : t -> int
+
+val boundary : t -> int -> boundary
+(** Boundary [b], [0 <= b <= n_calls t]. *)
 
 val pre : t -> int -> Vfs.Walker.tree
 (** Tree before syscall [i] ran. *)

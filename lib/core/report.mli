@@ -57,7 +57,6 @@ val fingerprint_of : fs:string -> context:string -> kind -> string
 (** ["fs/label/context/evidence"]: {!fingerprint} of a report with these
     parts. *)
 
-val kind_label : kind -> string
 val summary : t -> string
 val pp : Format.formatter -> t -> unit
 (** Full report: workload listing, crash point, evidence. *)

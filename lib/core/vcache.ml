@@ -24,9 +24,9 @@
    and both memos go through one find-or-run helper, [memo].
 
    The cache also holds a trie of the call prefixes the campaign has run.
-   A prefix determines its oracle boundaries and the texts of its calls,
-   the parts a phase key is built from, so a program re-derives only what
-   its new suffix adds. *)
+   A prefix determines its last oracle boundary and the phase keys of its
+   last call, so each node keeps that boundary and the two phase ids, and
+   a program derives only what its new suffix adds. *)
 
 type verdict = (Report.kind * string) list
 
@@ -64,15 +64,14 @@ end)
 
 module Ints = Hashtbl.Make (Int)
 
-(* One node per distinct call prefix the campaign has run: everything the
-   oracle derives from that prefix, and the text of its last call. The
-   root stands for the empty prefix; its call fields are unused. *)
+(* One node per distinct call prefix the campaign has run: the oracle
+   boundary after its last call, and the ids of that call's During and
+   After phases. The root stands for the empty prefix: its [after] is the
+   Initial phase's id, its [during] is unused. *)
 type node = {
-  text : string;  (* [Vfs.Syscall.to_string] of the prefix's last call *)
-  tree : Vfs.Walker.tree;  (* the oracle boundary after that call *)
-  digest : int;
-  target : string option;
-  ret : int;
+  boundary : Oracle.boundary;
+  during : int;
+  after : int;
   children : (Vfs.Syscall.t, node) Hashtbl.t;
 }
 
@@ -95,23 +94,18 @@ type t = {
 
 let create () =
   let empty = Oracle.run [] in
+  (* Every program's Initial phase has the same key: it is id 0. *)
+  let phase_ids = Hashtbl.create 256 in
+  Hashtbl.add phase_ids (phase_key empty ~text:string_of_int Checker.Initial) 0;
   {
     mutex = Mutex.create ();
-    phase_ids = Hashtbl.create 256;
+    phase_ids;
     table = Pair.create 1024;
     distinct = Hashtbl.create 256;
     points = Pair.create 1024;
     probes = Ints.create 1024;
     trie_lock = Mutex.create ();
-    root =
-      {
-        text = "";
-        tree = Oracle.pre empty 0;
-        digest = Oracle.pre_digest empty 0;
-        target = None;
-        ret = 0;
-        children = Hashtbl.create 64;
-      };
+    root = { boundary = Oracle.boundary empty 0; during = -1; after = 0; children = Hashtbl.create 64 };
     n_nodes = 0;
   }
 
@@ -167,13 +161,19 @@ let sizes (t : t) =
 
 (* --- the call-prefix trie --- *)
 
+(* [nodes.(b)] is the node of the program's first [b] calls. *)
 type program = { oracle : Oracle.t; nodes : node array; reused : int }
 
 let oracle p = p.oracle
 let reused p = p.reused
-let text p i = p.nodes.(i).text
 
-(* The nodes of the longest prefix of [calls] already in the trie. *)
+let phase p = function
+  | Checker.Initial -> p.nodes.(0).after
+  | Checker.During i -> p.nodes.(i + 1).during
+  | Checker.After i -> p.nodes.(i + 1).after
+
+(* The nodes of the longest prefix of [calls] already in the trie, the
+   root first. *)
 let known_prefix t calls =
   Mutex.protect t.trie_lock (fun () ->
       let rec go node acc = function
@@ -183,48 +183,38 @@ let known_prefix t calls =
           | Some child -> go child (child :: acc) rest
           | None -> acc)
       in
-      Array.of_list (List.rev (go t.root [] calls)))
+      Array.of_list (List.rev (go t.root [ t.root ] calls)))
 
 let program t calls =
   let known = known_prefix t calls in
-  let k = Array.length known in
-  let boundary b = if b = 0 then t.root else known.(b - 1) in
-  let prefix =
-    Oracle.make
-      ~trees:(Array.init (k + 1) (fun b -> (boundary b).tree))
-      ~digests:(Array.init (k + 1) (fun b -> (boundary b).digest))
-      ~targets:(Array.map (fun n -> n.target) known)
-      ~rets:(Array.map (fun n -> n.ret) known)
-  in
-  let oracle = Oracle.run ~known:prefix calls in
+  let oracle = Oracle.run ~known:(Array.map (fun n -> n.boundary) known) calls in
   let calls = Array.of_list calls in
-  let n = Array.length calls in
+  let k = Array.length known - 1 and n = Array.length calls in
   let nodes =
     if k = n then known
     else begin
-      (* Render the new suffix outside the lock, then link it in. A domain
-         that linked the same prefix meanwhile built equal nodes: keep its
-         nodes. *)
+      (* Build the new suffix's nodes, phase ids included, outside the
+         trie lock, then link them in. A domain that linked the same
+         prefix meanwhile built equal nodes: keep its nodes. *)
       let fresh =
         Array.init (n - k) (fun j ->
             let i = k + j in
+            let text = Vfs.Syscall.to_string calls.(i) in
+            let id phase = phase_id t (phase_key oracle ~text:(fun _ -> text) phase) in
             {
-              text = Vfs.Syscall.to_string calls.(i);
-              tree = Oracle.post oracle i;
-              digest = Oracle.post_digest oracle i;
-              target = Oracle.target oracle i;
-              ret = Oracle.ret oracle i;
+              boundary = Oracle.boundary oracle (i + 1);
+              during = id (Checker.During i);
+              after = id (Checker.After i);
               children = Hashtbl.create 2;
             })
       in
       Mutex.protect t.trie_lock (fun () ->
           let nodes = Array.append known fresh in
-          for i = k to n - 1 do
-            let parent = if i = 0 then t.root else nodes.(i - 1) in
-            match Hashtbl.find_opt parent.children calls.(i) with
-            | Some existing -> nodes.(i) <- existing
+          for b = k + 1 to n do
+            match Hashtbl.find_opt nodes.(b - 1).children calls.(b - 1) with
+            | Some existing -> nodes.(b) <- existing
             | None ->
-              Hashtbl.add parent.children calls.(i) nodes.(i);
+              Hashtbl.add nodes.(b - 1).children calls.(b - 1) nodes.(b);
               t.n_nodes <- t.n_nodes + 1
           done;
           nodes)

@@ -50,9 +50,9 @@ type phase_key =
 
 val phase_key : Oracle.t -> text:(int -> string) -> Checker.phase -> phase_key
 (** The key of [phase] in a program with oracle [oracle], where [text i]
-    is [Vfs.Syscall.to_string] of call [i]. O(1) beyond [text]: build it
-    once per (program, phase) and share it across every crash state of
-    that phase. *)
+    is [Vfs.Syscall.to_string] of call [i]. O(1) beyond [text]. The trie
+    ({!program}) builds the During and After keys of a call once per call
+    prefix; {!phase} gives their ids. *)
 
 val phase_id : t -> phase_key -> int
 (** The phase key's id in this cache: equal keys get equal ids, distinct
@@ -111,10 +111,12 @@ val sizes : t -> sizes
 
     Programs in a campaign share long call prefixes (ACE builds its
     suites that way, and the fuzzer mutates corpus programs). A prefix
-    determines its oracle boundaries, call targets and returns, and the
-    texts of its calls, so the cache keeps them in a trie keyed by
+    determines its oracle boundaries ({!Oracle.boundary}) and the phase
+    keys of its calls, so the cache keeps them in a trie keyed by
     {!Vfs.Syscall.t}, one node per distinct prefix, shared by every
-    domain under its own lock. *)
+    domain under its own lock: a node holds the boundary after its last
+    call and the {!phase_id}s of that call's [During] and [After]
+    phases, interned once, when the node is built. *)
 
 type program
 (** One program's calls resolved against the trie. *)
@@ -127,8 +129,8 @@ val program : t -> Vfs.Syscall.t list -> program
 val oracle : program -> Oracle.t
 (** Equal to [Oracle.run calls]. *)
 
-val text : program -> int -> string
-(** [Vfs.Syscall.to_string] of call [i]. *)
+val phase : program -> Checker.phase -> int
+(** The {!phase_id} of the phase's {!phase_key} in this program. *)
 
 val reused : program -> int
 (** Boundaries served by the trie instead of captured: one more than the

@@ -224,8 +224,6 @@ let span_size t ino = (inode_off t.lay ino + i_size, 8)
 let span_dentry addr = (addr, dentry_size)
 let span_dentry_valid addr = (addr + d_valid, 1)
 let span_trunc_head _t = (sb_trunc_head, 4)
-let span_trunc_fields t ino = (inode_off t.lay ino + i_trunc_next, 5)
-let _ = span_trunc_fields
 
 (* In-place write helpers (used inside transactions; the journal's end_tx
    fence publishes them). *)

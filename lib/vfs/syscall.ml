@@ -38,11 +38,6 @@ type t =
   | Setxattr of { path : string; name : string; value : string }
   | Removexattr of { path : string; name : string }
 
-let whence_to_string = function
-  | Types.SEEK_SET -> "SEEK_SET"
-  | Types.SEEK_CUR -> "SEEK_CUR"
-  | Types.SEEK_END -> "SEEK_END"
-
 let to_string = function
   | Creat { path; fd_var } -> Printf.sprintf "creat %s -> $%d" path fd_var
   | Mkdir { path } -> Printf.sprintf "mkdir %s" path
@@ -54,7 +49,7 @@ let to_string = function
     Printf.sprintf "pwrite $%d off=%d len=%d seed=%d" fd_var off data.len data.seed
   | Read { fd_var; len } -> Printf.sprintf "read $%d len=%d" fd_var len
   | Lseek { fd_var; off; whence } ->
-    Printf.sprintf "lseek $%d off=%d %s" fd_var off (whence_to_string whence)
+    Printf.sprintf "lseek $%d off=%d %s" fd_var off (Types.whence_to_string whence)
   | Link { src; dst } -> Printf.sprintf "link %s %s" src dst
   | Unlink { path } -> Printf.sprintf "unlink %s" path
   | Remove { path } -> Printf.sprintf "remove %s" path

@@ -23,5 +23,11 @@ let flag_to_string = function
   | O_APPEND -> "O_APPEND"
 
 let flags_to_string flags = String.concat "|" (List.map flag_to_string flags)
+
+let whence_to_string = function
+  | SEEK_SET -> "SEEK_SET"
+  | SEEK_CUR -> "SEEK_CUR"
+  | SEEK_END -> "SEEK_END"
+
 let writable flags = List.exists (fun f -> f = O_WRONLY || f = O_RDWR) flags
 let readable flags = not (List.mem O_WRONLY flags)

@@ -17,7 +17,7 @@ type whence = SEEK_SET | SEEK_CUR | SEEK_END
 type dirent = { d_ino : int; d_name : string }
 
 val kind_to_string : file_kind -> string
-val flag_to_string : open_flag -> string
 val flags_to_string : open_flag list -> string
+val whence_to_string : whence -> string
 val writable : open_flag list -> bool
 val readable : open_flag list -> bool

@@ -16,6 +16,3 @@ val run :
   Handle.t ->
   Syscall.t list ->
   outcome list
-
-val ret_of : ('a -> int) -> ('a, Errno.t) result -> int
-(** Encode a syscall result as an integer return value. *)

@@ -16,11 +16,6 @@ let whence_of_string = function
   | "SEEK_END" -> Some Types.SEEK_END
   | _ -> None
 
-let whence_to_string = function
-  | Types.SEEK_SET -> "SEEK_SET"
-  | Types.SEEK_CUR -> "SEEK_CUR"
-  | Types.SEEK_END -> "SEEK_END"
-
 let line_of_call = function
   | S.Creat { path; fd_var } -> Printf.sprintf "creat %s %d" path fd_var
   | S.Mkdir { path } -> Printf.sprintf "mkdir %s" path
@@ -32,7 +27,7 @@ let line_of_call = function
     Printf.sprintf "pwrite %d off=%d seed=%d len=%d" fd_var off data.seed data.len
   | S.Read { fd_var; len } -> Printf.sprintf "read %d len=%d" fd_var len
   | S.Lseek { fd_var; off; whence } ->
-    Printf.sprintf "lseek %d off=%d %s" fd_var off (whence_to_string whence)
+    Printf.sprintf "lseek %d off=%d %s" fd_var off (Types.whence_to_string whence)
   | S.Link { src; dst } -> Printf.sprintf "link %s %s" src dst
   | S.Unlink { path } -> Printf.sprintf "unlink %s" path
   | S.Remove { path } -> Printf.sprintf "remove %s" path

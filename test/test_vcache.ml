@@ -239,7 +239,7 @@ let test_phase_key_parts () =
    then the first 512 programs of a seed-1 fuzz run: for each program it
    must return exactly the boundary trees, digests, call targets and
    returns [Oracle.run] computes, the same phase keys over the calls'
-   texts, and those texts. *)
+   texts, and for every phase the id of [Oracle.run]'s phase key. *)
 let test_trie_matches_oracle_run () =
   let ace = Array.of_seq (Seq.map snd (Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong))) in
   let rng = Random.State.make [| 18 |] in
@@ -266,14 +266,14 @@ let test_trie_matches_oracle_run () =
       done;
       let texts = Array.of_list (List.map Vfs.Syscall.to_string calls) in
       let same_key phase =
-        Vcache.phase_key q ~text:(Array.get texts) phase
-        = Vcache.phase_key o ~text:(Array.get texts) phase
+        let key = Vcache.phase_key o ~text:(Array.get texts) phase in
+        Vcache.phase_key q ~text:(Array.get texts) phase = key
+        && Vcache.phase p phase = Vcache.phase_id vc key
       in
       if not (same_key Checker.Initial) then fail "initial keys";
       for i = 0 to n - 1 do
         if Oracle.target q i <> Oracle.target o i then fail (Printf.sprintf "call %d targets" i);
         if Oracle.ret q i <> Oracle.ret o i then fail (Printf.sprintf "call %d returns" i);
-        if Vcache.text p i <> texts.(i) then fail (Printf.sprintf "call %d texts" i);
         if not (same_key (Checker.During i) && same_key (Checker.After i)) then
           fail (Printf.sprintf "call %d phase keys" i)
       done;
@@ -284,6 +284,53 @@ let test_trie_matches_oracle_run () =
     (Printf.sprintf "most boundaries served by the trie (%d of %d)" !reused !boundaries)
     true
     (2 * !reused > !boundaries)
+
+(* Two domains resolve the same new program at once, each round a
+   program no earlier round shares a call with: whichever links its
+   nodes first, both get the same phase ids (interned outside the trie
+   lock), equal to those of [Oracle.run]'s keys, and the trie counts
+   each prefix once (the later domain keeps the nodes the other
+   linked). *)
+let test_trie_concurrent_program () =
+  let module S = Vfs.Syscall in
+  let vc = Vcache.create () in
+  let rounds = 16 and len = 12 in
+  for r = 1 to rounds do
+    let d = Printf.sprintf "/r%d" r in
+    let calls =
+      S.Mkdir { path = d }
+      :: S.Creat { path = d ^ "/f"; fd_var = 0 }
+      :: List.concat
+           (List.init ((len - 2) / 2) (fun j ->
+                [ S.Write { fd_var = 0; data = { S.seed = r + j; len = 64 } }; S.Fsync { fd_var = 0 } ]))
+    in
+    let go = Atomic.make 0 in
+    let resolve () =
+      Atomic.incr go;
+      while Atomic.get go < 2 do
+        Domain.cpu_relax ()
+      done;
+      Vcache.program vc calls
+    in
+    let other = Domain.spawn resolve in
+    let p = resolve () in
+    let q = Domain.join other in
+    let o = Oracle.run calls in
+    let texts = Array.of_list (List.map S.to_string calls) in
+    let phases =
+      Checker.Initial
+      :: List.concat (List.init len (fun i -> [ Checker.During i; Checker.After i ]))
+    in
+    List.iter
+      (fun phase ->
+        let id = Vcache.phase_id vc (Vcache.phase_key o ~text:(Array.get texts) phase) in
+        if Vcache.phase p phase <> id || Vcache.phase q phase <> id then
+          Alcotest.failf "round %d: phase ids differ" r)
+      phases;
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: each prefix counted once" r)
+      (r * len) (Vcache.sizes vc).Vcache.trie_nodes
+  done
 
 (* --- Cache transparency: findings identical on/off, at any job count --- *)
 
@@ -581,6 +628,8 @@ let suite =
     Alcotest.test_case "vcache: phase key pins every part" `Quick test_phase_key_parts;
     Alcotest.test_case "trie: oracle and phase keys equal Oracle.run" `Quick
       test_trie_matches_oracle_run;
+    Alcotest.test_case "trie: concurrent programs share nodes and phase ids" `Quick
+      test_trie_concurrent_program;
     Alcotest.test_case "campaign: findings identical with vcache on/off" `Quick
       test_campaign_vcache_transparent;
     Alcotest.test_case "campaign: vcache keeps jobs=1 == jobs=4" `Quick
