@@ -80,7 +80,13 @@ fuzz-smoke:
 # replay and the usability probe write the most per crash state, so a
 # wrong checkpoint rollback shows there first, and at --jobs 2 both
 # domains share the cache's per-image memos (crash-point digests and
-# probe results); its dedup count and table sizes must match too. A
+# probe results); its dedup count and table sizes must match too.
+# Buggy ext4-DAX, a weak (fsync-based) driver, runs with the cache on and
+# off, and at --jobs 2: it is judged only after fsync-family calls, so
+# the cache interns only those phases. Every line but the two "cache"
+# footer lines (the summary, its time stripped, and the findings) must match across
+# the three runs, and the "cache tables:" line (phase ids included)
+# between the default and --jobs 2 runs. A
 # short buggy-NOVA fuzz run with the cache on and off must print the same finding and
 # triage cluster lines: the cache also serves the fuzzer's oracle boundaries from its call-prefix
 # trie and each verdict's rendered fingerprint. No run may print a
@@ -127,6 +133,24 @@ cache-smoke:
 	test -s _build/cache-smoke-pmfs-tables.txt
 	grep '^cache tables:' _build/cache-smoke-pmfs-jobs2.out \
 	  | diff -u _build/cache-smoke-pmfs-tables.txt -
+	dune exec bin/chipmunk_cli.exe -- ace --fs ext4-dax --buggy --suite seq1 \
+	  > _build/cache-smoke-ext4-default.out
+	dune exec bin/chipmunk_cli.exe -- ace --fs ext4-dax --buggy --suite seq1 \
+	  --no-vcache > _build/cache-smoke-ext4-novcache.out
+	dune exec bin/chipmunk_cli.exe -- ace --fs ext4-dax --buggy --suite seq1 \
+	  --jobs 2 > _build/cache-smoke-ext4-jobs2.out
+	for v in default novcache jobs2; do \
+	  grep -v '^cache' _build/cache-smoke-ext4-$$v.out \
+	    | sed 's/, [0-9.]*s,/,/' > _build/cache-smoke-ext4-$$v.txt || exit 1; \
+	done
+	test -s _build/cache-smoke-ext4-default.txt
+	diff -u _build/cache-smoke-ext4-default.txt _build/cache-smoke-ext4-novcache.txt
+	diff -u _build/cache-smoke-ext4-default.txt _build/cache-smoke-ext4-jobs2.txt
+	grep '^cache tables:' _build/cache-smoke-ext4-default.out \
+	  > _build/cache-smoke-ext4-tables.txt
+	test -s _build/cache-smoke-ext4-tables.txt
+	grep '^cache tables:' _build/cache-smoke-ext4-jobs2.out \
+	  | diff -u _build/cache-smoke-ext4-tables.txt -
 	dune exec bin/chipmunk_cli.exe -- fuzz --fs nova --buggy --execs 256 --seed 1 \
 	  | tee _build/cache-smoke-fuzz-default.out \
 	  | grep -E '^(finding|  cluster)' > _build/cache-smoke-fuzz-default.txt

@@ -168,28 +168,29 @@ let suite_stats () =
      driver) parallelizes across the whole table. Pool.iter hands results
      over in submission order, so rows print deterministically, driver by
      driver, whatever order the domains finished in. *)
-  let rows = ref [] in
+  let strong = ref [] in
   Chipmunk.Pool.iter
     ~jobs:(min jobs (List.length Catalog.clean_drivers))
-    (fun (name, mk) ->
+    (fun (_, mk) ->
+      let driver = mk () in
+      let consistency = driver.Vfs.Driver.consistency in
       let suite =
-        if name = "ext4-dax" || name = "xfs-dax" then
-          Seq.append (Ace.seq1 Ace.Fsync) (Seq.take 1500 (Ace.seq2 Ace.Fsync))
-        else Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong)
+        match consistency with
+        | Vfs.Driver.Weak -> Seq.append (Ace.seq1 Ace.Fsync) (Seq.take 1500 (Ace.seq2 Ace.Fsync))
+        | Vfs.Driver.Strong -> Seq.append (Ace.seq1 Ace.Strong) (Ace.seq2 Ace.Strong)
       in
-      Chipmunk.Campaign.run (mk ()) suite)
+      (consistency, Chipmunk.Campaign.run driver suite))
     (List.to_seq Catalog.clean_drivers)
-    (fun _ (name, _) r ->
+    (fun _ (name, _) (consistency, r) ->
       Printf.printf "%-12s %10d %12d %12d %10d %10d %8.1f\n%!" name
         r.Chipmunk.Campaign.workloads_run r.Chipmunk.Campaign.crash_points
         r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
         (List.length r.Chipmunk.Campaign.events)
         r.Chipmunk.Campaign.elapsed;
-      rows := (name, r.Chipmunk.Campaign.crash_states) :: !rows);
-  let rows = !rows in
-  let strong = List.filter (fun (n, _) -> n <> "ext4-dax" && n <> "xfs-dax") rows in
-  let mx = List.fold_left (fun a (_, s) -> max a s) 0 strong in
-  let mn = List.fold_left (fun a (_, s) -> min a s) max_int strong in
+      if consistency = Vfs.Driver.Strong then
+        strong := r.Chipmunk.Campaign.crash_states :: !strong);
+  let mx = List.fold_left max 0 !strong in
+  let mn = List.fold_left min max_int !strong in
   Printf.printf
     "\ncrash-state variation across strong-consistency FSes: %.1fx\n\
      (paper: up to 3x, PMFS checking the most and WineFS the fewest)\n"
@@ -235,33 +236,51 @@ let cap_sweep () =
 
 let inflight () =
   header "Section 3.2: in-flight (coalesced) writes per fence epoch, by syscall";
+  let summarize sizes =
+    let count = List.length sizes in
+    let mean = float_of_int (List.fold_left ( + ) 0 sizes) /. float_of_int (max 1 count) in
+    (count, mean, List.fold_left max 0 sizes)
+  in
   List.iter
     (fun (name, mk) ->
-      if name <> "ext4-dax" && name <> "xfs-dax" then begin
-        let driver = mk () in
+      let driver = mk () in
+      if driver.Vfs.Driver.consistency = Vfs.Driver.Strong then begin
+        (* Per syscall name, each workload's largest in-flight vector at a
+           fence inside a call of that name: a [During i] crash point is a
+           fence inside call [i], and its [in_flight] the coalesced vector
+           the replay enumerates subsets of. *)
         let tbl : (string, int list) Hashtbl.t = Hashtbl.create 16 in
         Seq.iter
           (fun (_, w) ->
-            let r = Chipmunk.Harness.test_workload driver w in
-            List.iter
-              (fun (k, (s : Persist.Analysis.summary)) ->
-                let prev = Option.value (Hashtbl.find_opt tbl k) ~default:[] in
-                Hashtbl.replace tbl k (s.Persist.Analysis.max :: prev))
-              (Persist.Analysis.per_syscall_summary r.Chipmunk.Harness.trace))
+            let r = Chipmunk.Harness.record driver w in
+            let calls = Array.of_list w in
+            let maxes = Hashtbl.create 8 in
+            Chipmunk.Harness.walk ~replay:(Pmem.Image.snapshot r.Chipmunk.Harness.rec_base)
+              r.Chipmunk.Harness.rec_trace (fun p ->
+                match p.Chipmunk.Harness.phase with
+                | Chipmunk.Checker.During i ->
+                  let k = Chipmunk.Report.first_word (Vfs.Syscall.to_string calls.(i)) in
+                  let n = List.length p.Chipmunk.Harness.in_flight in
+                  Hashtbl.replace maxes k
+                    (max n (Option.value (Hashtbl.find_opt maxes k) ~default:0))
+                | Chipmunk.Checker.Initial | Chipmunk.Checker.After _ -> ());
+            Hashtbl.iter
+              (fun k n ->
+                Hashtbl.replace tbl k (n :: Option.value (Hashtbl.find_opt tbl k) ~default:[]))
+              maxes)
           (Ace.seq1 Ace.Strong);
         let rows = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
         Printf.printf "%s:\n" name;
         let all_meta = ref [] in
         List.iter
           (fun (k, sizes) ->
-            let s = Persist.Analysis.summarize sizes in
+            let count, mean, mx = summarize sizes in
             if k <> "write" && k <> "pwrite" && k <> "fallocate" then all_meta := sizes @ !all_meta;
-            Printf.printf "  %-10s epochs=%4d  mean=%.1f  max=%d\n" k s.Persist.Analysis.count
-              s.Persist.Analysis.mean s.Persist.Analysis.max)
+            Printf.printf "  %-10s epochs=%4d  mean=%.1f  max=%d\n" k count mean mx)
           rows;
-        let m = Persist.Analysis.summarize !all_meta in
+        let _, mean, mx = summarize !all_meta in
         Printf.printf "  metadata ops overall: mean=%.1f max=%d (paper: mean ~3, max ~10)\n\n"
-          m.Persist.Analysis.mean m.Persist.Analysis.max
+          mean mx
       end)
     Catalog.clean_drivers
 

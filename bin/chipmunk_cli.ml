@@ -91,8 +91,10 @@ let footer ~crash_states ~dedup_hits ~vcache_hits ~oracle_reused ~points_reused 
     probes_reused;
   Option.iter
     (fun (z : Chipmunk.Vcache.sizes) ->
-      Printf.printf "cache tables: %d verdicts, %d trie nodes, %d crash points, %d probed images\n"
-        z.Chipmunk.Vcache.verdict_entries z.Chipmunk.Vcache.trie_nodes
+      Printf.printf
+        "cache tables: %d verdicts, %d phase ids, %d trie nodes, %d crash points, %d probed \
+         images\n"
+        z.Chipmunk.Vcache.verdict_entries z.Chipmunk.Vcache.phase_ids z.Chipmunk.Vcache.trie_nodes
         z.Chipmunk.Vcache.point_memo z.Chipmunk.Vcache.probe_memo)
     sizes;
   if truncated_points > 0 then

@@ -99,8 +99,14 @@ let check_strong ~atomic_data ~workload ~oracle ~phase ~tree =
     if d = [] then []
     else [ Report.Synchrony { syscall = Vfs.Syscall.to_string (List.nth workload i); diffs = d } ]
 
-(* Weak systems only promise durability at fsync boundaries; the harness
-   only asks us about those. *)
+let judged ~consistency ~workload phase =
+  match (consistency, phase) with
+  | Vfs.Driver.Strong, _ -> true
+  | Vfs.Driver.Weak, After i -> Vfs.Syscall.is_fsync_family (List.nth workload i)
+  | Vfs.Driver.Weak, (Initial | During _) -> false
+
+(* Weak systems only promise durability at fsync boundaries, the only
+   phases [judged] admits for them. *)
 let check_weak ~workload ~oracle ~phase ~tree =
   match phase with
   | Initial | During _ -> []

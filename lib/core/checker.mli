@@ -22,6 +22,13 @@ type phase =
   | During of int
   | After of int
 
+val judged :
+  consistency:Vfs.Driver.consistency -> workload:Vfs.Syscall.t list -> phase -> bool
+(** Whether a driver's contract is judged at [phase] of [workload]: a
+    strong driver at every phase, a weak one only [After] a call of the
+    fsync family (fsync, fdatasync, sync). The harness checks crash
+    points only at judged phases. *)
+
 val check :
   atomic_data:bool ->
   consistency:Vfs.Driver.consistency ->

@@ -49,7 +49,6 @@ type crash_point = {
   fence_no : int;
   phase : Checker.phase;
   after_syscall : int option;
-  at_fence : bool;
   in_flight : Coalesce.t list;
 }
 
@@ -246,11 +245,11 @@ let walk ?(opts = default_opts) ~replay trace f =
   let cur_syscall = ref None in
   let last_done = ref None in
   let fence_no = ref 0 in
-  let point ~at_fence phase =
+  let point phase =
     incr fence_no;
     let in_flight = List.rev !vec in
     let after_syscall = match phase with Checker.After i -> Some i | _ -> !last_done in
-    f { fence_no = !fence_no; phase; after_syscall; at_fence; in_flight };
+    f { fence_no = !fence_no; phase; after_syscall; in_flight };
     in_flight
   in
   Trace.iter trace (function
@@ -262,12 +261,12 @@ let walk ?(opts = default_opts) ~replay trace f =
         | None, Some i -> Checker.After i
         | None, None -> Checker.Initial
       in
-      List.iter (Coalesce.apply (Image.write_string replay)) (point ~at_fence:true phase);
+      List.iter (Coalesce.apply (Image.write_string replay)) (point phase);
       vec := []
     | Trace.Syscall_begin { idx; _ } -> cur_syscall := Some idx
     | Trace.Syscall_end { idx; _ } ->
       cur_syscall := None;
-      ignore (point ~at_fence:false (Checker.After idx));
+      ignore (point (Checker.After idx));
       last_done := Some idx)
 
 let mount_and_check_with ~probe (driver : Vfs.Driver.t) ~workload ~oracle ~phase image =
@@ -306,9 +305,6 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let reports = ref [] (* (report, fingerprint), newest first *) in
   let workload_arr = Array.of_list calls in
-  let fsync_boundary idx =
-    idx < Array.length workload_arr && Vfs.Syscall.is_fsync_family workload_arr.(idx)
-  in
   let during_syscall (p : crash_point) =
     match p.phase with Checker.During i -> Some i | _ -> None
   in
@@ -372,12 +368,7 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
       u.Coalesce.parts
   in
   let check_point (p : crash_point) =
-    let weak = driver.Vfs.Driver.consistency = Vfs.Driver.Weak in
-    let should_check =
-      if not weak then true
-      else match p.phase with Checker.After i -> fsync_boundary i | _ -> false
-    in
-    if should_check then begin
+    if Checker.judged ~consistency:driver.Vfs.Driver.consistency ~workload:calls p.phase then begin
       stats.crash_points <- stats.crash_points + 1;
       let units_arr, cold_units =
         if opts.read_set_heuristic && p.in_flight <> [] then begin
@@ -461,7 +452,8 @@ let replay_phases ~opts ?vcache (driver : Vfs.Driver.t) ~calls ~trace ~outcomes
            occurrence's crash point, so finding sets are unchanged. Only a
            miss builds the state, and it must digest to its key. The
            probe's result is memoized per image digest. A key's phase id
-           is the trie's, interned once per call prefix. *)
+           is the trie's, interned on the first lookup of this phase of
+           this call prefix. *)
         let id = Vcache.phase prog p.phase in
         let looked_up = ref [] in
         Array.iteri

@@ -5,8 +5,9 @@
 
     Crash points are placed at every store fence ({e during} system calls —
     the paper's key departure from disk-era tools) and at every system-call
-    boundary (checking synchrony). For weak (fsync-based) file systems,
-    checks run only at fsync/fdatasync/sync boundaries. *)
+    boundary (checking synchrony). A crash point is checked only at a
+    phase {!Checker.judged} admits for the driver: for weak (fsync-based)
+    file systems, only after fsync/fdatasync/sync. *)
 
 type opts = {
   cap : int option;
@@ -128,7 +129,8 @@ val test_workload :
   Vfs.Syscall.t list ->
   result
 (** Run the full pipeline ({!record} then replay) for one workload on one
-    file system. Every crash point of the workload is checked; a run of
+    file system. Every crash point of the workload at a judged phase is
+    checked; a run of
     many workloads stops early only between workloads, through its
     {!Run.budget}.
 
@@ -160,12 +162,15 @@ val test_workload :
 
 type crash_point = {
   fence_no : int;  (** 1-based index among all fences and syscall ends. *)
-  phase : Checker.phase;  (** Outside a syscall, [After] the last one done. *)
+  phase : Checker.phase;
+      (** Outside a syscall, [After] the last one done. A [During] point
+          is always a store fence. *)
   after_syscall : int option;  (** Last completed syscall. *)
-  at_fence : bool;  (** A store fence, not a syscall boundary. *)
   in_flight : Coalesce.t list;
-      (** Oldest first. A crash state is the fence prefix plus the units a
-          report's [subset] names, applied in this order. *)
+      (** Oldest first: the in-flight vector, coalesced under
+          [opts.coalesce] (section 3.2). A crash state is the fence
+          prefix plus the units a report's [subset] names, applied in
+          this order. *)
 }
 
 val walk :

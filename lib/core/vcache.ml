@@ -26,7 +26,9 @@
    The cache also holds a trie of the call prefixes the campaign has run.
    A prefix determines its last oracle boundary and the phase keys of its
    last call, so each node keeps that boundary and the two phase ids, and
-   a program derives only what its new suffix adds. *)
+   a program derives only what its new suffix adds. A phase id is
+   interned when first looked up, so only the phases the harness judges
+   get one: the cache needs no notion of which phases those are. *)
 
 type verdict = (Report.kind * string) list
 
@@ -66,18 +68,19 @@ module Ints = Hashtbl.Make (Int)
 
 (* One node per distinct call prefix the campaign has run: the oracle
    boundary after its last call, and the ids of that call's During and
-   After phases. The root stands for the empty prefix: its [after] is the
-   Initial phase's id, its [during] is unused. *)
+   After phases, -1 until first looked up. The root stands for the empty
+   prefix: its [after] is the Initial phase's id, its [during] is
+   unused. *)
 type node = {
   boundary : Oracle.boundary;
-  during : int;
-  after : int;
+  mutable during : int;
+  mutable after : int;
   children : (Vfs.Syscall.t, node) Hashtbl.t;
 }
 
-(* [mutex] guards the phase ids, the verdicts and their interned values,
-   the crash-point memo and the probe memo; [trie_lock] guards the trie
-   and its node count. *)
+(* [mutex] guards the phase ids (the table and the nodes' fields), the
+   verdicts and their interned values, the crash-point memo and the probe
+   memo; [trie_lock] guards the trie's links and its node count. *)
 type t = {
   mutex : Mutex.t;
   phase_ids : (phase_key, int) Hashtbl.t;
@@ -94,29 +97,28 @@ type t = {
 
 let create () =
   let empty = Oracle.run [] in
-  (* Every program's Initial phase has the same key: it is id 0. *)
-  let phase_ids = Hashtbl.create 256 in
-  Hashtbl.add phase_ids (phase_key empty ~text:string_of_int Checker.Initial) 0;
   {
     mutex = Mutex.create ();
-    phase_ids;
+    phase_ids = Hashtbl.create 256;
     table = Pair.create 1024;
     distinct = Hashtbl.create 256;
     points = Pair.create 1024;
     probes = Ints.create 1024;
     trie_lock = Mutex.create ();
-    root = { boundary = Oracle.boundary empty 0; during = -1; after = 0; children = Hashtbl.create 64 };
+    root = { boundary = Oracle.boundary empty 0; during = -1; after = -1; children = Hashtbl.create 64 };
     n_nodes = 0;
   }
 
-let phase_id t key =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.phase_ids key with
-      | Some id -> id
-      | None ->
-        let id = Hashtbl.length t.phase_ids in
-        Hashtbl.add t.phase_ids key id;
-        id)
+(* Under [t.mutex]. *)
+let intern t key =
+  match Hashtbl.find_opt t.phase_ids key with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.phase_ids in
+    Hashtbl.add t.phase_ids key id;
+    id
+
+let phase_id t key = Mutex.protect t.mutex (fun () -> intern t key)
 
 (* The result stored under a key, or [run ()]'s, which [store] stores
    unless a racing domain stored one meanwhile (first result wins; both
@@ -147,13 +149,20 @@ let point t key =
 let probe t digest =
   memo t (fun () -> Ints.find_opt t.probes digest) (fun r -> Ints.replace t.probes digest r; r)
 
-type sizes = { verdict_entries : int; trie_nodes : int; point_memo : int; probe_memo : int }
+type sizes = {
+  verdict_entries : int;
+  phase_ids : int;
+  trie_nodes : int;
+  point_memo : int;
+  probe_memo : int;
+}
 
 let sizes (t : t) =
   let trie_nodes = Mutex.protect t.trie_lock (fun () -> t.n_nodes) in
   Mutex.protect t.mutex (fun () ->
       {
         verdict_entries = Pair.length t.table;
+        phase_ids = Hashtbl.length t.phase_ids;
         trie_nodes;
         point_memo = Pair.length t.points;
         probe_memo = Ints.length t.probes;
@@ -162,15 +171,33 @@ let sizes (t : t) =
 (* --- the call-prefix trie --- *)
 
 (* [nodes.(b)] is the node of the program's first [b] calls. *)
-type program = { oracle : Oracle.t; nodes : node array; reused : int }
+type program = {
+  cache : t;
+  calls : Vfs.Syscall.t array;
+  oracle : Oracle.t;
+  nodes : node array;
+  reused : int;
+}
 
 let oracle p = p.oracle
 let reused p = p.reused
 
-let phase p = function
-  | Checker.Initial -> p.nodes.(0).after
-  | Checker.During i -> p.nodes.(i + 1).during
-  | Checker.After i -> p.nodes.(i + 1).after
+let phase p (ph : Checker.phase) =
+  let node, during =
+    match ph with
+    | Checker.Initial -> (p.nodes.(0), false)
+    | During i -> (p.nodes.(i + 1), true)
+    | After i -> (p.nodes.(i + 1), false)
+  in
+  Mutex.protect p.cache.mutex (fun () ->
+      let id = if during then node.during else node.after in
+      if id >= 0 then id
+      else begin
+        let text i = Vfs.Syscall.to_string p.calls.(i) in
+        let id = intern p.cache (phase_key p.oracle ~text ph) in
+        if during then node.during <- id else node.after <- id;
+        id
+      end)
 
 (* The nodes of the longest prefix of [calls] already in the trie, the
    root first. *)
@@ -193,18 +220,15 @@ let program t calls =
   let nodes =
     if k = n then known
     else begin
-      (* Build the new suffix's nodes, phase ids included, outside the
-         trie lock, then link them in. A domain that linked the same
-         prefix meanwhile built equal nodes: keep its nodes. *)
+      (* Build the new suffix's nodes outside the trie lock, then link
+         them in. A domain that linked the same prefix meanwhile built
+         equal nodes: keep its nodes. *)
       let fresh =
         Array.init (n - k) (fun j ->
-            let i = k + j in
-            let text = Vfs.Syscall.to_string calls.(i) in
-            let id phase = phase_id t (phase_key oracle ~text:(fun _ -> text) phase) in
             {
-              boundary = Oracle.boundary oracle (i + 1);
-              during = id (Checker.During i);
-              after = id (Checker.After i);
+              boundary = Oracle.boundary oracle (k + j + 1);
+              during = -1;
+              after = -1;
               children = Hashtbl.create 2;
             })
       in
@@ -220,4 +244,4 @@ let program t calls =
           nodes)
     end
   in
-  { oracle; nodes; reused = k + 1 }
+  { cache = t; calls; oracle; nodes; reused = k + 1 }

@@ -50,9 +50,9 @@ type phase_key =
 
 val phase_key : Oracle.t -> text:(int -> string) -> Checker.phase -> phase_key
 (** The key of [phase] in a program with oracle [oracle], where [text i]
-    is [Vfs.Syscall.to_string] of call [i]. O(1) beyond [text]. The trie
-    ({!program}) builds the During and After keys of a call once per call
-    prefix; {!phase} gives their ids. *)
+    is [Vfs.Syscall.to_string] of call [i]. O(1) beyond [text]. {!phase}
+    builds a program's keys through the trie, once per call prefix and
+    phase. *)
 
 val phase_id : t -> phase_key -> int
 (** The phase key's id in this cache: equal keys get equal ids, distinct
@@ -98,6 +98,7 @@ val probe : t -> int -> (unit -> string option) -> string option * bool
 
 type sizes = {
   verdict_entries : int;  (** {!entries}. *)
+  phase_ids : int;  (** Distinct phase keys interned. *)
   trie_nodes : int;  (** Call prefixes in the trie, the empty one aside. *)
   point_memo : int;  (** Distinct crash points with memoized digests. *)
   probe_memo : int;  (** Distinct crash images probed. *)
@@ -116,7 +117,10 @@ val sizes : t -> sizes
     {!Vfs.Syscall.t}, one node per distinct prefix, shared by every
     domain under its own lock: a node holds the boundary after its last
     call and the {!phase_id}s of that call's [During] and [After]
-    phases, interned once, when the node is built. *)
+    phases, each interned when first looked up ({!phase}). The harness
+    looks up only the phases {!Checker.judged} admits, so only those get
+    an id: the cache itself has no notion of which phases a driver
+    judges. *)
 
 type program
 (** One program's calls resolved against the trie. *)
@@ -124,13 +128,15 @@ type program
 val program : t -> Vfs.Syscall.t list -> program
 (** Look up [calls], capturing and digesting on Memfs only the boundaries
     the trie lacks (none, and no Memfs run at all, when the whole program
-    is known), and add the new ones. *)
+    is known), and add the new ones. Interns no phase. *)
 
 val oracle : program -> Oracle.t
 (** Equal to [Oracle.run calls]. *)
 
 val phase : program -> Checker.phase -> int
-(** The {!phase_id} of the phase's {!phase_key} in this program. *)
+(** The {!phase_id} of the phase's {!phase_key} in this program,
+    interned on the first lookup of that phase of that call prefix and
+    read off its trie node after. *)
 
 val reused : program -> int
 (** Boundaries served by the trie instead of captured: one more than the

@@ -1,5 +1,6 @@
 (* Tests for the persistence layer: trace recording semantics, cache-line
-   widening of flushes, undo log, in-flight analysis. *)
+   widening of flushes, undo log, syscall markers and the in-flight vectors
+   the harness walks them into. *)
 
 module Pm = Persist.Pm
 module Trace = Persist.Trace
@@ -77,26 +78,39 @@ let test_unlogged_writes_keep_seq () =
         late)
     [ Pm.Function_level; Pm.Instruction_level ]
 
+(* The syscall markers bracket the stores of their call, and the crash
+   points [Harness.walk] places at its fences carry the coalesced
+   in-flight vectors: the first fence's three stores are two units (the
+   first two are address-contiguous), the second fence's one store one. *)
 let test_markers_and_epochs () =
   let _, pm, trace = setup () in
   Pm.mark_syscall_begin pm ~idx:0 ~descr:"creat /foo";
   Pm.memcpy_nt pm ~off:0 "a";
+  Pm.memcpy_nt pm ~off:1 "a";
   Pm.memcpy_nt pm ~off:8 "b";
   Pm.fence pm;
   Pm.memcpy_nt pm ~off:16 "c";
   Pm.fence pm;
   Pm.mark_syscall_end pm ~idx:0 ~ret:0;
-  Alcotest.(check (list (pair (option int) int)))
-    "in-flight sizes per fence, inside the syscall" [ (Some 0, 2); (Some 0, 1) ]
-    (List.map
-       (fun (e : Persist.Analysis.epoch) ->
-         (e.Persist.Analysis.syscall_idx, e.Persist.Analysis.stores))
-       (Persist.Analysis.epochs trace));
-  match Persist.Analysis.per_syscall_summary trace with
-  | [ ("creat", s) ] ->
-    Alcotest.(check int) "epochs" 2 s.Persist.Analysis.count;
-    Alcotest.(check int) "max" 2 s.Persist.Analysis.max
-  | _ -> Alcotest.fail "expected one creat summary"
+  let ops = Trace.ops trace in
+  (match (ops.(0), ops.(Array.length ops - 1)) with
+  | Trace.Syscall_begin { idx = 0; descr = "creat /foo" }, Trace.Syscall_end { idx = 0; ret = 0 }
+    ->
+    ()
+  | _ -> Alcotest.fail "the syscall's markers open and close the trace");
+  let phase = function
+    | Chipmunk.Checker.Initial -> "initial"
+    | Chipmunk.Checker.During i -> Printf.sprintf "during %d" i
+    | Chipmunk.Checker.After i -> Printf.sprintf "after %d" i
+  in
+  let points = ref [] in
+  Chipmunk.Harness.walk ~replay:(Pmem.Image.create ~size:1024) trace (fun p ->
+      points :=
+        (phase p.Chipmunk.Harness.phase, List.length p.Chipmunk.Harness.in_flight) :: !points);
+  Alcotest.(check (list (pair string int)))
+    "coalesced in-flight sizes per crash point"
+    [ ("during 0", 2); ("during 0", 1); ("after 0", 0) ]
+    (List.rev !points)
 
 (* The checker undoes its own writes to a crash state through an image
    checkpoint: pre-images come back, and the checkpoint is closed after. *)

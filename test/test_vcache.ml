@@ -285,16 +285,19 @@ let test_trie_matches_oracle_run () =
     true
     (2 * !reused > !boundaries)
 
-(* Two domains resolve the same new program at once, each round a
-   program no earlier round shares a call with: whichever links its
-   nodes first, both get the same phase ids (interned outside the trie
-   lock), equal to those of [Oracle.run]'s keys, and the trie counts
-   each prefix once (the later domain keeps the nodes the other
-   linked). *)
+(* Two domains resolve the same new program at once and look up its
+   phases, each round a program no earlier round shares a call with:
+   whichever links its nodes first, both get the same phase ids (each
+   interned under the cache lock by whichever domain looks it up first),
+   equal to those of [Oracle.run]'s keys, and the trie counts each prefix
+   once (the later domain keeps the nodes the other linked). *)
 let test_trie_concurrent_program () =
   let module S = Vfs.Syscall in
   let vc = Vcache.create () in
   let rounds = 16 and len = 12 in
+  let phases =
+    Checker.Initial :: List.concat (List.init len (fun i -> [ Checker.During i; Checker.After i ]))
+  in
   for r = 1 to rounds do
     let d = Printf.sprintf "/r%d" r in
     let calls =
@@ -310,27 +313,58 @@ let test_trie_concurrent_program () =
       while Atomic.get go < 2 do
         Domain.cpu_relax ()
       done;
-      Vcache.program vc calls
+      let p = Vcache.program vc calls in
+      List.map (Vcache.phase p) phases
     in
     let other = Domain.spawn resolve in
-    let p = resolve () in
-    let q = Domain.join other in
+    let mine = resolve () in
+    let theirs = Domain.join other in
     let o = Oracle.run calls in
     let texts = Array.of_list (List.map S.to_string calls) in
-    let phases =
-      Checker.Initial
-      :: List.concat (List.init len (fun i -> [ Checker.During i; Checker.After i ]))
+    let want =
+      List.map
+        (fun phase -> Vcache.phase_id vc (Vcache.phase_key o ~text:(Array.get texts) phase))
+        phases
     in
-    List.iter
-      (fun phase ->
-        let id = Vcache.phase_id vc (Vcache.phase_key o ~text:(Array.get texts) phase) in
-        if Vcache.phase p phase <> id || Vcache.phase q phase <> id then
-          Alcotest.failf "round %d: phase ids differ" r)
-      phases;
+    if mine <> want || theirs <> want then Alcotest.failf "round %d: phase ids differ" r;
     Alcotest.(check int)
       (Printf.sprintf "round %d: each prefix counted once" r)
       (r * len) (Vcache.sizes vc).Vcache.trie_nodes
   done
+
+(* A weak driver is judged only after fsync-family calls, and a phase id
+   is interned only when the harness looks a judged phase up, so a
+   campaign's phase table holds exactly the distinct keys of the judged
+   phases: none for the During and other After phases it skips. The keys
+   are counted here from [Oracle.run], apart from the cache. *)
+let test_phase_ids_only_judged () =
+  let driver = Option.get (Catalog.buggy_driver "ext4-dax") () in
+  let r = Campaign.run ~exec:(Chipmunk.Run.exec ~use_vcache:true ()) driver (Ace.seq1 Ace.Fsync) in
+  let judged = Hashtbl.create 256 and all = Hashtbl.create 256 in
+  Seq.iter
+    (fun calls ->
+      let o = Oracle.run calls in
+      let texts = Array.of_list (List.map Vfs.Syscall.to_string calls) in
+      List.iter
+        (fun phase ->
+          let key = Vcache.phase_key o ~text:(Array.get texts) phase in
+          Hashtbl.replace all key ();
+          if Checker.judged ~consistency:driver.Vfs.Driver.consistency ~workload:calls phase then
+            Hashtbl.replace judged key ())
+        (Checker.Initial
+        :: List.concat (List.mapi (fun i _ -> [ Checker.During i; Checker.After i ]) calls)))
+    (Seq.map snd (Ace.seq1 Ace.Fsync));
+  let ids =
+    match r.Campaign.vcache_sizes with
+    | Some z -> z.Vcache.phase_ids
+    | None -> Alcotest.fail "a cached campaign reports its table sizes"
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "some phases judged (%d of %d keys)" (Hashtbl.length judged)
+       (Hashtbl.length all))
+    true
+    (Hashtbl.length judged > 0 && Hashtbl.length judged < Hashtbl.length all);
+  Alcotest.(check int) "one phase id per distinct judged phase key" (Hashtbl.length judged) ids
 
 (* --- Cache transparency: findings identical on/off, at any job count --- *)
 
@@ -630,6 +664,8 @@ let suite =
       test_trie_matches_oracle_run;
     Alcotest.test_case "trie: concurrent programs share nodes and phase ids" `Quick
       test_trie_concurrent_program;
+    Alcotest.test_case "trie: phase ids only for judged phases" `Quick
+      test_phase_ids_only_judged;
     Alcotest.test_case "campaign: findings identical with vcache on/off" `Quick
       test_campaign_vcache_transparent;
     Alcotest.test_case "campaign: vcache keeps jobs=1 == jobs=4" `Quick

@@ -275,6 +275,8 @@ let sample_workload =
     Vfs.Syscall.Pwrite { fd_var = 1; off = 17; data = { seed = 7; len = 33 } };
     Vfs.Syscall.Read { fd_var = 1; len = 64 };
     Vfs.Syscall.Lseek { fd_var = 1; off = -3; whence = Types.SEEK_END };
+    Vfs.Syscall.Lseek { fd_var = 1; off = 9; whence = Types.SEEK_SET };
+    Vfs.Syscall.Lseek { fd_var = 1; off = -4; whence = Types.SEEK_CUR };
     Vfs.Syscall.Link { src = "/d/f"; dst = "/g" };
     Vfs.Syscall.Rename { src = "/g"; dst = "/h" };
     Vfs.Syscall.Truncate { path = "/h"; size = 100 };
